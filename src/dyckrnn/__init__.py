@@ -23,7 +23,7 @@ from .runtime import (NetworkState, SlotView, StackDecodeError, StepTrace,
 from .sampler import (SamplerConfig, corpus_statistics, sample_corpus,
                       sample_string, sample_strings)
 from .verify import (Collision, QuantizedEncoder, VerificationReport,
-                     check_cross_construction_agreement,
+                     check_corpus_suites, check_cross_construction_agreement,
                      check_full_depth_distinctness,
                      check_generation_equivalence, check_probability_margins,
                      check_saturation_exactness, check_stack_correspondence,

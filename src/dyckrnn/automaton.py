@@ -77,6 +77,8 @@ def vocabulary(k: int) -> tuple[Token, ...]:
 
 def input_column(token: Token, k: int) -> int:
     """Column of the input embedding for a consumed token (end is never consumed)."""
+    if token.index > k:
+        raise ValueError(f"bracket index {token.index} is out of range for k={k}")
     if token.kind == OPEN:
         return token.index - 1
     if token.kind == CLOSE:

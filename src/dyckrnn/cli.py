@@ -19,12 +19,11 @@ from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
                       parse_corpus, sample_corpus, sample_strings)
-from .verify import (QuantizedEncoder, VerificationReport,
-                     applicable_constructions, check_cross_construction_agreement,
+from .verify import (CORPUS_SUITES, QuantizedEncoder, VerificationReport,
+                     applicable_constructions, check_corpus_suites,
+                     check_cross_construction_agreement,
                      check_full_depth_distinctness, check_generation_equivalence,
-                     check_probability_margins, check_saturation_exactness,
-                     check_stack_correspondence, closing_metric,
-                     closing_metric_uniform, find_collision)
+                     closing_metric, closing_metric_uniform, find_collision)
 from .weightio import atomic_write_text, load_weights, save_weights
 
 SUITES = ("equivalence", "stack", "margins", "saturation", "distinct",
@@ -173,7 +172,11 @@ def cmd_check(args) -> int:
 
 def _verify_constructions(args):
     if args.weights:
-        return [load_weights(args.weights)]
+        paramset = load_weights(args.weights)
+        if (paramset.k, paramset.m) != (args.k, args.m):
+            raise ValueError(f"{args.weights} holds weights for k={paramset.k}, "
+                             f"m={paramset.m} but -k {args.k} -m {args.m} was given")
+        return [paramset]
     params = DyckParams(args.k, args.m)
     numeric = _numeric_config(args, args.k)
     selected = []
@@ -194,32 +197,26 @@ def cmd_verify(args) -> int:
     params = DyckParams(args.k, args.m)
     reports: list[VerificationReport] = []
 
-    corpus = None
-    if any(s in suites for s in ("stack", "margins", "saturation")):
+    needs_nets = any(s in suites for s in ("equivalence", "distinct", *CORPUS_SUITES))
+    constructions = _verify_constructions(args) if needs_nets else None
+
+    # one walk per corpus string and construction serves every corpus suite
+    corpus_suites = [s for s in suites if s in CORPUS_SUITES]
+    corpus_reports = []
+    if corpus_suites:
         corpus = sample_strings(SamplerConfig(params, seed=args.seed),
                                 args.strings)
-
-    constructions = None
-    needs_nets = any(s in suites for s in
-                     ("equivalence", "stack", "margins", "saturation", "distinct"))
-    if needs_nets:
-        constructions = _verify_constructions(args)
+        corpus_reports = [dict(zip(corpus_suites, check_corpus_suites(
+            ps, corpus, corpus_suites, epsilon=args.epsilon)))
+            for ps in constructions]
 
     for suite in suites:
         if suite == "equivalence":
             for ps in constructions:
                 reports.append(check_generation_equivalence(
                     ps, max_len=args.max_len, epsilon=args.epsilon))
-        elif suite == "stack":
-            for ps in constructions:
-                reports.append(check_stack_correspondence(ps, corpus))
-        elif suite == "margins":
-            for ps in constructions:
-                reports.append(check_probability_margins(
-                    ps, corpus, epsilon=args.epsilon))
-        elif suite == "saturation":
-            for ps in constructions:
-                reports.append(check_saturation_exactness(ps, corpus))
+        elif suite in CORPUS_SUITES:
+            reports.extend(by_suite[suite] for by_suite in corpus_reports)
         elif suite == "distinct":
             for ps in constructions:
                 reports.append(check_full_depth_distinctness(ps))
@@ -263,10 +260,9 @@ def cmd_metric(args) -> int:
     paramset = load_weights(args.weights)
     with open(args.corpus) as handle:
         header, corpus = parse_corpus(handle.read())
-    if header["k"] != paramset.k or header["m"] != paramset.m:
-        print(f"corpus is for k={header['k']}, m={header['m']} but weights are "
-              f"for k={paramset.k}, m={paramset.m}", file=sys.stderr)
-        return 2
+    if (header["k"], header["m"]) != (paramset.k, paramset.m):
+        raise ValueError(f"corpus is for k={header['k']}, m={header['m']} but "
+                         f"weights are for k={paramset.k}, m={paramset.m}")
     if args.uniform_baseline:
         report = closing_metric_uniform(paramset.dyck_params, corpus,
                                         threshold=args.threshold)

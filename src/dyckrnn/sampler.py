@@ -213,5 +213,7 @@ def parse_corpus(text: str) -> tuple[dict, list[tuple[Token, ...]]]:
     for part in lines[0].split()[2:]:
         key, _, value = part.partition("=")
         header[key] = value if key == "prng" else int(value)
+    if "k" not in header or "m" not in header:
+        raise ValueError("corpus header lacks the k= or m= field")
     strings = [parse_string(line) for line in lines[1:] if line.strip()]
     return header, strings

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .automaton import (ACCEPT, EMPTY, REJECT, DfaState, DyckParams, Token,
-                        allowed_tokens, format_string, input_column,
-                        is_member, symbol_row, transition, vocabulary)
+                        format_string, input_column, is_member, symbol_row,
+                        transition, vocabulary)
 from .builders import LstmParams, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
@@ -62,9 +62,14 @@ def _instance(paramset) -> dict:
 
 
 def allowed_row_mask(params: DyckParams, state: DfaState) -> np.ndarray:
-    mask = np.zeros(2 * params.k + 1, dtype=bool)
-    for token in allowed_tokens(params, state):
-        mask[symbol_row(token, params.k)] = True
+    """Rows of allowed_tokens(params, state), read off the stack top and depth."""
+    if state == ACCEPT:
+        raise ValueError("no distribution is defined after end-of-string")
+    k, stack = params.k, state.stack
+    mask = np.zeros(2 * k + 1, dtype=bool)
+    if state.is_stack:
+        mask[:k] = len(stack) < params.m
+        mask[k + stack[-1] - 1 if stack else 2 * k] = True
     return mask
 
 
@@ -181,115 +186,116 @@ def _lstm_hidden_ok(paramset: LstmParams, state: NetworkState,
     return np.array_equal(state.h, expected)
 
 
-def check_stack_correspondence(paramset, corpus) -> VerificationReport:
-    """decode_stack equals the automaton state at every prefix of every
-    corpus string; for LSTMs also checks hidden-state sparsity."""
-    params = paramset.dyck_params
-    checked = 0
-    counter = None
-    for string in corpus:
-        state = initial_state(paramset)
-        dfa = EMPTY
-        for pos, token in enumerate(string, start=1):
-            if token.kind == "end":
-                break
-            state, _ = step(paramset, state, token)
-            dfa = transition(params, dfa, token)
-            checked += 1
-            try:
-                decoded = decode_stack(paramset, state)
-            except StackDecodeError as exc:
-                counter = (f"{format_string(string)} @ token {pos}: "
-                           f"decode failure: {exc}")
-                break
-            if decoded != dfa:
-                counter = (f"{format_string(string)} @ token {pos}: "
-                           f"decoded {decoded}, automaton {dfa}")
-                break
-            if isinstance(paramset, LstmParams) and not _lstm_hidden_ok(
-                    paramset, state, dfa):
-                counter = (f"{format_string(string)} @ token {pos}: "
-                           f"hidden state is not the exposed top slot")
-                break
-        if counter:
-            break
-    return VerificationReport(
-        suite="stack_correspondence", instance=_instance(paramset),
-        checked=checked, passed=counter is None, counterexample=counter,
-        details={"strings": len(corpus)})
+def walk(paramset, string, want_trace: bool = False):
+    """Yield (position, state, trace, next_token) for every prefix of a string:
+    the state after `position` tokens, the trace of the step into it (None at
+    position 0), and the token after it (None past a string without an end
+    mark).  The end mark is never consumed."""
+    state, trace = initial_state(paramset), None
+    for pos, token in enumerate(string):
+        yield pos, state, trace, token
+        if token.kind == "end":
+            return
+        state, trace = step(paramset, state, token, want_trace)
+    yield len(string), state, trace, None
 
 
-def check_probability_margins(paramset, corpus,
-                              epsilon: float | None = None) -> VerificationReport:
-    """At every prefix: allowed tokens >= epsilon, disallowed <= 1/(10k)."""
+CORPUS_SUITES = {"stack": "stack_correspondence",
+                 "margins": "probability_margins",
+                 "saturation": "saturation_exactness"}
+
+
+def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
+                        epsilon: float | None = None) -> list[VerificationReport]:
+    """Any of the corpus suites, one report each in `suites` order, over one
+    walk per string.  Each suite counts its own checks and stops at its own
+    first counterexample; the walk ends once every suite has one."""
     params = paramset.dyck_params
     k = params.k
     eps = epsilon_for(k) if epsilon is None else epsilon
     dis_bound = 1.0 / (10.0 * k)
-    checked = 0
-    counter = None
-    min_allowed, max_disallowed = 1.0, 0.0
+    lstm = isinstance(paramset, LstmParams)
+    details = {"stack": {"strings": len(corpus)}, "saturation": {},
+               "margins": {"epsilon": eps, "disallowed_bound": dis_bound,
+                           "min_allowed": 1.0, "max_disallowed": 0.0}}
+
+    def stack(pos, state, trace, dfa):
+        """decode_stack equals the automaton state; for LSTMs the hidden
+        state exposes exactly the top slot."""
+        try:
+            decoded = decode_stack(paramset, state)
+        except StackDecodeError as exc:
+            return f"@ token {pos}: decode failure: {exc}"
+        if decoded != dfa:
+            return f"@ token {pos}: decoded {decoded}, automaton {dfa}"
+        if lstm and not _lstm_hidden_ok(paramset, state, dfa):
+            return f"@ token {pos}: hidden state is not the exposed top slot"
+        return None
+
+    def margins(pos, state, trace, dfa):
+        """Allowed tokens >= epsilon, disallowed <= 1/(10k)."""
+        dist = next_distribution(paramset, state)
+        mask = allowed_row_mask(params, dfa)
+        lo = dist[mask].min()
+        hi = dist[~mask].max() if (~mask).any() else 0.0
+        seen = details["margins"]
+        seen["min_allowed"] = min(seen["min_allowed"], lo)
+        seen["max_disallowed"] = max(seen["max_disallowed"], hi)
+        if lo < eps or hi > dis_bound:
+            return (f"@ prefix length {pos}: min allowed {lo:.6g} (eps {eps:.6g}), "
+                    f"max disallowed {hi:.6g} (bound {dis_bound:.6g})")
+        return None
+
+    def saturation(pos, state, trace, dfa):
+        """Gates (LSTM) or hidden values exactly 0 or 1; cell candidates and
+        cell values exactly -1, 0 or 1."""
+        binary = (trace.f, trace.i, trace.o) if lstm else (state.h,)
+        ternary = (trace.c_tilde, state.c) if lstm else ()
+        ok = (all(np.all((v == 0.0) | (v == 1.0)) for v in binary)
+              and all(np.all(np.isin(v, (-1.0, 0.0, 1.0))) for v in ternary))
+        return None if ok else f"@ token {pos}"
+
+    checks = {"stack": stack, "margins": margins, "saturation": saturation}
+    checked = dict.fromkeys(suites, 0)
+    counter: dict[str, str] = {}
+    pending = list(dict.fromkeys(suites))
     for string in corpus:
-        state = initial_state(paramset)
-        dfa = EMPTY
-        for pos, token in enumerate(string):
-            dist = next_distribution(paramset, state)
-            mask = allowed_row_mask(params, dfa)
-            lo = dist[mask].min()
-            hi = dist[~mask].max() if (~mask).any() else 0.0
-            min_allowed = min(min_allowed, lo)
-            max_disallowed = max(max_disallowed, hi)
-            checked += 1
-            if lo < eps or hi > dis_bound:
-                counter = (f"{format_string(string)} @ prefix length {pos}: "
-                           f"min allowed {lo:.6g} (eps {eps:.6g}), "
-                           f"max disallowed {hi:.6g} (bound {dis_bound:.6g})")
-                break
-            if token.kind == "end":
-                break
-            state, _ = step(paramset, state, token)
-            dfa = transition(params, dfa, token)
-        if counter:
+        if not pending:
             break
-    return VerificationReport(
-        suite="probability_margins", instance=_instance(paramset),
-        checked=checked, passed=counter is None, counterexample=counter,
-        details={"epsilon": eps, "disallowed_bound": dis_bound,
-                 "min_allowed": min_allowed, "max_disallowed": max_disallowed})
+        for pos, state, trace, token in walk(paramset, string,
+                                             "saturation" in pending):
+            dfa = transition(params, dfa, string[pos - 1]) if pos else EMPTY
+            # margins reads the distribution ahead of every token; the other
+            # suites read the state after every consumed token
+            for suite in [s for s in pending
+                          if (token is not None if s == "margins" else pos)]:
+                checked[suite] += 1
+                fault = checks[suite](pos, state, trace, dfa)
+                if fault:
+                    counter[suite] = f"{format_string(string)} {fault}"
+                    pending.remove(suite)
+            if not pending:
+                break
+    return [VerificationReport(
+        suite=CORPUS_SUITES[s], instance=_instance(paramset), checked=checked[s],
+        passed=s not in counter, counterexample=counter.get(s),
+        details=details[s]) for s in suites]
+
+
+def check_stack_correspondence(paramset, corpus) -> VerificationReport:
+    """The stack suite of check_corpus_suites on its own."""
+    return check_corpus_suites(paramset, corpus, ("stack",))[0]
+
+
+def check_probability_margins(paramset, corpus,
+                              epsilon: float | None = None) -> VerificationReport:
+    """The margins suite of check_corpus_suites on its own."""
+    return check_corpus_suites(paramset, corpus, ("margins",), epsilon)[0]
 
 
 def check_saturation_exactness(paramset, corpus) -> VerificationReport:
-    """Every gate coordinate is exactly 0 or 1 (LSTM), every hidden
-    coordinate exactly 0 or 1 (simple RNN / automaton network), and every
-    cell candidate coordinate exactly -1, 0, or 1, on all corpus prefixes."""
-    checked = 0
-    counter = None
-
-    def binary_exact(vec) -> bool:
-        return bool(np.all((vec == 0.0) | (vec == 1.0)))
-
-    for string in corpus:
-        state = initial_state(paramset)
-        for pos, token in enumerate(string, start=1):
-            if token.kind == "end":
-                break
-            state, trace = step(paramset, state, token, want_trace=True)
-            checked += 1
-            if isinstance(paramset, LstmParams):
-                ok = (binary_exact(trace.f) and binary_exact(trace.i)
-                      and binary_exact(trace.o)
-                      and bool(np.all(np.isin(trace.c_tilde, (-1.0, 0.0, 1.0))))
-                      and bool(np.all(np.isin(state.c, (-1.0, 0.0, 1.0)))))
-            else:
-                ok = binary_exact(state.h)
-            if not ok:
-                counter = f"{format_string(string)} @ token {pos}"
-                break
-        if counter:
-            break
-    return VerificationReport(
-        suite="saturation_exactness", instance=_instance(paramset),
-        checked=checked, passed=counter is None, counterexample=counter)
+    """The saturation suite of check_corpus_suites on its own."""
+    return check_corpus_suites(paramset, corpus, ("saturation",))[0]
 
 
 @dataclass
@@ -306,8 +312,8 @@ class ClosingMetricReport:
         return lines
 
 
-def _closing_events(params: DyckParams, string):
-    """Yield (prefix_position, close_token, separation) for each close bracket.
+def _closing_events(string):
+    """Yield (prefix_position, separation) for each close bracket.
 
     Separation counts the tokens strictly between the open bracket and its
     matching close; it is always even.
@@ -317,35 +323,24 @@ def _closing_events(params: DyckParams, string):
         if token.kind == "open":
             opens.append((pos, token.index))
         elif token.kind == "close":
-            open_pos, idx = opens.pop()
-            if idx != token.index:
-                raise ValueError("corpus string is not well nested")
-            yield pos, token, pos - open_pos - 1
+            if not opens or opens[-1][1] != token.index:
+                raise ValueError(f"corpus string is not well nested at token "
+                                 f"{pos + 1}: {format_string(string)}")
+            yield pos, pos - opens.pop()[0] - 1
 
 
 def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricReport:
     """Mean over separations of the fraction of close brackets predicted
     confidently: renormalized close-bracket probability above the threshold."""
-    params = paramset.dyck_params
-    k = params.k
+    k = paramset.k
 
     def close_confidence(string):
-        state = initial_state(paramset)
-        events = dict()
-        for pos, token, sep in _closing_events(params, string):
-            events[pos] = (token, sep)
-        pos = 0
-        for token in string:
-            if token.kind == "end":
-                break
+        events = dict(_closing_events(string))
+        for pos, state, _, token in walk(paramset, string):
             if pos in events:
-                tok, sep = events[pos]
                 dist = next_distribution(paramset, state)
                 p_close = dist[k:2 * k].sum()
-                p_correct = dist[k + tok.index - 1]
-                yield sep, (p_correct / p_close) > threshold
-            state, _ = step(paramset, state, token)
-            pos += 1
+                yield events[pos], (dist[k + token.index - 1] / p_close) > threshold
 
     return _bucket_metric(
         (pair for string in corpus for pair in close_confidence(string)))
@@ -355,13 +350,8 @@ def closing_metric_uniform(params: DyckParams, corpus,
                            threshold: float = 0.8) -> ClosingMetricReport:
     """Baseline scoring: every close bracket gets renormalized mass 1/k."""
     confident = (1.0 / params.k) > threshold
-
-    def events():
-        for string in corpus:
-            for _, _, sep in _closing_events(params, string):
-                yield sep, confident
-
-    return _bucket_metric(events())
+    return _bucket_metric((sep, confident) for string in corpus
+                          for _, sep in _closing_events(string))
 
 
 def _bucket_metric(events) -> ClosingMetricReport:

@@ -12,6 +12,8 @@ A weight document is JSON:
     }
 
 Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
+Loading checks every matrix shape against the architecture's hidden size d:
+W* (d, d), U* (d, 2k), b* (d,), E (2k, 2k), V (2k+1, d), b_v (2k+1,).
 Files are written atomically (temp file, then rename).
 """
 
@@ -25,21 +27,16 @@ import numpy as np
 
 from .automaton import DyckParams
 from .builders import (LstmParams, NaiveDfaParams, SimpleRnnParams,
-                       build_encoding, enumerate_states)
+                       build_encoding, enumerate_states, hidden_units)
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE
 from .numerics import NumericConfig
 
 SCHEMA_VERSION = 1
 
 _SIMPLE_MATS = ("W", "U", "b", "E", "V", "b_v")
-_LSTM_MATS = ("W_f", "U_f", "b_f", "W_i", "U_i", "b_i", "W_o", "U_o", "b_o",
-              "W_c", "U_c", "b_c", "E", "V", "b_v")
-_NAIVE_MATS = ("W", "U", "b", "E", "V", "b_v")
-
-
-def _mat_names(architecture: str) -> tuple[str, ...]:
-    return {ARCH_SIMPLE: _SIMPLE_MATS, ARCH_LSTM: _LSTM_MATS,
-            ARCH_NAIVE: _NAIVE_MATS}[architecture]
+_MATS = {ARCH_SIMPLE: _SIMPLE_MATS, ARCH_NAIVE: _SIMPLE_MATS,
+         ARCH_LSTM: ("W_f", "U_f", "b_f", "W_i", "U_i", "b_i", "W_o", "U_o",
+                     "b_o", "W_c", "U_c", "b_c", "E", "V", "b_v")}
 
 
 def to_document(paramset) -> dict:
@@ -52,7 +49,7 @@ def to_document(paramset) -> dict:
         "numeric_config": paramset.numeric.to_dict(),
         "matrices": {},
     }
-    for name in _mat_names(paramset.architecture):
+    for name in _MATS[paramset.architecture]:
         arr = getattr(paramset, name)
         doc["matrices"][name] = {"shape": list(arr.shape),
                                  "data": arr.ravel().tolist()}
@@ -62,24 +59,35 @@ def to_document(paramset) -> dict:
 def from_document(doc: dict):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported weight schema {doc.get('schema_version')!r}")
-    arch = doc["architecture"]
-    k, m = int(doc["k"]), int(doc["m"])
-    numeric = NumericConfig.from_dict(doc["numeric_config"])
+    try:
+        arch, k, m = doc["architecture"], int(doc["k"]), int(doc["m"])
+        enc_kind, matrices = doc.get("encoding_kind"), doc["matrices"]
+        numeric = NumericConfig.from_dict(doc["numeric_config"])
+        entries = {name: (tuple(matrices[name]["shape"]), matrices[name]["data"])
+                   for name in _MATS.get(arch, ())}
+    except KeyError as exc:
+        raise ValueError(f"weight document has no {exc}") from None
+    if arch not in _MATS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    d = hidden_units(arch, enc_kind, k, m)
+    shapes = {"W": (d, d), "U": (d, 2 * k), "b": (d,), "E": (2 * k, 2 * k),
+              "V": (2 * k + 1, d), "b_v": (2 * k + 1,)}
     mats = {}
-    for name in _mat_names(arch):
-        entry = doc["matrices"][name]
-        mats[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+    for name, (shape, data) in entries.items():
+        expected, mat = shapes.get(name, shapes[name[0]]), np.array(data, dtype=float)
+        if shape != expected or mat.size != np.prod(expected):
+            raise ValueError(f"matrix {name} has shape {shape} with {mat.size} "
+                             f"values; {arch} at k={k}, m={m} needs {expected}")
+        mats[name] = mat.reshape(shape)
     params = DyckParams(k, m)
     if arch == ARCH_SIMPLE:
-        enc = build_encoding(params, doc["encoding_kind"], ARCH_SIMPLE)
+        enc = build_encoding(params, enc_kind, ARCH_SIMPLE)
         return SimpleRnnParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
     if arch == ARCH_LSTM:
-        enc = build_encoding(params, doc["encoding_kind"], ARCH_LSTM)
+        enc = build_encoding(params, enc_kind, ARCH_LSTM)
         return LstmParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
-    if arch == ARCH_NAIVE:
-        return NaiveDfaParams(k=k, m=m, numeric=numeric, scale=2.0 * numeric.beta,
-                              states=enumerate_states(params), **mats)
-    raise ValueError(f"unknown architecture {arch!r}")
+    return NaiveDfaParams(k=k, m=m, numeric=numeric, scale=2.0 * numeric.beta,
+                          states=enumerate_states(params), **mats)
 
 
 def atomic_write_text(path: str, text: str):

@@ -241,6 +241,29 @@ class TestWeightIO:
         with pytest.raises(ValueError, match="schema"):
             from_document(doc)
 
+    @pytest.mark.parametrize("arch,enc", [(ARCH_SIMPLE, BINARY),
+                                          (ARCH_LSTM, ONEHOT), (ARCH_NAIVE, None)])
+    def test_matrix_shapes_checked_on_load(self, arch, enc):
+        doc = to_document(build(arch, DyckParams(2, 2), enc))
+        for name, entry in doc["matrices"].items():
+            bad = json.loads(json.dumps(doc))
+            bad["matrices"][name] = {"shape": [1, len(entry["data"])],
+                                     "data": entry["data"]}
+            with pytest.raises(ValueError, match=f"matrix {name} has shape"):
+                from_document(bad)
+        short = json.loads(json.dumps(doc))
+        short["matrices"]["V"]["data"].pop()
+        with pytest.raises(ValueError, match="matrix V"):
+            from_document(short)
+
+    @pytest.mark.parametrize("drop", ["numeric_config", "matrices", "k",
+                                      "architecture"])
+    def test_missing_field_rejected(self, drop):
+        doc = to_document(build_simple_rnn(DyckParams(2, 2)))
+        del doc[drop]
+        with pytest.raises(ValueError, match=repr(drop)):
+            from_document(doc)
+
 
 @pytest.mark.parametrize("name,arch,enc", [
     ("simple_onehot_k2_m2", ARCH_SIMPLE, ONEHOT),

@@ -131,6 +131,18 @@ class TestVerify:
         assert code == 1
         assert "counterexample" in capsys.readouterr().out
 
+    def test_weight_file_for_other_language_refused(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        assert run_cli("build", "-k", "2", "-m", "2", "-o", str(path)) == 0
+        capsys.readouterr()
+        code = run_cli("verify", "-k", "3", "-m", "3", "--weights", str(path),
+                       "--suite", "stack", "--strings", "20")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "k=2, m=2" in line
+
     def test_round_trip_matches_in_memory(self, tmp_path):
         from dyckrnn.automaton import DyckParams
         from dyckrnn.builders import build_simple_rnn
@@ -176,3 +188,53 @@ class TestMetric:
                 "--seed", "1", "-o", str(other))
         assert run_cli("metric", "--weights", str(w),
                        "--corpus", str(other)) == 2
+
+
+class TestMetricInputErrors:
+    """Malformed metric inputs exit 2 with one stderr line, no traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        w = tmp_path / "w.json"
+        c = tmp_path / "c.txt"
+        assert run_cli("build", "-k", "2", "-m", "2", "-o", str(w)) == 0
+        c.write_text("# dyckrnn-corpus schema=1 k=2 m=2 seed=0 min_len=1 "
+                     "max_len=120 prng=numpy-pcg64\n(1 )1 $\n")
+        return w, c
+
+    def assert_refused(self, capsys, *argv):
+        capsys.readouterr()
+        assert run_cli("metric", *argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+        return line
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    def test_close_with_nothing_open(self, files, capsys, baseline):
+        w, c = files
+        c.write_text(c.read_text() + ")1 $\n")
+        line = self.assert_refused(capsys, "--weights", str(w),
+                                   "--corpus", str(c), *baseline)
+        assert "not well nested" in line
+
+    @pytest.mark.parametrize("field", ["k", "m"])
+    def test_header_without_language(self, files, capsys, field):
+        w, c = files
+        lines = c.read_text().splitlines()
+        lines[0] = lines[0].replace(f" {field}=2", "")
+        c.write_text("\n".join(lines) + "\n")
+        line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
+        assert f"{field}=" in line
+
+    @pytest.mark.parametrize("path", [("numeric_config",), ("matrices",),
+                                      ("matrices", "W")])
+    def test_weight_document_without_field(self, files, capsys, path):
+        w, c = files
+        doc = json.loads(w.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        w.write_text(json.dumps(doc))
+        line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
+        assert repr(path[-1]) in line

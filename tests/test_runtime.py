@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dyckrnn.automaton import (EMPTY, DyckParams, Token, close_bracket,
-                               open_bracket, parse_string, run, stack_state)
+                               input_column, open_bracket, parse_string, run,
+                               stack_state)
 from dyckrnn.builders import build, build_lstm, build_naive_dfa_rnn, build_simple_rnn
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import epsilon_for
@@ -173,6 +174,16 @@ class TestRunPrefix:
         net = build_simple_rnn(DyckParams(1, 1))
         with pytest.raises(ValueError):
             step(net, initial_state(net), Token("end"))
+
+    def test_out_of_range_token_refused(self):
+        """At k=2, (3 must not alias the input column of )1."""
+        assert input_column(close_bracket(1), 2) == 2
+        with pytest.raises(ValueError, match="out of range"):
+            input_column(open_bracket(3), 2)
+        net = build_simple_rnn(DyckParams(2, 2))
+        for token in (open_bracket(3), close_bracket(3)):
+            with pytest.raises(ValueError, match="out of range"):
+                step(net, initial_state(net), token)
 
     def test_dimension_mismatch(self):
         net = build_simple_rnn(DyckParams(2, 2))

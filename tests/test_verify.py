@@ -1,14 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from dyckrnn.automaton import DyckParams, is_member, parse_string
-from dyckrnn.builders import build, build_lstm, build_simple_rnn
+from dyckrnn import verify
+from dyckrnn.automaton import (ACCEPT, DyckParams, allowed_tokens, is_member,
+                               parse_string, symbol_row)
+from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
 from dyckrnn.runtime import initial_state, step
 from dyckrnn.sampler import SamplerConfig, sample_strings
-from dyckrnn.verify import (Collision, QuantizedEncoder,
+from dyckrnn.verify import (Collision, QuantizedEncoder, allowed_row_mask,
+                            check_corpus_suites,
                             check_cross_construction_agreement,
                             check_full_depth_distinctness,
                             check_generation_equivalence,
@@ -122,6 +126,96 @@ def test_saturation_check_catches_soft_weights():
     assert check_saturation_exactness(net, corpus).passed
     softened = clone_with(net, W=net.W * 0.01, U=net.U * 0.01, b=net.b * 0.01)
     assert not check_saturation_exactness(softened, corpus).passed
+
+
+class TestCorpusWalk:
+    SINGLE = {"stack": check_stack_correspondence,
+              "margins": check_probability_margins,
+              "saturation": check_saturation_exactness}
+
+    @staticmethod
+    def softened(net):
+        """Sabotage: scale every recurrent, input and bias array into the
+        unsaturated range."""
+        return clone_with(net, **{name: getattr(net, name) * 0.01
+                                  for name in vars(net)
+                                  if name[0] in "WUb" and name != "b_v"})
+
+    def assert_combined_matches_separate(self, net, corpus):
+        combined = check_corpus_suites(net, corpus, ("stack", "margins",
+                                                     "saturation"))
+        separate = [self.SINGLE[s](net, corpus)
+                    for s in ("stack", "margins", "saturation")]
+        assert [r.as_dict() for r in combined] == [r.as_dict() for r in separate]
+        return combined
+
+    @pytest.mark.parametrize("sabotage", [flip_push_entry, zero_close_rows,
+                                          "softened"])
+    @pytest.mark.parametrize("p", [DyckParams(2, 2), DyckParams(2, 3)])
+    def test_sabotaged_walk_matches_separate_calls(self, sabotage, p):
+        """The suites fail at different prefixes, or not at all, and each
+        keeps its own count and counterexample."""
+        net = build_simple_rnn(p)
+        net = self.softened(net) if sabotage == "softened" else sabotage(net)
+        corpus = sample_strings(SamplerConfig(p, seed=3), 60)
+        reports = self.assert_combined_matches_separate(net, corpus)
+        assert not all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("sabotage", [zero_close_rows, "softened"])
+    def test_sabotaged_lstm_walk_matches_separate_calls(self, sabotage):
+        p = DyckParams(2, 3)
+        net = build_lstm(p, BINARY)
+        net = self.softened(net) if sabotage == "softened" else sabotage(net)
+        corpus = sample_strings(SamplerConfig(p, seed=5), 60)
+        reports = self.assert_combined_matches_separate(net, corpus)
+        assert not all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("arch,enc", [("simple", BINARY), ("lstm", ONEHOT),
+                                          ("naive", None)])
+    def test_intact_constructions_match_separate_calls(self, arch, enc):
+        p = DyckParams(2, 3)
+        net = build(arch, p, enc)
+        corpus = sample_strings(SamplerConfig(p, seed=11), 80)
+        reports = self.assert_combined_matches_separate(net, corpus)
+        assert all(r.passed for r in reports)
+
+    def test_reports_follow_requested_order(self):
+        p = DyckParams(2, 2)
+        net = build_lstm(p)
+        corpus = sample_strings(SamplerConfig(p, seed=1), 20)
+        reports = check_corpus_suites(net, corpus, ("saturation", "stack"))
+        assert [r.suite for r in reports] == ["saturation_exactness",
+                                              "stack_correspondence"]
+
+    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("lstm", BINARY)])
+    def test_one_step_per_token(self, monkeypatch, arch, enc):
+        p = DyckParams(4, 3)
+        net = build(arch, p, enc)
+        corpus = sample_strings(SamplerConfig(p, seed=7), 50)
+        calls = []
+        real_step = verify.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(None)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "step", counting_step)
+        reports = check_corpus_suites(net, corpus)
+        assert all(r.passed for r in reports)
+        assert len(calls) == sum(len(s) - 1 for s in corpus)
+
+
+@pytest.mark.parametrize("p", [DyckParams(2, 3), DyckParams(3, 2)])
+def test_allowed_row_mask_matches_allowed_tokens(p):
+    for state in enumerate_states(p):
+        if state == ACCEPT:
+            with pytest.raises(ValueError):
+                allowed_row_mask(p, state)
+            continue
+        expected = np.zeros(2 * p.k + 1, dtype=bool)
+        for token in allowed_tokens(p, state):
+            expected[symbol_row(token, p.k)] = True
+        assert np.array_equal(allowed_row_mask(p, state), expected), state
 
 
 class TestClosingMetric:
