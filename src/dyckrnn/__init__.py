@@ -10,9 +10,9 @@ from .automaton import (ACCEPT, EMPTY, REJECT, DfaState, DyckParams, Token,
                         allowed_tokens, close_bracket, depth, format_string,
                         is_member, open_bracket, parse_string, run,
                         stack_state, transition, vocabulary)
-from .builders import (LstmParams, NaiveDfaParams, SimpleRnnParams, build,
-                       build_lstm, build_naive_dfa_rnn, build_readout,
-                       build_simple_rnn, hidden_units)
+from .builders import (LstmParams, RnnParams, build, build_lstm,
+                       build_naive_dfa_rnn, build_readout, build_simple_rnn,
+                       hidden_units)
 from .encodings import (ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, Encoding,
                         ONEHOT, build_encoding)
 from .numerics import (GAMMA, NumericConfig, epsilon_for, sat_sigmoid,

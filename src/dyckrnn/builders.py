@@ -18,6 +18,7 @@ values exactly -1/0/1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,19 +45,20 @@ def hidden_units(architecture: str, encoding_kind: str | None, k: int, m: int) -
 
 
 @dataclass(frozen=True, eq=False)
-class SimpleRnnParams:
+class RnnParams:
+    """Sigmoid RNN h' = sigmoid(W h + U x + b), readout V h + b_v: the simple
+    RNN ("simple") or the naive automaton network ("naive", no encoding)."""
+
+    architecture: str
     k: int
     m: int
-    encoding: Encoding
+    encoding: Encoding | None
     numeric: NumericConfig
     W: np.ndarray = field(repr=False)
     U: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    E: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
     b_v: np.ndarray = field(repr=False)
-
-    architecture = ARCH_SIMPLE
 
     @property
     def hidden_size(self) -> int:
@@ -65,6 +67,19 @@ class SimpleRnnParams:
     @property
     def dyck_params(self) -> DyckParams:
         return DyckParams(self.k, self.m)
+
+    @property
+    def scale(self) -> float:
+        """The naive network's conjunction scale 2*beta."""
+        return 2.0 * self.numeric.beta
+
+    @functools.cached_property
+    def states(self) -> tuple[DfaState, ...]:
+        """The naive network's state order, one block of 2k units each."""
+        return enumerate_states(self.dyck_params)
+
+    def state_of_unit(self, unit: int) -> DfaState:
+        return self.states[unit // (2 * self.k)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +100,6 @@ class LstmParams:
     W_c: np.ndarray = field(repr=False)
     U_c: np.ndarray = field(repr=False)
     b_c: np.ndarray = field(repr=False)
-    E: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
     b_v: np.ndarray = field(repr=False)
 
@@ -98,35 +112,6 @@ class LstmParams:
     @property
     def dyck_params(self) -> DyckParams:
         return DyckParams(self.k, self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class NaiveDfaParams:
-    k: int
-    m: int
-    numeric: NumericConfig
-    scale: float
-    states: tuple[DfaState, ...]
-    W: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    E: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    b_v: np.ndarray = field(repr=False)
-
-    architecture = ARCH_NAIVE
-    encoding = None
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def dyck_params(self) -> DyckParams:
-        return DyckParams(self.k, self.m)
-
-    def state_of_unit(self, unit: int) -> DfaState:
-        return self.states[unit // (2 * self.k)]
 
 
 def _close_row_pattern(encoding: Encoding, i: int, zeta: float) -> np.ndarray:
@@ -204,7 +189,7 @@ def _resolve_encoding(params: DyckParams, encoding, architecture: str) -> Encodi
 
 
 def build_simple_rnn(params: DyckParams, encoding=ONEHOT,
-                     numeric: NumericConfig | None = None) -> SimpleRnnParams:
+                     numeric: NumericConfig | None = None) -> RnnParams:
     """Simple RNN with hidden size 2*m*w.
 
     The hidden state is two m-slot halves.  The recurrent matrix writes the
@@ -229,10 +214,9 @@ def build_simple_rnn(params: DyckParams, encoding=ONEHOT,
     U[stack_dim:, :k] = -2.0 * beta              # opens erase the pop half
 
     b = np.full(2 * stack_dim, -beta)
-    E = np.eye(2 * k)
     V, b_v = build_readout(params, enc, num, ARCH_SIMPLE)
-    return SimpleRnnParams(k=k, m=m, encoding=enc, numeric=num,
-                           W=W, U=U, b=b, E=E, V=V, b_v=b_v)
+    return RnnParams(architecture=ARCH_SIMPLE, k=k, m=m, encoding=enc,
+                     numeric=num, W=W, U=U, b=b, V=V, b_v=b_v)
 
 
 def build_lstm(params: DyckParams, encoding=ONEHOT,
@@ -292,12 +276,11 @@ def build_lstm(params: DyckParams, encoding=ONEHOT,
     b_o = np.full(d, 0.5 * lg)
     b_c = np.zeros(d)
 
-    E = np.eye(2 * k)
     V, b_v = build_readout(params, enc, num, ARCH_LSTM)
     return LstmParams(k=k, m=m, encoding=enc, numeric=num,
                       W_f=W_f, U_f=U_f, b_f=b_f, W_i=W_i, U_i=U_i, b_i=b_i,
                       W_o=W_o, U_o=U_o, b_o=b_o, W_c=W_c, U_c=U_c, b_c=b_c,
-                      E=E, V=V, b_v=b_v)
+                      V=V, b_v=b_v)
 
 
 def enumerate_states(params: DyckParams) -> tuple[DfaState, ...]:
@@ -314,7 +297,7 @@ def enumerate_states(params: DyckParams) -> tuple[DfaState, ...]:
 
 def build_naive_dfa_rnn(params: DyckParams, numeric: NumericConfig | None = None,
                         parameter_budget: int = DEFAULT_PARAMETER_BUDGET
-                        ) -> NaiveDfaParams:
+                        ) -> RnnParams:
     """One-hot automaton network: one unit per (state, consumed token) pair.
 
     Unit (q', w') saturates to 1 exactly when the input is w' and the
@@ -350,7 +333,6 @@ def build_naive_dfa_rnn(params: DyckParams, numeric: NumericConfig | None = None
         b[row] = -0.5 * scale
 
     U = scale * np.tile(np.eye(2 * k), (len(states), 1))
-    E = np.eye(2 * k)
 
     half = 0.5 * num.zeta * num.gamma
     symbols = vocabulary(k)
@@ -365,17 +347,18 @@ def build_naive_dfa_rnn(params: DyckParams, numeric: NumericConfig | None = None
         col_block = logit_vector(q) - b_v
         for wi in range(2 * k):
             V[:, qi * 2 * k + wi] = col_block
-    return NaiveDfaParams(k=k, m=m, numeric=num, scale=scale, states=states,
-                          W=W, U=U, b=b, E=E, V=V, b_v=b_v)
+    return RnnParams(architecture=ARCH_NAIVE, k=k, m=m, encoding=None,
+                     numeric=num, W=W, U=U, b=b, V=V, b_v=b_v)
 
 
 def build(architecture: str, params: DyckParams, encoding_kind: str | None = ONEHOT,
-          numeric: NumericConfig | None = None, **kwargs):
-    """Dispatch to the architecture's builder."""
+          numeric: NumericConfig | None = None, *,
+          parameter_budget: int = DEFAULT_PARAMETER_BUDGET):
+    """Dispatch to the architecture's builder; only the naive one has a budget."""
     if architecture == ARCH_SIMPLE:
         return build_simple_rnn(params, encoding_kind, numeric)
     if architecture == ARCH_LSTM:
         return build_lstm(params, encoding_kind, numeric)
     if architecture == ARCH_NAIVE:
-        return build_naive_dfa_rnn(params, numeric, **kwargs)
+        return build_naive_dfa_rnn(params, numeric, parameter_budget)
     raise ValueError(f"unknown architecture {architecture!r}")

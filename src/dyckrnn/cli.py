@@ -122,14 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_build(args) -> int:
     params = DyckParams(args.k, args.m)
     numeric = _numeric_config(args, args.k)
-    if args.arch == ARCH_NAIVE:
-        if args.enc is not None:
-            raise ValueError("the naive architecture has no slot encoding; "
-                             "drop --enc")
-        kwargs, enc = {"parameter_budget": args.naive_budget}, None
-    else:
-        kwargs, enc = {}, args.enc or ONEHOT
-    paramset = build(args.arch, params, enc, numeric, **kwargs)
+    if args.arch == ARCH_NAIVE and args.enc is not None:
+        raise ValueError("the naive architecture has no slot encoding; drop --enc")
+    enc = None if args.arch == ARCH_NAIVE else args.enc or ONEHOT
+    paramset = build(args.arch, params, enc, numeric,
+                     parameter_budget=args.naive_budget)
     save_weights(args.output, paramset)
     print(f"hidden_units: {paramset.hidden_size}")
     print(f"wrote {args.output}")
@@ -185,8 +182,11 @@ def _verify_constructions(args):
             continue
         if args.enc != "all" and enc is not None and enc != args.enc:
             continue
-        kwargs = {"parameter_budget": args.naive_budget} if arch == ARCH_NAIVE else {}
-        selected.append(build(arch, params, enc, numeric, **kwargs))
+        selected.append(build(arch, params, enc, numeric,
+                              parameter_budget=args.naive_budget))
+    if not selected:
+        raise ValueError(f"no construction matches --arch {args.arch} "
+                         f"--enc {args.enc} at k={args.k}")
     return selected
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .automaton import (DfaState, EMPTY, STACK, Token, format_token,
                         input_column)
-from .builders import LstmParams, NaiveDfaParams, SimpleRnnParams
+from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE
 from .numerics import sat_sigmoid, sat_tanh, softmax
 
 
@@ -53,7 +53,7 @@ class SlotView:
 
 def initial_state(paramset) -> NetworkState:
     d = paramset.hidden_size
-    c = np.zeros(d) if isinstance(paramset, LstmParams) else None
+    c = np.zeros(d) if paramset.architecture == ARCH_LSTM else None
     return NetworkState(h=np.zeros(d), c=c, t=0)
 
 
@@ -66,7 +66,7 @@ def step(paramset, state: NetworkState, token: Token,
             f"state dimension {state.h.shape[0]} does not match parameter "
             f"set dimension {paramset.hidden_size}")
     num = paramset.numeric
-    if isinstance(paramset, LstmParams):
+    if paramset.architecture == ARCH_LSTM:
         h, c = state.h, state.c
         f = sat_sigmoid(num, paramset.W_f @ h + paramset.U_f[:, col] + paramset.b_f)
         i = sat_sigmoid(num, paramset.W_i @ h + paramset.U_i[:, col] + paramset.b_i)
@@ -106,7 +106,7 @@ def next_distribution(paramset, state: NetworkState) -> np.ndarray:
 
 def _stack_vector(paramset, state: NetworkState) -> np.ndarray:
     """The m*w vector carrying the stack slots."""
-    if isinstance(paramset, LstmParams):
+    if paramset.architecture == ARCH_LSTM:
         return state.c
     half = paramset.hidden_size // 2
     return state.h[:half] + state.h[half:]
@@ -120,7 +120,7 @@ def slot_view(paramset, state: NetworkState) -> SlotView:
     the slot holding the top (always 1 for a non-empty simple RNN stack; the
     last non-empty slot for the LSTM).
     """
-    if isinstance(paramset, NaiveDfaParams):
+    if paramset.architecture == ARCH_NAIVE:
         raise ValueError("the automaton network has no slot structure")
     w = paramset.encoding.width
     vec = _stack_vector(paramset, state)
@@ -128,7 +128,7 @@ def slot_view(paramset, state: NetworkState) -> SlotView:
     occupied = [j for j, s in enumerate(slots) if np.abs(s).max(initial=0.0) > 1e-9]
     if not occupied:
         top = None
-    elif isinstance(paramset, LstmParams):
+    elif paramset.architecture == ARCH_LSTM:
         top = occupied[-1] + 1
     else:
         top = 1
@@ -141,7 +141,7 @@ def decode_stack(paramset, state: NetworkState, tol: float = 1e-9) -> DfaState:
     Raises StackDecodeError when any slot is outside codebook-or-zero, or the
     occupied slots are not contiguous in the architecture's layout.
     """
-    if isinstance(paramset, NaiveDfaParams):
+    if paramset.architecture == ARCH_NAIVE:
         return _decode_naive(paramset, state, tol)
     w = paramset.encoding.width
     vec = _stack_vector(paramset, state)
@@ -158,13 +158,12 @@ def decode_stack(paramset, state: NetworkState, tol: float = 1e-9) -> DfaState:
         raise StackDecodeError(
             f"occupied slots are not contiguous from slot 1: {decoded}")
     ordered = decoded[:n]
-    if isinstance(paramset, SimpleRnnParams):
+    if paramset.architecture == ARCH_SIMPLE:
         ordered = ordered[::-1]  # slot 1 is the top; automaton stacks are bottom-first
     return DfaState(STACK, tuple(ordered))
 
 
-def _decode_naive(paramset: NaiveDfaParams, state: NetworkState,
-                  tol: float) -> DfaState:
+def _decode_naive(paramset, state: NetworkState, tol: float) -> DfaState:
     h = state.h
     if np.abs(h).max(initial=0.0) <= tol:
         return EMPTY
@@ -182,7 +181,7 @@ def format_trace(paramset, prefix) -> str:
     for token in prefix:
         state, trace = step(paramset, state, token, want_trace=True)
         parts = [f"t={state.t}", f"token={format_token(token)}"]
-        if not isinstance(paramset, NaiveDfaParams):
+        if paramset.architecture != ARCH_NAIVE:
             view = slot_view(paramset, state)
             for j, slot in enumerate(view.slots, start=1):
                 parts.append(f"slot{j}={np.array2string(slot, precision=4)}")

@@ -125,35 +125,35 @@ def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
         f"raise max_retries")
 
 
+def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
+    """Window-accepted member strings, each drawn only when asked for."""
+    rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng)
+    while True:
+        yield _codes_to_tokens(_sample_codes(cfg, rand), cfg.params.k)
+
+
 def sample_string(cfg: SamplerConfig,
                   rng: np.random.Generator | None = None) -> tuple[Token, ...]:
     """One member string with length inside the window.  Deterministic per seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return _codes_to_tokens(_sample_codes(cfg, _UniformBuffer(rng)), cfg.params.k)
+    return next(_accepted(cfg, rng))
 
 
 def sample_corpus(cfg: SamplerConfig, n_tokens: int) -> list[tuple[Token, ...]]:
     """Strings until the cumulative token count reaches n_tokens."""
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    rand = _UniformBuffer(rng)
-    corpus = []
-    total = 0
-    while total < n_tokens:
-        codes = _sample_codes(cfg, rand)
-        corpus.append(_codes_to_tokens(codes, cfg.params.k))
-        total += len(codes)
-    return corpus
+    corpus, total = [], 0
+    for string in _accepted(cfg):
+        corpus.append(string)
+        total += len(string)
+        if total >= n_tokens:
+            return corpus
 
 
 def sample_strings(cfg: SamplerConfig, n_strings: int) -> list[tuple[Token, ...]]:
     """Exactly n_strings member strings."""
-    rng = np.random.default_rng(cfg.seed)
-    rand = _UniformBuffer(rng)
-    return [_codes_to_tokens(_sample_codes(cfg, rand), cfg.params.k)
-            for _ in range(n_strings)]
+    strings = _accepted(cfg)
+    return [next(strings) for _ in range(n_strings)]
 
 
 def corpus_statistics(params: DyckParams, corpus) -> dict:

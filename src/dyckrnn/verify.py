@@ -21,7 +21,7 @@ import numpy as np
 from .automaton import (ACCEPT, EMPTY, REJECT, DfaState, DyckParams, Token,
                         format_string, input_column, is_member, symbol_row,
                         transition, vocabulary)
-from .builders import LstmParams, build
+from .builders import build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
 from .runtime import (NetworkState, StackDecodeError, decode_stack,
@@ -173,8 +173,7 @@ def check_generation_equivalence(paramset, max_len: int = 8,
         counterexample=counter, details=details)
 
 
-def _lstm_hidden_ok(paramset: LstmParams, state: NetworkState,
-                    dfa_state: DfaState) -> bool:
+def _lstm_hidden_ok(paramset, state: NetworkState, dfa_state: DfaState) -> bool:
     """Hidden-state sparsity: only the top slot is exposed, exactly
     tanh(codeword); all other slots are exactly zero."""
     w = paramset.encoding.width
@@ -214,7 +213,7 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     k = params.k
     eps = epsilon_for(k) if epsilon is None else epsilon
     dis_bound = 1.0 / (10.0 * k)
-    lstm = isinstance(paramset, LstmParams)
+    lstm = paramset.architecture == ARCH_LSTM
     details = {"stack": {"strings": len(corpus)}, "saturation": {},
                "margins": {"epsilon": eps, "disallowed_bound": dis_bound,
                            "min_allowed": 1.0, "max_disallowed": 0.0}}
@@ -409,7 +408,7 @@ class QuantizedEncoder:
             return new
 
         def key_fn(state):
-            vec = state.c if isinstance(paramset, LstmParams) else state.h
+            vec = state.c if paramset.architecture == ARCH_LSTM else state.h
             return vec.tobytes()
 
         return cls(d=paramset.hidden_size, p=p,

@@ -3,7 +3,7 @@
 A weight document is JSON:
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "architecture": "simple" | "lstm" | "naive",
       "k": int, "m": int,
       "encoding_kind": "onehot" | "binary" | null,
@@ -11,9 +11,13 @@ A weight document is JSON:
       "matrices": {name: {"shape": [...], "data": [row-major floats]}}
     }
 
+Matrices are listed in _MATS; inputs are one-hot, so none embeds them.
+Schema 1 documents also carry an input embedding E and load only when E is
+the (2k, 2k) identity.
+
 Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
 Loading checks every matrix shape against the architecture's hidden size d:
-W* (d, d), U* (d, 2k), b* (d,), E (2k, 2k), V (2k+1, d), b_v (2k+1,).
+W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
 Files are written atomically (temp file, then rename).
 """
 
@@ -26,17 +30,16 @@ import tempfile
 import numpy as np
 
 from .automaton import DyckParams
-from .builders import (LstmParams, NaiveDfaParams, SimpleRnnParams,
-                       build_encoding, enumerate_states, hidden_units)
+from .builders import LstmParams, RnnParams, build_encoding, hidden_units
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE
 from .numerics import NumericConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_SIMPLE_MATS = ("W", "U", "b", "E", "V", "b_v")
-_MATS = {ARCH_SIMPLE: _SIMPLE_MATS, ARCH_NAIVE: _SIMPLE_MATS,
+_RNN_MATS = ("W", "U", "b", "V", "b_v")
+_MATS = {ARCH_SIMPLE: _RNN_MATS, ARCH_NAIVE: _RNN_MATS,
          ARCH_LSTM: ("W_f", "U_f", "b_f", "W_i", "U_i", "b_i", "W_o", "U_o",
-                     "b_o", "W_c", "U_c", "b_c", "E", "V", "b_v")}
+                     "b_o", "W_c", "U_c", "b_c", "V", "b_v")}
 
 
 def to_document(paramset) -> dict:
@@ -56,38 +59,53 @@ def to_document(paramset) -> dict:
     return doc
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is a JSON {type(value).__name__}, not an object")
+    return value
+
+
 def from_document(doc: dict):
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported weight schema {doc.get('schema_version')!r}")
+    version = _object(doc, "weight document").get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
+        raise ValueError(f"unsupported weight schema {version!r}")
     try:
         arch, k, m = doc["architecture"], int(doc["k"]), int(doc["m"])
-        enc_kind, matrices = doc.get("encoding_kind"), doc["matrices"]
-        numeric = NumericConfig.from_dict(doc["numeric_config"])
-        entries = {name: (tuple(matrices[name]["shape"]), matrices[name]["data"])
-                   for name in _MATS.get(arch, ())}
+        enc_kind = doc.get("encoding_kind")
+        matrices = _object(doc["matrices"], "matrices")
+        numeric = NumericConfig.from_dict(
+            _object(doc["numeric_config"], "numeric_config"))
+        names = _MATS.get(arch, ()) + (("E",) if version == 1 else ())
+        entries = {name: (_object(matrices[name], f"matrix {name}")["shape"],
+                          np.array(matrices[name]["data"], dtype=float))
+                   for name in names}
     except KeyError as exc:
         raise ValueError(f"weight document has no {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed weight document: {exc}") from None
     if arch not in _MATS:
         raise ValueError(f"unknown architecture {arch!r}")
     d = hidden_units(arch, enc_kind, k, m)
     shapes = {"W": (d, d), "U": (d, 2 * k), "b": (d,), "E": (2 * k, 2 * k),
               "V": (2 * k + 1, d), "b_v": (2 * k + 1,)}
     mats = {}
-    for name, (shape, data) in entries.items():
-        expected, mat = shapes.get(name, shapes[name[0]]), np.array(data, dtype=float)
-        if shape != expected or mat.size != np.prod(expected):
-            raise ValueError(f"matrix {name} has shape {shape} with {mat.size} "
-                             f"values; {arch} at k={k}, m={m} needs {expected}")
-        mats[name] = mat.reshape(shape)
+    for name, (shape, mat) in entries.items():
+        if not isinstance(shape, list):
+            raise ValueError(f"matrix {name} has shape {shape!r}, not a list")
+        expected = shapes.get(name, shapes[name[0]])
+        if tuple(shape) != expected or mat.size != np.prod(expected):
+            raise ValueError(f"matrix {name} has shape {tuple(shape)} with "
+                             f"{mat.size} values; {arch} at k={k}, m={m} needs "
+                             f"{expected}")
+        mats[name] = mat.reshape(expected)
+    if version == 1 and not np.array_equal(mats.pop("E"), np.eye(2 * k)):
+        raise ValueError("matrix E is not the identity (schema 1 input embedding)")
     params = DyckParams(k, m)
-    if arch == ARCH_SIMPLE:
-        enc = build_encoding(params, enc_kind, ARCH_SIMPLE)
-        return SimpleRnnParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
+    enc = None if arch == ARCH_NAIVE else build_encoding(params, enc_kind, arch)
     if arch == ARCH_LSTM:
-        enc = build_encoding(params, enc_kind, ARCH_LSTM)
         return LstmParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
-    return NaiveDfaParams(k=k, m=m, numeric=numeric, scale=2.0 * numeric.beta,
-                          states=enumerate_states(params), **mats)
+    return RnnParams(architecture=arch, k=k, m=m, encoding=enc,
+                     numeric=numeric, **mats)
 
 
 def atomic_write_text(path: str, text: str):

@@ -55,7 +55,6 @@ class TestSimpleRnnStructure:
         assert set(np.unique(net.W)) <= {0.0, 2 * beta}
         assert set(np.unique(net.U)) <= {0.0, 2 * beta, -2 * beta}
         assert set(np.unique(net.b)) == {-beta}
-        assert set(np.unique(net.E)) <= {0.0, 1.0}
         assert set(np.unique(net.V)) <= {0.0, zeta, -zeta}
         assert set(np.unique(net.b_v)) == {0.5 * zeta * gamma, -0.5 * zeta * gamma}
 
@@ -277,6 +276,29 @@ def test_golden_weight_files(name, arch, enc):
         golden = json.load(handle)
     built = to_document(build(arch, DyckParams(2, 2), enc))
     assert built == golden
+
+
+@pytest.mark.parametrize("name", ["simple_onehot_k2_m2", "simple_binary_k2_m2",
+                                  "lstm_onehot_k2_m2", "lstm_binary_k2_m2"])
+def test_schema_1_reader(name):
+    """A schema 1 document (the same matrices plus an input embedding E) loads
+    when E is the identity and is refused, naming E, otherwise."""
+    with open(os.path.join(GOLDEN_DIR, name + ".json")) as handle:
+        v2 = json.load(handle)
+    v1 = json.loads(json.dumps(v2))
+    v1["schema_version"] = 1
+    v1["matrices"]["E"] = {"shape": [4, 4], "data": np.eye(4).ravel().tolist()}
+    loaded, expected = from_document(v1), from_document(v2)
+    assert type(loaded) is type(expected) and not hasattr(loaded, "E")
+    for mat in v2["matrices"]:
+        assert np.array_equal(getattr(loaded, mat), getattr(expected, mat)), mat
+    assert to_document(loaded) == v2
+    v1["matrices"]["E"]["data"][1] = 1.0
+    with pytest.raises(ValueError, match="matrix E is not the identity"):
+        from_document(v1)
+    v1["matrices"]["E"] = {"shape": [3, 3], "data": np.eye(3).ravel().tolist()}
+    with pytest.raises(ValueError, match=r"matrix E has shape \(3, 3\)"):
+        from_document(v1)
 
 
 def test_build_dispatch_unknown():

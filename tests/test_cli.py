@@ -143,6 +143,15 @@ class TestVerify:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and "k=2, m=2" in line
 
+    def test_empty_construction_selection_refused(self, capsys):
+        code = run_cli("verify", "-k", "1", "-m", "2", "--arch", "simple",
+                       "--enc", "binary", "--suite", "stack")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "--arch simple --enc binary" in line
+
     def test_round_trip_matches_in_memory(self, tmp_path):
         from dyckrnn.automaton import DyckParams
         from dyckrnn.builders import build_simple_rnn
@@ -238,3 +247,28 @@ class TestMetricInputErrors:
         w.write_text(json.dumps(doc))
         line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
         assert repr(path[-1]) in line
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [], "weight document is a JSON list"),
+        (lambda doc: doc["matrices"]["W"].update(shape=5), "matrix W has shape 5"),
+        (lambda doc: doc.update(matrices=[]), "matrices is a JSON list"),
+        (lambda doc: doc.update(numeric_config=[1]), "numeric_config is a JSON list"),
+    ], ids=["not-an-object", "shape-not-a-list", "matrices-list",
+            "numeric-config-list"])
+    @pytest.mark.parametrize("command", ["metric", "verify"])
+    def test_malformed_weight_document(self, files, capsys, edit, message,
+                                       command):
+        w, c = files
+        doc = json.loads(w.read_text())
+        edited = edit(doc)
+        w.write_text(json.dumps(doc if edited is None else edited))
+        capsys.readouterr()
+        if command == "metric":
+            line = self.assert_refused(capsys, "--weights", str(w),
+                                       "--corpus", str(c))
+        else:
+            assert run_cli("verify", "-k", "2", "-m", "2", "--weights", str(w),
+                           "--suite", "stack", "--strings", "5") == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error:")
+        assert message in line

@@ -43,6 +43,29 @@ def test_sample_string_deterministic():
     assert sample_string(cfg) == sample_string(cfg)
 
 
+def test_single_string_views_agree():
+    cfg = SamplerConfig(DyckParams(3, 2), seed=123)
+    assert sample_string(cfg) == sample_strings(cfg, 1)[0] == sample_corpus(cfg, 1)[0]
+
+
+def test_no_string_drawn_past_the_last_kept(monkeypatch):
+    import dyckrnn.sampler as sampler
+    calls = []
+    original = sampler._sample_codes
+
+    def counting(cfg, rand):
+        calls.append(1)
+        return original(cfg, rand)
+
+    monkeypatch.setattr(sampler, "_sample_codes", counting)
+    cfg = SamplerConfig(DyckParams(2, 3), seed=3)
+    corpus = sample_corpus(cfg, 1000)
+    assert len(calls) == len(corpus)
+    calls.clear()
+    assert len(sample_strings(cfg, 25)) == 25
+    assert len(calls) == 25
+
+
 def test_corpus_reaches_token_count():
     cfg = SamplerConfig(DyckParams(2, 3), seed=0)
     corpus = sample_corpus(cfg, 5000)
