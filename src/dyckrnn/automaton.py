@@ -11,6 +11,7 @@ All functions here are pure and operate on immutable values.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -122,7 +123,9 @@ def format_string(tokens) -> str:
     return " ".join(format_token(t) for t in tokens)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def parse_token(text: str) -> Token:
+    """The token a text spells; equal texts share one Token instance."""
     if text == "$":
         return END_TOKEN
     match = _TOKEN_RE.match(text)

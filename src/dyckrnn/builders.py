@@ -81,6 +81,11 @@ class RnnParams:
     def state_of_unit(self, unit: int) -> DfaState:
         return self.states[unit // (2 * self.k)]
 
+    @functools.cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W^T, U^T, b) for row-vector states: pre = h W^T + U^T[col] + b."""
+        return self.W.T, np.ascontiguousarray(self.U.T), self.b
+
 
 @dataclass(frozen=True, eq=False)
 class LstmParams:
@@ -112,6 +117,15 @@ class LstmParams:
     @property
     def dyck_params(self) -> DyckParams:
         return DyckParams(self.k, self.m)
+
+    @functools.cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The four gates side by side in the order f, i, o, c~, for
+        row-vector states: W^T (d, 4d), U^T (2k, 4d) and b (4d,)."""
+        W = np.concatenate([self.W_f, self.W_i, self.W_o, self.W_c])
+        U = np.concatenate([self.U_f, self.U_i, self.U_o, self.U_c])
+        b = np.concatenate([self.b_f, self.b_i, self.b_o, self.b_c])
+        return W.T, np.ascontiguousarray(U.T), b
 
 
 def _close_row_pattern(encoding: Encoding, i: int, zeta: float) -> np.ndarray:
@@ -309,14 +323,14 @@ def build_naive_dfa_rnn(params: DyckParams, numeric: NumericConfig | None = None
     """
     k, m = params.k, params.m
     num = numeric if numeric is not None else NumericConfig.for_language(k)
-    states = enumerate_states(params)
-    sigma = vocabulary(k)[:-1]  # end-of-string is never consumed
-    dim = len(states) * 2 * k
+    dim = hidden_units(ARCH_NAIVE, None, k, m)
     if dim * dim > parameter_budget:
         raise ValueError(
             f"naive automaton network needs {dim} units "
             f"({dim * dim} dense recurrent weights), over the budget of "
             f"{parameter_budget}; raise parameter_budget to force it")
+    states = enumerate_states(params)
+    sigma = vocabulary(k)[:-1]  # end-of-string is never consumed
     scale = 2.0 * num.beta
     index = {s: i for i, s in enumerate(states)}
 

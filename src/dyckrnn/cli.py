@@ -17,6 +17,7 @@ from .automaton import (ACCEPT, DyckParams, EMPTY, REJECT, format_string,
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
+from .runtime import serial_blas
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
                       parse_corpus, sample_corpus, sample_strings)
 from .verify import (CORPUS_SUITES, QuantizedEncoder, VerificationReport,
@@ -283,7 +284,8 @@ def main(argv=None) -> int:
     handlers = {"build": cmd_build, "sample": cmd_sample, "check": cmd_check,
                 "verify": cmd_verify, "metric": cmd_metric}
     try:
-        return handlers[args.command](args)
+        with serial_blas():
+            return handlers[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,10 +99,11 @@ def sat_tanh(cfg: NumericConfig, x):
 
 
 def softmax(logits) -> np.ndarray:
-    """Normalized exponential with max-subtraction for stability."""
+    """Normalized exponential along the last axis (each row of a 2-D block
+    separately), with max-subtraction for stability."""
     arr = np.asarray(logits, dtype=float)
     if arr.size == 0:
         raise ValueError("softmax of an empty vector")
-    shifted = arr - arr.max()
+    shifted = arr - arr.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)

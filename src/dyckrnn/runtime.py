@@ -1,19 +1,32 @@
 """Step-by-step execution of built networks under saturating arithmetic.
 
 Stepping is functional: each step returns a fresh state, so parameter sets
-and states can be shared across threads without coordination.  Traces (gate
-vectors, pre-activations) are recorded only on request; the enumeration
-suites step millions of prefixes and skip them.
+and states can be shared across threads without coordination.  One kernel,
+step_rows, does all stepping: it advances a (rows, d) block of states, each
+row on its own input column, with the LSTM's four gate matrices packed side
+by side once per parameter set (its `packed` property).  Its one-row case
+is step, which the enumeration suites call prefix by prefix.  walk steps a
+whole corpus for the corpus suites and the closing metric: strings sorted
+by length, BLOCK_ROWS at a time, so one matrix product advances every live
+string of a block.  Traces (gate vectors, pre-activations) are recorded
+only on request.
+
+A block product is at most BLOCK_ROWS x d x 4d, too small for BLAS threads
+to pay: OpenBLAS splits it anyway, and a split step waits for a worker
+thread that a busy host may not schedule.  serial_blas runs BLAS on the
+calling thread while it is entered; the CLI runs every command inside it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automaton import (DfaState, EMPTY, STACK, Token, format_token,
-                        input_column)
+                        input_column, symbol_row)
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE
 from .numerics import sat_sigmoid, sat_tanh, softmax
 
@@ -57,30 +70,46 @@ def initial_state(paramset) -> NetworkState:
     return NetworkState(h=np.zeros(d), c=c, t=0)
 
 
+def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
+    """The one stepping kernel: each row of a (rows, d) state block consumes
+    its own input column, with the gate matrices packed side by side.
+
+    h and c may also be single (d,) vectors with one column.  c is None
+    outside the LSTM.  Returns the new h and c and the step's activations:
+    for the LSTM the saturated gates f, i, o and the candidate c~ side by
+    side along the last axis, for the sigmoid RNNs the pre-activation.
+    """
+    num = paramset.numeric
+    Wt, Ut, b = paramset.packed
+    pre = h @ Wt + Ut[cols] + b
+    if paramset.architecture != ARCH_LSTM:
+        return sat_sigmoid(num, pre), None, pre
+    d = paramset.hidden_size
+    acts = np.concatenate([sat_sigmoid(num, pre[..., :3 * d]),
+                           sat_tanh(num, pre[..., 3 * d:])], axis=-1)
+    f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
+                        acts[..., 2 * d:3 * d], acts[..., 3 * d:])
+    c_new = f * c + i * c_tilde
+    return o * np.tanh(c_new), c_new, acts
+
+
 def step(paramset, state: NetworkState, token: Token,
          want_trace: bool = False) -> tuple[NetworkState, StepTrace | None]:
-    """Consume one token.  End-of-string is never consumed; the run stops there."""
+    """Consume one token: the one-row case of step_rows.  End-of-string is
+    never consumed; the run stops there."""
     col = input_column(token, paramset.k)  # raises on end-of-string
     if state.h.shape[0] != paramset.hidden_size:
         raise ValueError(
             f"state dimension {state.h.shape[0]} does not match parameter "
             f"set dimension {paramset.hidden_size}")
-    num = paramset.numeric
-    if paramset.architecture == ARCH_LSTM:
-        h, c = state.h, state.c
-        f = sat_sigmoid(num, paramset.W_f @ h + paramset.U_f[:, col] + paramset.b_f)
-        i = sat_sigmoid(num, paramset.W_i @ h + paramset.U_i[:, col] + paramset.b_i)
-        o = sat_sigmoid(num, paramset.W_o @ h + paramset.U_o[:, col] + paramset.b_o)
-        c_tilde = sat_tanh(num, paramset.W_c @ h + paramset.U_c[:, col] + paramset.b_c)
-        c_new = f * c + i * c_tilde
-        h_new = o * np.tanh(c_new)
-        trace = StepTrace(token, f=f, i=i, o=o, c_tilde=c_tilde) if want_trace else None
-        return NetworkState(h=h_new, c=c_new, t=state.t + 1), trace
-    # simple RNN and the naive automaton network share the update form
-    pre = paramset.W @ state.h + paramset.U[:, col] + paramset.b
-    h_new = sat_sigmoid(num, pre)
-    trace = StepTrace(token, preactivation=pre) if want_trace else None
-    return NetworkState(h=h_new, c=None, t=state.t + 1), trace
+    h, c, acts = step_rows(paramset, state.h, state.c, col)
+    trace = None
+    if want_trace and c is None:
+        trace = StepTrace(token, preactivation=acts)
+    elif want_trace:
+        f, i, o, c_tilde = np.split(acts, 4)
+        trace = StepTrace(token, f=f, i=i, o=o, c_tilde=c_tilde)
+    return NetworkState(h=h, c=c, t=state.t + 1), trace
 
 
 def run_prefix(paramset, prefix,
@@ -95,13 +124,110 @@ def run_prefix(paramset, prefix,
     return state, traces
 
 
-def logits(paramset, state: NetworkState) -> np.ndarray:
-    return paramset.V @ state.h + paramset.b_v
+BLOCK_ROWS = 128
+
+# OpenBLAS's C thread-count calls, under the names numpy's wheels (current
+# and older) and a system OpenBLAS export them.
+_OPENBLAS_PREFIXES = ("scipy_openblas_", "openblas_")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the BLAS numpy calls, or None when
+    that BLAS is not OpenBLAS (or its calls cannot be found)."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in _OPENBLAS_PREFIXES:
+        for suffix in _OPENBLAS_SUFFIXES:
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run numpy's BLAS on the calling thread inside the block, then restore
+    its thread count.  The count is process-wide, so a thread that runs its
+    own BLAS work meanwhile runs it serially too; with another BLAS than
+    OpenBLAS this does nothing."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _symbol_rows(string, k: int) -> list[int]:
+    """Symbol rows of a string's tokens up to and including its first end
+    mark; the walk never looks past it."""
+    rows = []
+    for token in string:
+        rows.append(symbol_row(token, k))
+        if token.kind == "end":
+            break
+    return rows
+
+
+def walk(paramset, corpus):
+    """Step every corpus string from the initial state, BLOCK_ROWS strings
+    at a time.
+
+    The strings are sorted by how many tokens they consume, most first (a
+    stable sort), and cut into blocks, so the rows of a block still being
+    stepped are always a prefix of it.  For each block and each position t
+    from 0 to its longest string's token count, yields (rows, codes, t, h,
+    c, acts): rows the block's corpus indices in walk order; codes its
+    (rows, width) matrix of symbol rows, -1 past each string's end; h and c
+    the states after t tokens of the rows still live at t; acts the
+    activations of the step into t (None at t = 0), as step_rows returns
+    them.  The end mark is never consumed.
+    """
+    k, d = paramset.k, paramset.hidden_size
+    symbols = [_symbol_rows(string, k) for string in corpus]
+    consumed = [len(r) - (bool(r) and r[-1] == 2 * k) for r in symbols]
+    order = sorted(range(len(corpus)), key=consumed.__getitem__, reverse=True)
+    for lo in range(0, len(order), BLOCK_ROWS):
+        rows = np.array(order[lo:lo + BLOCK_ROWS])
+        lengths = np.array([consumed[r] for r in rows])
+        codes = np.full((rows.size, max(len(symbols[r]) for r in rows) + 1), -1)
+        for j, r in enumerate(rows):
+            codes[j, :len(symbols[r])] = symbols[r]
+        h = np.zeros((rows.size, d))
+        c = np.zeros((rows.size, d)) if paramset.architecture == ARCH_LSTM else None
+        acts = None
+        for t in range(lengths[0] + 1):
+            if t:
+                live = np.count_nonzero(lengths >= t)
+                h, c, acts = step_rows(paramset, h[:live],
+                                       None if c is None else c[:live],
+                                       codes[:live, t - 1])
+            yield rows, codes, t, h, c, acts
+
+
+def readout(paramset, h: np.ndarray) -> np.ndarray:
+    """Probabilities over the 2k+1 symbols (opens 1..k, closes 1..k, end)
+    for one (d,) hidden vector or for each row of a (rows, d) block."""
+    return softmax(h @ paramset.V.T + paramset.b_v)
 
 
 def next_distribution(paramset, state: NetworkState) -> np.ndarray:
     """Probabilities over the 2k+1 symbols: opens 1..k, closes 1..k, end."""
-    return softmax(logits(paramset, state))
+    return readout(paramset, state.h)
 
 
 def _stack_vector(paramset, state: NetworkState) -> np.ndarray:
@@ -135,7 +261,11 @@ def slot_view(paramset, state: NetworkState) -> SlotView:
     return SlotView(slots=slots, top_index=top)
 
 
-def decode_stack(paramset, state: NetworkState, tol: float = 1e-9) -> DfaState:
+DECODE_TOL = 1e-9
+
+
+def decode_stack(paramset, state: NetworkState,
+                 tol: float = DECODE_TOL) -> DfaState:
     """Invert the slot codewords back to the automaton stack state.
 
     Raises StackDecodeError when any slot is outside codebook-or-zero, or the

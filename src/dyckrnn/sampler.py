@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import (DyckParams, END_TOKEN, Token, format_string,
-                        parse_string)
+from .automaton import (DyckParams, Token, format_string, parse_string,
+                        vocabulary)
 
 PRNG_NAME = "numpy-pcg64"
 CORPUS_SCHEMA = 1
@@ -101,18 +101,6 @@ def _attempt(k: int, m: int, max_len: int, rand: _UniformBuffer) -> list[int] | 
                 out.append(k + stack.pop())
 
 
-def _codes_to_tokens(codes: list[int], k: int) -> tuple[Token, ...]:
-    tokens = []
-    for code in codes:
-        if code == 2 * k:
-            tokens.append(END_TOKEN)
-        elif code < k:
-            tokens.append(Token("open", code + 1))
-        else:
-            tokens.append(Token("close", code - k + 1))
-    return tuple(tokens)
-
-
 def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
     k, m = cfg.params.k, cfg.params.m
     for _ in range(cfg.max_retries):
@@ -128,8 +116,11 @@ def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
 def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
     """Window-accepted member strings, each drawn only when asked for."""
     rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng)
+    # codes are vocabulary rows, so strings share the 2k+1 vocabulary tokens;
+    # a tuple built from a list is allocated at its final size
+    vocab = vocabulary(cfg.params.k)
     while True:
-        yield _codes_to_tokens(_sample_codes(cfg, rand), cfg.params.k)
+        yield tuple([vocab[code] for code in _sample_codes(cfg, rand)])
 
 
 def sample_string(cfg: SamplerConfig,
@@ -152,6 +143,8 @@ def sample_corpus(cfg: SamplerConfig, n_tokens: int) -> list[tuple[Token, ...]]:
 
 def sample_strings(cfg: SamplerConfig, n_strings: int) -> list[tuple[Token, ...]]:
     """Exactly n_strings member strings."""
+    if n_strings < 1:
+        raise ValueError("n_strings must be >= 1")
     strings = _accepted(cfg)
     return [next(strings) for _ in range(n_strings)]
 

@@ -19,13 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .automaton import (ACCEPT, EMPTY, REJECT, DfaState, DyckParams, Token,
-                        format_string, input_column, is_member, symbol_row,
-                        transition, vocabulary)
+                        format_string, input_column, is_member, run,
+                        symbol_row, transition, vocabulary)
 from .builders import build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
-from .runtime import (NetworkState, StackDecodeError, decode_stack,
-                      initial_state, next_distribution, step)
+from .runtime import (DECODE_TOL, NetworkState, StackDecodeError,
+                      decode_stack, initial_state, next_distribution, readout,
+                      run_prefix, step, walk)
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -173,30 +174,110 @@ def check_generation_equivalence(paramset, max_len: int = 8,
         counterexample=counter, details=details)
 
 
-def _lstm_hidden_ok(paramset, state: NetworkState, dfa_state: DfaState) -> bool:
-    """Hidden-state sparsity: only the top slot is exposed, exactly
-    tanh(codeword); all other slots are exactly zero."""
+class _StackTracker:
+    """The automaton stacks of one block as a (rows, m) array of bracket
+    indices (bottom first, 0 above the top) and a depth vector."""
+
+    def __init__(self, params: DyckParams, corpus, rows: np.ndarray):
+        self.params, self.corpus, self.rows = params, corpus, rows
+        self.stack = np.zeros((rows.size, params.m), dtype=int)
+        self.depth = np.zeros(rows.size, dtype=int)
+
+    def consume(self, t: int, cols: np.ndarray):
+        """Apply the t-th token (symbol rows `cols`) of the first len(cols)
+        rows; a token the automaton rejects is a corpus error."""
+        k, m = self.params.k, self.params.m
+        stack, depth = self.stack[:cols.size], self.depth[:cols.size]
+        live = np.arange(cols.size)
+        opens = cols < k
+        top = stack[live, np.maximum(depth - 1, 0)]
+        bad = np.where(opens, depth == m, (depth == 0) | (top != cols - k + 1))
+        if bad.any():
+            string = self.corpus[self.rows[np.flatnonzero(bad)[0]]]
+            raise ValueError(f"corpus string leaves the language at token "
+                             f"{t}: {format_string(string)}")
+        stack[live[opens], depth[opens]] = cols[opens] + 1
+        depth += np.where(opens, 1, -1)
+        stack[live[~opens], depth[~opens]] = 0
+
+    def allowed(self, sel: np.ndarray) -> np.ndarray:
+        """allowed_row_mask of each selected row, as a (rows, 2k+1) mask."""
+        k = self.params.k
+        stack, depth = self.stack[sel], self.depth[sel]
+        mask = np.zeros((sel.size, 2 * k + 1), dtype=bool)
+        mask[:, :k] = (depth < self.params.m)[:, None]
+        top = stack[np.arange(sel.size), np.maximum(depth - 1, 0)]
+        mask[np.arange(sel.size), np.where(depth > 0, k + top - 1, 2 * k)] = True
+        return mask
+
+
+def _stack_predicate(paramset):
+    """ok(h, c, stack, depth) per live row: decode_stack equals the
+    automaton state, and for LSTMs the hidden state exposes exactly the top
+    slot.
+
+    Each slot must lie within decode_stack's tolerance of its expected
+    codeword, or of zero above the top.  Distinct codewords differ by at
+    least 1 in some coordinate, so this is the same test as decoding.
+    """
+    arch, m = paramset.architecture, paramset.m
+    if arch == ARCH_NAIVE:
+        return _naive_stack_predicate(paramset)
     w = paramset.encoding.width
-    stack = dfa_state.stack
-    expected = np.zeros(paramset.hidden_size)
-    if stack:
-        j = len(stack) - 1
-        expected[j * w:(j + 1) * w] = np.tanh(paramset.encoding.codeword(stack[-1]))
-    return np.array_equal(state.h, expected)
+    codewords = np.vstack([np.zeros(w), paramset.encoding.codebook.T])
+    exposed = np.tanh(codewords)
+
+    def ok(h, c, stack, depth):
+        rows = len(h)
+        if arch == ARCH_LSTM:
+            vec, slots = c, stack  # bottom first
+        else:
+            vec = h[:, :m * w] + h[:, m * w:]
+            below_top = depth[:, None] - 1 - np.arange(m)  # top first
+            slots = np.where(below_top >= 0, np.take_along_axis(
+                stack, np.maximum(below_top, 0), axis=1), 0)
+        good = (np.abs(vec.reshape(rows, m, w) - codewords[slots])
+                <= DECODE_TOL).all(axis=(1, 2))
+        if arch == ARCH_LSTM:
+            top = np.where(np.arange(m) == depth[:, None] - 1, stack, 0)
+            good &= (h.reshape(rows, m, w) == exposed[top]).all(axis=(1, 2))
+        return good
+
+    return ok
 
 
-def walk(paramset, string, want_trace: bool = False):
-    """Yield (position, state, trace, next_token) for every prefix of a string:
-    the state after `position` tokens, the trace of the step into it (None at
-    position 0), and the token after it (None past a string without an end
-    mark).  The end mark is never consumed."""
-    state, trace = initial_state(paramset), None
-    for pos, token in enumerate(string):
-        yield pos, state, trace, token
-        if token.kind == "end":
-            return
-        state, trace = step(paramset, state, token, want_trace)
-    yield len(string), state, trace, None
+def _naive_stack_predicate(paramset):
+    """The naive network decodes to the empty stack from the zero state,
+    otherwise from one unit at 1 (all others at 0) in its state's block."""
+    states = paramset.states
+    state_stacks = np.zeros((len(states), paramset.m), dtype=int)
+    state_depths = np.full(len(states), -1)  # accept and reject match nothing
+    for i, state in enumerate(states):
+        if state.is_stack:
+            state_stacks[i, :len(state.stack)] = state.stack
+            state_depths[i] = len(state.stack)
+
+    def ok(h, c, stack, depth):
+        on = np.abs(h - 1.0) <= DECODE_TOL
+        off = np.abs(h) <= DECODE_TOL
+        unit_state = np.argmax(on, axis=1) // (2 * paramset.k)
+        one_hot = (on.sum(axis=1) == 1) & (on | off).all(axis=1)
+        matches = ((state_depths[unit_state] == depth)
+                   & (state_stacks[unit_state] == stack).all(axis=1))
+        return np.where(off.all(axis=1), depth == 0, one_hot & matches)
+
+    return ok
+
+
+def _saturated(paramset, h, c, acts) -> np.ndarray:
+    """Per live row: gates (LSTM) or hidden values exactly 0 or 1; cell
+    candidates and cell values exactly -1, 0 or 1."""
+    if paramset.architecture != ARCH_LSTM:
+        return ((h == 0.0) | (h == 1.0)).all(axis=1)
+    d3 = 3 * paramset.hidden_size
+    ternary = np.hstack([acts[:, d3:], c])
+    return (((acts[:, :d3] == 0.0) | (acts[:, :d3] == 1.0)).all(axis=1)
+            & ((ternary == 0.0) | (np.abs(ternary) == 1.0)).all(axis=1))
 
 
 CORPUS_SUITES = {"stack": "stack_correspondence",
@@ -207,78 +288,100 @@ CORPUS_SUITES = {"stack": "stack_correspondence",
 def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
                         epsilon: float | None = None) -> list[VerificationReport]:
     """Any of the corpus suites, one report each in `suites` order, over one
-    walk per string.  Each suite counts its own checks and stops at its own
-    first counterexample; the walk ends once every suite has one."""
+    block walk of the corpus.
+
+    The stack and saturation suites check the state after every consumed
+    token, margins the distribution ahead of every token.  Each suite
+    reports what it would report checking string by string in corpus order
+    and stopping at its first counterexample: the checks up to that one,
+    whose text is rebuilt from its prefix with the scalar helpers.
+    """
     params = paramset.dyck_params
     k = params.k
     eps = epsilon_for(k) if epsilon is None else epsilon
     dis_bound = 1.0 / (10.0 * k)
-    lstm = paramset.architecture == ARCH_LSTM
-    details = {"stack": {"strings": len(corpus)}, "saturation": {},
-               "margins": {"epsilon": eps, "disallowed_bound": dis_bound,
-                           "min_allowed": 1.0, "max_disallowed": 0.0}}
+    n = len(corpus)
+    first = {s: np.full(n, -1) for s in suites}  # first failing position
+    lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
+    # checks per string: margins at positions 0..len-1, the other suites at
+    # positions 1..consumed
+    counts = {"margins": np.zeros(n, dtype=int), "other": np.zeros(n, dtype=int)}
+    stack_ok = _stack_predicate(paramset) if "stack" in first else None
+    for rows, codes, t, h, c, acts in walk(paramset, corpus):
+        live = len(h)
+        if t == 0:
+            tracker = _StackTracker(params, corpus, rows)
+            counts["margins"][rows] = (codes >= 0).sum(axis=1)
+            counts["other"][rows] = ((codes >= 0) & (codes < 2 * k)).sum(axis=1)
+        else:
+            tracker.consume(t, codes[:live, t - 1])
+            faults = {}
+            if "stack" in first:
+                faults["stack"] = ~stack_ok(h, c, tracker.stack[:live],
+                                            tracker.depth[:live])
+            if "saturation" in first:
+                faults["saturation"] = ~_saturated(paramset, h, c, acts)
+            for suite, fault in faults.items():
+                fresh = rows[:live][fault & (first[suite][rows[:live]] < 0)]
+                first[suite][fresh] = t
+        sel = np.flatnonzero(codes[:live, t] >= 0)
+        if "margins" in first and sel.size:
+            dist = readout(paramset, h[sel])
+            allowed = tracker.allowed(sel)
+            lo = np.where(allowed, dist, np.inf).min(axis=1)
+            hi = np.where(allowed, 0.0, dist).max(axis=1)
+            pending = first["margins"][rows[sel]] < 0
+            sel, lo, hi = rows[sel][pending], lo[pending], hi[pending]
+            lo_min[sel] = np.minimum(lo_min[sel], lo)
+            hi_max[sel] = np.maximum(hi_max[sel], hi)
+            first["margins"][sel[(lo < eps) | (hi > dis_bound)]] = t
 
-    def stack(pos, state, trace, dfa):
-        """decode_stack equals the automaton state; for LSTMs the hidden
-        state exposes exactly the top slot."""
-        try:
-            decoded = decode_stack(paramset, state)
-        except StackDecodeError as exc:
-            return f"@ token {pos}: decode failure: {exc}"
-        if decoded != dfa:
-            return f"@ token {pos}: decoded {decoded}, automaton {dfa}"
-        if lstm and not _lstm_hidden_ok(paramset, state, dfa):
-            return f"@ token {pos}: hidden state is not the exposed top slot"
-        return None
+    details = {"stack": {"strings": n}, "saturation": {},
+               "margins": {"epsilon": eps, "disallowed_bound": dis_bound}}
+    reports = []
+    for suite in suites:
+        per_string = counts["margins" if suite == "margins" else "other"]
+        failed = np.flatnonzero(first[suite] >= 0)
+        checked, counter, upto = int(per_string.sum()), None, n
+        if failed.size:
+            upto = failed[0] + 1
+            string, pos = corpus[failed[0]], int(first[suite][failed[0]])
+            checked = (int(per_string[:failed[0]].sum())
+                       + (pos + 1 if suite == "margins" else pos))
+            counter = (f"{format_string(string)} "
+                       f"{_fault(paramset, suite, string, pos, eps, dis_bound)}")
+        if suite == "margins":
+            details[suite]["min_allowed"] = float(lo_min[:upto].min(initial=1.0))
+            details[suite]["max_disallowed"] = float(hi_max[:upto].max(initial=0.0))
+        reports.append(VerificationReport(
+            suite=CORPUS_SUITES[suite], instance=_instance(paramset),
+            checked=checked, passed=counter is None, counterexample=counter,
+            details=details[suite]))
+    return reports
 
-    def margins(pos, state, trace, dfa):
-        """Allowed tokens >= epsilon, disallowed <= 1/(10k)."""
+
+def _fault(paramset, suite: str, string, pos: int, eps: float,
+           dis_bound: float) -> str:
+    """The counterexample text of a suite's failing check at `pos`, from
+    the scalar helpers on that one prefix."""
+    if suite == "saturation":
+        return f"@ token {pos}"
+    state, _ = run_prefix(paramset, string[:pos])
+    dfa = run(paramset.dyck_params, string[:pos])
+    if suite == "margins":
         dist = next_distribution(paramset, state)
-        mask = allowed_row_mask(params, dfa)
+        mask = allowed_row_mask(paramset.dyck_params, dfa)
         lo = dist[mask].min()
         hi = dist[~mask].max() if (~mask).any() else 0.0
-        seen = details["margins"]
-        seen["min_allowed"] = min(seen["min_allowed"], lo)
-        seen["max_disallowed"] = max(seen["max_disallowed"], hi)
-        if lo < eps or hi > dis_bound:
-            return (f"@ prefix length {pos}: min allowed {lo:.6g} (eps {eps:.6g}), "
-                    f"max disallowed {hi:.6g} (bound {dis_bound:.6g})")
-        return None
-
-    def saturation(pos, state, trace, dfa):
-        """Gates (LSTM) or hidden values exactly 0 or 1; cell candidates and
-        cell values exactly -1, 0 or 1."""
-        binary = (trace.f, trace.i, trace.o) if lstm else (state.h,)
-        ternary = (trace.c_tilde, state.c) if lstm else ()
-        ok = (all(np.all((v == 0.0) | (v == 1.0)) for v in binary)
-              and all(np.all(np.isin(v, (-1.0, 0.0, 1.0))) for v in ternary))
-        return None if ok else f"@ token {pos}"
-
-    checks = {"stack": stack, "margins": margins, "saturation": saturation}
-    checked = dict.fromkeys(suites, 0)
-    counter: dict[str, str] = {}
-    pending = list(dict.fromkeys(suites))
-    for string in corpus:
-        if not pending:
-            break
-        for pos, state, trace, token in walk(paramset, string,
-                                             "saturation" in pending):
-            dfa = transition(params, dfa, string[pos - 1]) if pos else EMPTY
-            # margins reads the distribution ahead of every token; the other
-            # suites read the state after every consumed token
-            for suite in [s for s in pending
-                          if (token is not None if s == "margins" else pos)]:
-                checked[suite] += 1
-                fault = checks[suite](pos, state, trace, dfa)
-                if fault:
-                    counter[suite] = f"{format_string(string)} {fault}"
-                    pending.remove(suite)
-            if not pending:
-                break
-    return [VerificationReport(
-        suite=CORPUS_SUITES[s], instance=_instance(paramset), checked=checked[s],
-        passed=s not in counter, counterexample=counter.get(s),
-        details=details[s]) for s in suites]
+        return (f"@ prefix length {pos}: min allowed {lo:.6g} (eps {eps:.6g}), "
+                f"max disallowed {hi:.6g} (bound {dis_bound:.6g})")
+    try:
+        decoded = decode_stack(paramset, state)
+    except StackDecodeError as exc:
+        return f"@ token {pos}: decode failure: {exc}"
+    if decoded != dfa:
+        return f"@ token {pos}: decoded {decoded}, automaton {dfa}"
+    return f"@ token {pos}: hidden state is not the exposed top slot"
 
 
 def check_stack_correspondence(paramset, corpus) -> VerificationReport:
@@ -330,38 +433,51 @@ def _closing_events(string):
 
 def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricReport:
     """Mean over separations of the fraction of close brackets predicted
-    confidently: renormalized close-bracket probability above the threshold."""
+    confidently: renormalized close-bracket probability above the threshold.
+
+    The readout runs only on the rows whose next token is a close, one
+    block position at a time."""
     k = paramset.k
-
-    def close_confidence(string):
-        events = dict(_closing_events(string))
-        for pos, state, _, token in walk(paramset, string):
-            if pos in events:
-                dist = next_distribution(paramset, state)
-                p_close = dist[k:2 * k].sum()
-                yield events[pos], (dist[k + token.index - 1] / p_close) > threshold
-
-    return _bucket_metric(
-        (pair for string in corpus for pair in close_confidence(string)))
+    # separation of each close, indexed by token position in corpus order
+    starts = np.cumsum([0] + [len(string) for string in corpus])
+    separation = np.full(starts[-1], -1)
+    for start, string in zip(starts, corpus):
+        for pos, sep in _closing_events(string):
+            separation[start + pos] = sep
+    where, confident = [], []
+    for rows, codes, t, h, _, _ in walk(paramset, corpus):
+        cols = codes[:len(h), t]
+        sel = np.flatnonzero((cols >= k) & (cols < 2 * k))
+        if sel.size:
+            dist = readout(paramset, h[sel])
+            p_close = dist[:, k:2 * k].sum(axis=1)
+            where.append(starts[rows[sel]] + t)
+            confident.append(dist[np.arange(sel.size), cols[sel]] / p_close
+                             > threshold)
+    where = np.concatenate(where or [np.zeros(0, dtype=int)])
+    confident = np.concatenate(confident or [np.zeros(0, dtype=bool)])
+    order = np.argsort(where)
+    return _bucket_metric(separation[where[order]], confident[order])
 
 
 def closing_metric_uniform(params: DyckParams, corpus,
                            threshold: float = 0.8) -> ClosingMetricReport:
     """Baseline scoring: every close bracket gets renormalized mass 1/k."""
-    confident = (1.0 / params.k) > threshold
-    return _bucket_metric((sep, confident) for string in corpus
-                          for _, sep in _closing_events(string))
+    seps = np.array([sep for string in corpus
+                     for _, sep in _closing_events(string)], dtype=int)
+    return _bucket_metric(seps, np.full(seps.size, (1.0 / params.k) > threshold))
 
 
-def _bucket_metric(events) -> ClosingMetricReport:
-    buckets: dict[int, list[int]] = {}
-    for sep, confident in events:
-        entry = buckets.setdefault(sep, [0, 0])
-        entry[0] += int(confident)
-        entry[1] += 1
-    if not buckets:
+def _bucket_metric(seps: np.ndarray, confident: np.ndarray) -> ClosingMetricReport:
+    """Per-separation (confident, total) counts of close events in corpus
+    order; buckets keep the order in which their separations first occur."""
+    if not seps.size:
         return ClosingMetricReport(float("nan"), {}, [])
-    per = {sep: (c, t) for sep, (c, t) in buckets.items()}
+    total = np.bincount(seps)
+    hits = np.bincount(seps[confident], minlength=total.size)
+    present, first = np.unique(seps, return_index=True)
+    per = {int(sep): (int(hits[sep]), int(total[sep]))
+           for sep in present[np.argsort(first)]}
     fractions = [c / t for c, t in per.values()]
     missing = [sep for sep in range(0, max(per) + 1, 2) if sep not in per]
     return ClosingMetricReport(float(np.mean(fractions)), per, missing)

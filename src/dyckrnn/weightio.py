@@ -18,11 +18,13 @@ the (2k, 2k) identity.
 Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
 Loading checks every matrix shape against the architecture's hidden size d:
 W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
-Files are written atomically (temp file, then rename).
+Files are written atomically (temp file, then rename), one matrix at a
+time, so saving never holds the whole document as text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -42,21 +44,35 @@ _MATS = {ARCH_SIMPLE: _RNN_MATS, ARCH_NAIVE: _RNN_MATS,
                      "b_o", "W_c", "U_c", "b_c", "V", "b_v")}
 
 
-def to_document(paramset) -> dict:
-    doc = {
+def _header(paramset) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "architecture": paramset.architecture,
         "k": paramset.k,
         "m": paramset.m,
         "encoding_kind": None if paramset.encoding is None else paramset.encoding.kind,
         "numeric_config": paramset.numeric.to_dict(),
-        "matrices": {},
     }
-    for name in _MATS[paramset.architecture]:
-        arr = getattr(paramset, name)
-        doc["matrices"][name] = {"shape": list(arr.shape),
-                                 "data": arr.ravel().tolist()}
-    return doc
+
+
+def _matrix(paramset, name: str) -> dict:
+    arr = getattr(paramset, name)
+    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+
+
+def to_document(paramset) -> dict:
+    return {**_header(paramset),
+            "matrices": {name: _matrix(paramset, name)
+                         for name in _MATS[paramset.architecture]}}
+
+
+def _document_text(paramset):
+    """json.dumps(to_document(paramset)) + "\n", one matrix at a time."""
+    yield json.dumps(_header(paramset))[:-1] + ', "matrices": {'
+    for i, name in enumerate(_MATS[paramset.architecture]):
+        yield (", " if i else "") + json.dumps(name) + ": "
+        yield json.dumps(_matrix(paramset, name))
+    yield "}}\n"
 
 
 def _object(value, what: str) -> dict:
@@ -109,11 +125,17 @@ def from_document(doc: dict):
 
 
 def atomic_write_text(path: str, text: str):
+    _atomic_write(path, (text,))
+
+
+def _atomic_write(path: str, chunks):
+    """Write the strings of `chunks` in turn to a temp file, then rename it
+    to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -122,9 +144,12 @@ def atomic_write_text(path: str, text: str):
 
 
 def save_weights(path: str, paramset):
-    atomic_write_text(path, json.dumps(to_document(paramset)) + "\n")
+    _atomic_write(path, _document_text(paramset))
 
 
 def load_weights(path: str):
+    # weight files repeat a few distinct values: parse each spelling once
+    # and share the float, rather than holding one object per entry
     with open(path) as handle:
-        return from_document(json.load(handle))
+        doc = json.load(handle, parse_float=functools.lru_cache(None)(float))
+    return from_document(doc)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dyckrnn import builders
 from dyckrnn.automaton import DyckParams
 from dyckrnn.builders import (build, build_lstm, build_naive_dfa_rnn,
                               build_readout, build_simple_rnn,
@@ -190,6 +191,15 @@ class TestNaiveConstruction:
         with pytest.raises(ValueError, match="budget"):
             build_naive_dfa_rnn(DyckParams(4, 4))
 
+    def test_budget_refused_before_enumerating(self, monkeypatch):
+        """(12, 5) has about 270k stack states; the refusal must not list them."""
+        def no_enumeration(params):
+            raise AssertionError("enumerate_states called")
+
+        monkeypatch.setattr(builders, "enumerate_states", no_enumeration)
+        with pytest.raises(ValueError, match="budget"):
+            build_naive_dfa_rnn(DyckParams(12, 5))
+
     def test_budget_override(self):
         net = build_naive_dfa_rnn(DyckParams(4, 4), parameter_budget=10**8)
         assert net.hidden_size == (1 + 4 + 16 + 64 + 256 + 2) * 8
@@ -225,6 +235,17 @@ class TestWeightIO:
         after = check_generation_equivalence(loaded, max_len=6)
         assert before.passed == after.passed
         assert before.details == after.details
+
+    @pytest.mark.parametrize("arch,enc", [(ARCH_SIMPLE, ONEHOT),
+                                          (ARCH_SIMPLE, BINARY),
+                                          (ARCH_LSTM, ONEHOT),
+                                          (ARCH_LSTM, BINARY),
+                                          (ARCH_NAIVE, None)])
+    def test_streamed_file_equals_one_shot_document(self, tmp_path, arch, enc):
+        net = build(arch, DyckParams(2, 3), enc)
+        path = tmp_path / "weights.json"
+        save_weights(str(path), net)
+        assert path.read_text() == json.dumps(to_document(net)) + "\n"
 
     def test_document_json_round_trip_exact(self):
         net = build_simple_rnn(DyckParams(2, 2), BINARY)

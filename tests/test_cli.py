@@ -143,6 +143,16 @@ class TestVerify:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and "k=2, m=2" in line
 
+    @pytest.mark.parametrize("strings", ["0", "-1"])
+    def test_empty_corpus_refused(self, capsys, strings):
+        code = run_cli("verify", "-k", "2", "-m", "2", "--suite", "stack",
+                       "--strings", strings)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "n_strings" in line
+
     def test_empty_construction_selection_refused(self, capsys):
         code = run_cli("verify", "-k", "1", "-m", "2", "--arch", "simple",
                        "--enc", "binary", "--suite", "stack")

@@ -7,9 +7,11 @@ from dyckrnn.automaton import (EMPTY, DyckParams, Token, close_bracket,
 from dyckrnn.builders import build, build_lstm, build_naive_dfa_rnn, build_simple_rnn
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import epsilon_for
-from dyckrnn.runtime import (NetworkState, StackDecodeError, decode_stack,
-                             format_trace, initial_state, next_distribution,
-                             run_prefix, slot_view, step)
+from dyckrnn import cli
+from dyckrnn.runtime import (NetworkState, StackDecodeError, _openblas_threads,
+                             decode_stack, format_trace, initial_state,
+                             next_distribution, run_prefix, serial_blas,
+                             slot_view, step)
 from dyckrnn.sampler import SamplerConfig, sample_strings
 
 
@@ -222,3 +224,40 @@ def test_format_trace_runs():
     assert len(lines) == 2
     assert lines[0].startswith("t=1 token=(1")
     assert "f=" in lines[0] and "top=" in lines[0]
+
+
+class TestSerialBlas:
+    @pytest.fixture
+    def threads(self):
+        """numpy's OpenBLAS set to two threads for the test, then restored."""
+        calls = _openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_one_thread_inside_then_restored(self, threads):
+        with serial_blas():
+            assert threads() == 1
+        assert threads() == 2
+
+    def test_restored_after_a_raise(self, threads):
+        with pytest.raises(ValueError):
+            with serial_blas():
+                raise ValueError("boom")
+        assert threads() == 2
+
+    def test_cli_commands_run_serially(self, threads, monkeypatch, capsys):
+        seen = []
+
+        def handler(args):
+            seen.append(threads())
+            raise ValueError("handler failed")
+
+        monkeypatch.setattr(cli, "cmd_check", handler)
+        assert cli.main(["check", "-k", "1", "-m", "1", "(1 )1 $"]) == 2
+        assert seen == [1] and threads() == 2
+        assert "handler failed" in capsys.readouterr().err

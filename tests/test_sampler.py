@@ -163,6 +163,24 @@ def test_corpus_file_round_trip(tmp_path):
     assert strings == corpus
 
 
+def test_strings_share_vocabulary_tokens():
+    """Sampled and parsed strings reuse one Token per vocabulary item."""
+    p = DyckParams(2, 3)
+    cfg = SamplerConfig(p, seed=17)
+    corpus = sample_corpus(cfg, 400)
+    _, parsed = parse_corpus(format_corpus(cfg, corpus))
+    for strings in (corpus, parsed):
+        tokens = [t for s in strings for t in s]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) <= 2 * p.k + 1
+
+
+def test_no_strings_refused():
+    cfg = SamplerConfig(DyckParams(2, 2), seed=0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_strings"):
+            sample_strings(cfg, n)
+
+
 def test_corpus_missing_header_rejected():
     with pytest.raises(ValueError, match="header"):
         parse_corpus("(1 )1 $\n")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dyckrnn import verify
+from dyckrnn import runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, allowed_tokens, is_member,
                                parse_string, symbol_row)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
@@ -23,6 +23,7 @@ from dyckrnn.verify import (Collision, QuantizedEncoder, allowed_row_mask,
                             find_collision, net_membership_set,
                             total_string_count)
 from conftest import clone_with, flip_push_entry, zero_close_rows
+import corpus_reference as reference
 
 
 class TestGenerationEquivalence:
@@ -192,17 +193,156 @@ class TestCorpusWalk:
         p = DyckParams(4, 3)
         net = build(arch, p, enc)
         corpus = sample_strings(SamplerConfig(p, seed=7), 50)
-        calls = []
-        real_step = verify.step
+        stepped = []
+        real_step_rows = runtime.step_rows
 
-        def counting_step(*args, **kwargs):
-            calls.append(None)
-            return real_step(*args, **kwargs)
+        def counting_step_rows(paramset, h, c, cols):
+            stepped.append(len(cols))
+            return real_step_rows(paramset, h, c, cols)
 
-        monkeypatch.setattr(verify, "step", counting_step)
+        monkeypatch.setattr(runtime, "step_rows", counting_step_rows)
         reports = check_corpus_suites(net, corpus)
         assert all(r.passed for r in reports)
-        assert len(calls) == sum(len(s) - 1 for s in corpus)
+        assert sum(stepped) == sum(len(s) - 1 for s in corpus)
+
+
+def softened(net):
+    """Sabotage: scale every recurrent, input and bias array into the
+    unsaturated range."""
+    return TestCorpusWalk.softened(net)
+
+
+def expose_all_slots(lstm):
+    """Sabotage: drop the output gate's recurrent block, so the hidden
+    state shows every occupied slot while the cell keeps the stack."""
+    return clone_with(lstm, W_o=np.zeros_like(lstm.W_o))
+
+
+def relabeled(strings, index):
+    """Single-type strings with every bracket turned into bracket `index`."""
+    return [tuple(t if t.kind == "end" else type(t)(t.kind, index) for t in s)
+            for s in strings]
+
+
+class TestBlockWalkParity:
+    """The block walk reports what the per-prefix reference loop reports;
+    the margins extremes may differ by the order of the readout sums."""
+
+    @staticmethod
+    def assert_matches_reference(net, corpus, suites=tuple(verify.CORPUS_SUITES)):
+        batched = [r.as_dict() for r in check_corpus_suites(net, corpus, suites)]
+        expected = [r.as_dict() for r in
+                    reference.check_corpus_suites(net, corpus, suites)]
+        for got, want in zip(batched, expected):
+            if got["suite"] == "probability_margins":
+                for key in ("min_allowed", "max_disallowed"):
+                    assert got["details"].pop(key) == pytest.approx(
+                        want["details"].pop(key), abs=1e-12, rel=0)
+        assert batched == expected
+        return batched
+
+    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("simple", BINARY),
+                                          ("lstm", ONEHOT), ("lstm", BINARY),
+                                          ("naive", None)])
+    def test_intact_constructions(self, arch, enc):
+        p = DyckParams(2, 3)
+        corpus = sample_strings(SamplerConfig(p, seed=4), 300)
+        reports = self.assert_matches_reference(build(arch, p, enc), corpus)
+        assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("arch,sabotage", [
+        ("simple", flip_push_entry), ("simple", zero_close_rows),
+        ("simple", softened), ("lstm", zero_close_rows), ("lstm", softened),
+        ("lstm", expose_all_slots)])
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_sabotaged_constructions(self, arch, sabotage, seed):
+        p = DyckParams(2, 3)
+        net = sabotage(build(arch, p, BINARY if arch == "lstm" else ONEHOT))
+        corpus = sample_strings(SamplerConfig(p, seed=seed), 200)
+        reports = self.assert_matches_reference(net, corpus)
+        assert not all(r["passed"] for r in reports)
+
+    def test_first_failure_found_in_corpus_order(self):
+        """Over 128 strings; the first failing string in corpus order is
+        short, so it is stepped in the last block, while a longer failing
+        string after it is stepped in the first block."""
+        p = DyckParams(2, 3)
+        net = flip_push_entry(build_simple_rnn(p))  # breaks pushes onto (1
+        base = relabeled(sample_strings(
+            SamplerConfig(p, seed=6, min_len=9, max_len=30), 300), 2)
+        short = parse_string("(1 (2 )2 )1 $")
+        long = parse_string(" ".join(["(2 )2"] * 20) + " (1 (1 )1 )1 $")
+        corpus = base[:200] + [short] + base[200:250] + [long] + base[250:]
+        assert all(len(s) > len(short) for s in base)
+        assert len(long) > max(len(s) for s in base)
+        assert all(r.passed for r in check_corpus_suites(net, base))
+        reports = self.assert_matches_reference(net, corpus)
+        stack = reports[0]
+        assert not stack["passed"]
+        assert stack["counterexample"].startswith("(1 (2 )2 )1 $ @ token 2")
+        assert stack["checked"] == sum(len(s) - 1 for s in base[:200]) + 2
+
+    def test_single_suites_and_requested_order(self):
+        p = DyckParams(2, 3)
+        net = softened(build_lstm(p, BINARY))
+        corpus = sample_strings(SamplerConfig(p, seed=2), 150)
+        for suites in (("margins",), ("saturation", "stack"),
+                       ("stack", "margins", "stack")):
+            self.assert_matches_reference(net, corpus, suites)
+
+    def test_strings_without_end_mark_and_empty_strings(self):
+        p = DyckParams(2, 3)
+        net = zero_close_rows(build_simple_rnn(p))
+        corpus = [(), parse_string("(1 (2"), parse_string("$"),
+                  parse_string("(2 )2 $")]
+        self.assert_matches_reference(net, corpus)
+
+    def test_string_outside_the_language_refused(self):
+        net = build_simple_rnn(DyckParams(2, 2))
+        for text in ("(1 )2 $", "(1 (1 (1 )1 )1 )1 $", ")1 $"):
+            with pytest.raises(ValueError, match="leaves the language"):
+                check_corpus_suites(net, [parse_string("(1 )1 $"),
+                                          parse_string(text)])
+
+    def test_out_of_range_token_refused(self):
+        net = build_lstm(DyckParams(2, 2))
+        for suites in (("stack",), ("margins",)):
+            with pytest.raises(ValueError, match="out of range"):
+                check_corpus_suites(net, [parse_string("(3 )3 $")], suites)
+
+    @pytest.mark.parametrize("arch,enc,sabotage", [
+        ("lstm", BINARY, None), ("simple", ONEHOT, None), ("naive", None, None),
+        ("simple", ONEHOT, zero_close_rows), ("lstm", ONEHOT, softened)])
+    def test_closing_metric(self, arch, enc, sabotage):
+        p = DyckParams(2, 3)
+        net = build(arch, p, enc)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=12), 300)
+        assert closing_metric(net, corpus) == reference.closing_metric(net, corpus)
+
+    def test_closing_metric_mixed_confidence(self):
+        """Softened weights leave some closes confident and some not, so the
+        mean depends on the order the buckets first appear in."""
+        p = DyckParams(3, 3)
+        net = build_lstm(p)
+        net = clone_with(net, **{name: getattr(net, name) * 0.2
+                                 for name in vars(net)
+                                 if name[0] in "WUb" and name != "b_v"})
+        corpus = sample_strings(SamplerConfig(p, seed=1), 400)
+        got = closing_metric(net, corpus)
+        want = reference.closing_metric(net, corpus)
+        assert got == want
+        assert list(got.per_separation) == list(want.per_separation)
+        assert 0.0 < got.value < 1.0
+
+    def test_closing_metric_edge_cases(self):
+        net = build_simple_rnn(DyckParams(2, 2))
+        assert np.isnan(closing_metric(net, []).value)
+        assert np.isnan(closing_metric(net, [parse_string("(1 $")]).value)
+        with pytest.raises(ValueError, match="not well nested"):
+            closing_metric(net, [parse_string("(1 )1 $"), parse_string(")1 $")])
+        with pytest.raises(ValueError, match="out of range"):
+            closing_metric(net, [parse_string("(3 )3 $")])
 
 
 @pytest.mark.parametrize("p", [DyckParams(2, 3), DyckParams(3, 2)])
