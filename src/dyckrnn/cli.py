@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .automaton import (ACCEPT, DyckParams, EMPTY, REJECT, format_string,
@@ -19,7 +20,8 @@ from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
 from .runtime import serial_blas
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
-                      parse_corpus, sample_corpus, sample_strings)
+                      parse_corpus, sample_corpus, sample_strings,
+                      window_log_mass)
 from .verify import (CORPUS_SUITES, QuantizedEncoder, VerificationReport,
                      applicable_constructions, check_corpus_suites,
                      check_cross_construction_agreement,
@@ -147,7 +149,20 @@ def cmd_sample(args) -> int:
         print(f"mean empty-to-full hitting time: "
               f"{stats['mean_hitting_time']:.2f} tokens "
               f"({stats['hitting_observations']} observations)")
+    print(f"window mass: {_format_log_probability(window_log_mass(cfg))} "
+          f"(share of unconditioned walks ending with a length in "
+          f"[{cfg.min_len}, {cfg.max_len}])")
     return 0
+
+
+def _format_log_probability(log_p: float) -> str:
+    """A probability given by its natural log, as d.ddde-XX; it may be far
+    below the smallest double."""
+    exponent = math.floor(log_p / math.log(10))
+    mantissa = round(math.exp(log_p - exponent * math.log(10)), 3)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.3f}e{exponent:+03d}"
 
 
 def cmd_check(args) -> int:
@@ -226,7 +241,8 @@ def cmd_verify(args) -> int:
         elif suite == "cross":
             reports.append(check_cross_construction_agreement(
                 params, max_len=args.max_len, epsilon=args.epsilon,
-                numeric=None if args.weights else _numeric_config(args, args.k)))
+                numeric=None if args.weights else _numeric_config(args, args.k),
+                parameter_budget=args.naive_budget))
 
     for report in reports:
         print(report.summary_line())

@@ -1,21 +1,31 @@
 """Seeded sampling from the reference distribution over the bracket language.
 
-The generating process walks the automaton stack: at the empty stack it
-chooses uniformly between pushing and ending; below the depth bound it
+The reference process walks the automaton stack: at the empty stack it
+chooses uniformly between ending and pushing; below the depth bound it
 chooses uniformly between pushing and popping; at the bound it must pop.
-A push draws the bracket type uniformly.  Length windows are enforced by
-rejection, which preserves the conditional distribution inside the window.
+A push draws the bracket type uniformly.
+
+A corpus comes from that process conditioned on a length window.  The walk
+is a Markov chain on (tokens emitted, depth) and bracket types are
+independent of it, so the conditioned process is the same walk with every
+free choice tilted: each option's weight 1/2 is multiplied by the
+probability that the untilted walk, from the state the option leads to,
+ends with a length inside the window.  One backward pass per window
+computes those probabilities (`_tilt`), so every walk ends inside the
+window, and a window that holds no string is refused before any draw.
 
 Randomness comes from numpy's default PCG64 generator; the corpus header
-records the algorithm name so corpora are reproducible across
-implementations of the same generator.  Consumption order: one uniform per
-free action choice (none when the stack is full), then one uniform per push
-for the bracket type.
+records the algorithm name and the corpus schema (2: tilted walks; schema 1
+corpora came from a rejection sampler and hold other strings for the same
+seed).  Consumption order: one uniform per free choice (none when the
+stack is full), then one uniform per push for the bracket type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +33,7 @@ from .automaton import (DyckParams, Token, format_string, parse_string,
                         vocabulary)
 
 PRNG_NAME = "numpy-pcg64"
-CORPUS_SCHEMA = 1
+CORPUS_SCHEMA = 2
 
 # Length caps used in the reference experiments, by depth bound; windows for
 # other m fall back to 60*m, a plain default.
@@ -42,7 +52,6 @@ class SamplerConfig:
     seed: int
     min_len: int = 1
     max_len: int | None = None
-    max_retries: int = 1_000_000
 
     def __post_init__(self):
         if self.max_len is None:
@@ -51,14 +60,93 @@ class SamplerConfig:
             raise ValueError("min_len must be >= 1")
         if self.min_len > self.max_len:
             raise ValueError(f"min_len {self.min_len} > max_len {self.max_len}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+
+
+@dataclass(frozen=True)
+class _Tilt:
+    """The tilted walk's probability of the first option of each free choice
+    (end at depth 0, push below the bound): one row per distance to a window
+    edge, one entry per depth.
+
+    With t tokens emitted, `before[j - 1]` is the row while j = min_len-1-t
+    more must come before the end may, and `inside[h - 1]` the row once it
+    may, with h = max_len - t tokens left.  The backward pass stops where
+    its vectors stop changing in double precision (a fixed point inside,
+    a 2-cycle before, as depth parity alternates), so the rows past the
+    last repeat and their number does not grow with the window's edges.
+    `log_mass` is the natural log of the probability that the untilted walk
+    ends inside the window.
+    """
+
+    min_len: int
+    inside: tuple[tuple[float, ...], ...]
+    before: tuple[tuple[float, ...], ...]
+    log_mass: float
+
+
+@lru_cache(maxsize=16)
+def _tilt(m: int, min_len: int, max_len: int) -> _Tilt:
+    def first_option(mass, can_end):
+        # mass[d]: probability, up to a common factor, that the walk from
+        # depth d after the choice ends inside the window
+        first, other = np.empty(m), np.empty(m)
+        first[0], other[0] = can_end, mass[1]
+        first[1:], other[1:] = mass[2:], mass[:m - 1]
+        total = first + other
+        return tuple(np.divide(first, total, out=np.zeros(m),
+                               where=total > 0).tolist())
+
+    def back(mass, can_end):
+        # the same probabilities one token earlier
+        prev = np.empty(m + 1)
+        prev[0] = 0.5 * (can_end + mass[1])
+        prev[1:m] = 0.5 * (mass[2:] + mass[:m - 1])
+        prev[m] = mass[m - 1]
+        return prev
+
+    mass = np.zeros(m + 1)  # nothing follows the max_len-th token
+    inside = []
+    for _ in range(max_len - min_len + 1):
+        inside.append(first_option(mass, 1.0))
+        prev = back(mass, 1.0)
+        if np.array_equal(prev, mass):
+            break
+        mass = prev
+    # before the end may come, the vectors are scaled to a maximum of 1
+    # and their log scales summed, so no window reads as empty by underflow
+    top = mass.max()  # at least 1/2: ending at once is inside the window
+    mass = mass / top
+    log_scale = [math.log(top)]
+    before = []
+    two_back = one_back = None
+    while len(before) < min_len - 1:
+        before.append(first_option(mass, 0.0))
+        prev = back(mass, 0.0)
+        top = prev.max()
+        two_back, one_back, mass = one_back, mass, prev / top
+        log_scale.append(math.log(top))
+        if two_back is not None and np.array_equal(mass, two_back):
+            break
+    left = min_len - 1 - len(before)  # steps past the 2-cycle, which repeat it
+    if left:
+        log_scale.append((left + 1) // 2 * log_scale[-2] + left // 2 * log_scale[-1])
+        mass = one_back if left % 2 else mass
+    log_mass = math.fsum(log_scale) + math.log(mass[0]) if mass[0] > 0 else -math.inf
+    return _Tilt(min_len, tuple(inside), tuple(before), log_mass)
+
+
+def window_log_mass(cfg: SamplerConfig) -> float:
+    """Natural log of the probability that the unconditioned walk ends with
+    a length inside the window; -inf when the window holds no string."""
+    return _tilt(cfg.params.m, cfg.min_len, cfg.max_len).log_mass
 
 
 class _UniformBuffer:
-    """Buffered uniforms; one generator call per 64k draws keeps the walk fast."""
+    """Buffered uniforms; one generator call per 64k draws keeps the walk fast.
+    Walks drawing from here read their window's table as `tilt`."""
 
-    def __init__(self, rng: np.random.Generator, size: int = 65536):
+    def __init__(self, rng: np.random.Generator, tilt: _Tilt, size: int = 65536):
+        self.tilt = tilt
         self._rng = rng
         self._size = size
         self._buf = rng.random(size)
@@ -73,52 +161,57 @@ class _UniformBuffer:
         return self._buf[pos]
 
 
-def _attempt(k: int, m: int, max_len: int, rand: _UniformBuffer) -> list[int] | None:
-    """One walk; returns token codes (0..k-1 open i+1, k..2k-1 close, 2k end)
-    or None once the walk exceeds max_len."""
+def _attempt(k: int, m: int, max_len: int, rand: _UniformBuffer) -> list[int]:
+    """One walk, tilted by `rand.tilt` so that it ends inside the window;
+    returns token codes (0..k-1 open i+1, k..2k-1 close, 2k end)."""
+    tilt = rand.tilt
+    need = tilt.min_len - 1
+    before, n_before = tilt.before, len(tilt.before)
+    inside, n_inside, far = tilt.inside, len(tilt.inside), tilt.inside[-1]
     stack: list[int] = []
     out: list[int] = []
     end_code = 2 * k
     while True:
-        if len(out) >= max_len:
-            return None
         d = len(stack)
         if d == m:
             out.append(k + stack.pop())
-        elif d == 0:
-            if rand() < 0.5:
+            continue
+        t = len(out)
+        if t < need:
+            j = need - t
+            row = (before[j - 1] if j <= n_before
+                   else before[n_before - 1 - ((j - n_before) & 1)])
+        else:
+            h = max_len - t
+            row = inside[h - 1] if h <= n_inside else far
+        if d == 0:
+            if rand() < row[0]:
                 out.append(end_code)
                 return out
-            i = min(int(rand() * k), k - 1)
-            stack.append(i)
-            out.append(i)
-        else:
-            if rand() < 0.5:
-                i = min(int(rand() * k), k - 1)
-                stack.append(i)
-                out.append(i)
-            else:
-                out.append(k + stack.pop())
+        elif rand() >= row[d]:
+            out.append(k + stack.pop())
+            continue
+        i = min(int(rand() * k), k - 1)
+        stack.append(i)
+        out.append(i)
 
 
 def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
-    k, m = cfg.params.k, cfg.params.m
-    for _ in range(cfg.max_retries):
-        codes = _attempt(k, m, cfg.max_len, rand)
-        if codes is not None and cfg.min_len <= len(codes):
-            return codes
-    raise RuntimeError(
-        f"no sample of length in [{cfg.min_len}, {cfg.max_len}] found in "
-        f"{cfg.max_retries} attempts (k={k}, m={m}); widen the window or "
-        f"raise max_retries")
+    return _attempt(cfg.params.k, cfg.params.m, cfg.max_len, rand)
 
 
 def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
-    """Window-accepted member strings, each drawn only when asked for."""
-    rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng)
+    """Window-conditioned member strings, each drawn only when asked for."""
+    p = cfg.params
+    tilt = _tilt(p.m, cfg.min_len, cfg.max_len)
+    if tilt.log_mass == -math.inf:  # refused before any draw
+        raise RuntimeError(f"no string of the k={p.k}, m={p.m} language has a "
+                           f"length in [{cfg.min_len}, {cfg.max_len}]")
+    rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng,
+                          tilt)
     # codes are vocabulary rows, so strings share the 2k+1 vocabulary tokens;
     # a tuple built from a list is allocated at its final size
-    vocab = vocabulary(cfg.params.k)
+    vocab = vocabulary(p.k)
     while True:
         yield tuple([vocab[code] for code in _sample_codes(cfg, rand)])
 

@@ -21,7 +21,7 @@ import numpy as np
 from .automaton import (ACCEPT, EMPTY, REJECT, DfaState, DyckParams, Token,
                         format_string, input_column, is_member, run,
                         symbol_row, transition, vocabulary)
-from .builders import build
+from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
 from .runtime import (DECODE_TOL, NetworkState, StackDecodeError,
@@ -612,13 +612,16 @@ def applicable_constructions(k: int) -> list[tuple[str, str | None]]:
 
 def check_cross_construction_agreement(params: DyckParams, max_len: int = 8,
                                        epsilon: float | None = None,
-                                       numeric: NumericConfig | None = None
+                                       numeric: NumericConfig | None = None,
+                                       parameter_budget: int = DEFAULT_PARAMETER_BUDGET
                                        ) -> VerificationReport:
-    """All defined constructions carve out the same epsilon-truncated support."""
+    """All defined constructions carve out the same epsilon-truncated support;
+    the naive network is built under `parameter_budget`."""
     eps = epsilon_for(params.k) if epsilon is None else epsilon
     names, supports = [], []
     for arch, enc in applicable_constructions(params.k):
-        paramset = build(arch, params, enc, numeric)
+        paramset = build(arch, params, enc, numeric,
+                         parameter_budget=parameter_budget)
         names.append(arch if enc is None else f"{arch}/{enc}")
         supports.append(net_membership_set(paramset, max_len, eps))
     lang = dfa_membership_set(params, max_len)

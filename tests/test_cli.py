@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dyckrnn.automaton import DyckParams, is_member
 from dyckrnn.cli import main
+from dyckrnn.sampler import parse_corpus
 from dyckrnn.verify import check_generation_equivalence
 from dyckrnn.weightio import load_weights
 
@@ -69,6 +71,35 @@ class TestSample:
         run_cli("sample", "-k", "2", "-m", "5", "--tokens", "100",
                 "--seed", "1", "-o", str(path))
         assert "min_len=1 max_len=180" in path.read_text().splitlines()[0]
+
+
+    def test_thin_window_writes_strings(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        assert run_cli("sample", "-k", "2", "-m", "3", "--min-len", "301",
+                       "--max-len", "301", "--tokens", "1000",
+                       "-o", str(path)) == 0
+        assert "window mass: 3.542e-12 " in capsys.readouterr().out
+        _, strings = parse_corpus(path.read_text())
+        assert len(strings) == 4
+        assert all(len(s) == 301 and is_member(DyckParams(2, 3), s)
+                   for s in strings)
+
+    def test_window_mass_printed(self, tmp_path, capsys):
+        assert run_cli("sample", "-k", "1", "-m", "1", "--min-len", "1",
+                       "--max-len", "3", "--tokens", "10",
+                       "-o", str(tmp_path / "c.txt")) == 0
+        assert ("window mass: 7.500e-01 (share of unconditioned walks ending "
+                "with a length in [1, 3])") in capsys.readouterr().out.splitlines()
+
+    def test_empty_window_refused(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        assert run_cli("sample", "-k", "1", "-m", "1", "--min-len", "2",
+                       "--max-len", "2", "--tokens", "10", "-o", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "[2, 2]" in line
+        assert not path.exists()
 
 
 class TestCheck:
@@ -152,6 +183,14 @@ class TestVerify:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and "n_strings" in line
+
+    def test_cross_honours_naive_budget(self, capsys):
+        argv = ("verify", "-k", "4", "-m", "3", "--suite", "cross",
+                "--max-len", "4")
+        assert run_cli(*argv) == 2
+        assert "budget" in capsys.readouterr().err
+        assert run_cli(*argv, "--naive-budget", "500000") == 0
+        assert capsys.readouterr().out.startswith("PASS cross_construction_agreement")
 
     def test_empty_construction_selection_refused(self, capsys):
         code = run_cli("verify", "-k", "1", "-m", "2", "--arch", "simple",

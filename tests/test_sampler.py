@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from dyckrnn.automaton import DyckParams, depth, is_member
+import sampler_reference
+from dyckrnn import sampler
+from dyckrnn.automaton import DyckParams, depth, format_string, is_member
 from dyckrnn.sampler import (SamplerConfig, corpus_statistics, default_max_len,
                              format_corpus, parse_corpus, sample_corpus,
-                             sample_string, sample_strings)
+                             sample_string, sample_strings, window_log_mass)
 
 
 def test_every_sample_is_a_member():
@@ -88,12 +92,178 @@ def test_default_windows():
     assert SamplerConfig(DyckParams(2, 5), seed=0).max_len == 180
 
 
-def test_empty_window_exhausts_retries():
+def test_empty_window_refused_before_any_draw():
     # every string has odd length, so a [2,2] window has zero mass
-    cfg = SamplerConfig(DyckParams(1, 1), seed=0, min_len=2, max_len=2,
-                        max_retries=500)
-    with pytest.raises(RuntimeError, match="500 attempts"):
-        sample_string(cfg)
+    cfg = SamplerConfig(DyckParams(1, 1), seed=0, min_len=2, max_len=2)
+    assert window_log_mass(cfg) == -math.inf
+
+    class NoDraws:
+        def random(self, *args, **kwargs):
+            raise AssertionError("drew from the generator")
+
+    with pytest.raises(RuntimeError, match=r"k=1, m=1 .* \[2, 2\]"):
+        sample_string(cfg, NoDraws())
+    with pytest.raises(RuntimeError, match=r"\[2, 2\]"):
+        sample_corpus(cfg, 10)
+
+
+def _window_law(k, m, min_len, max_len):
+    """Every string inside the window with its probability under the
+    unconditioned walk, by depth-first search over the walk's choices."""
+    law = {}
+
+    def grow(text, stack, p):
+        n = len(text)
+        if n >= max_len:
+            return
+        d = len(stack)
+        if d == m:
+            grow(text + [f"){stack[-1]}"], stack[:-1], p)
+            return
+        free = 0.5
+        if d == 0:
+            if n + 1 >= min_len:
+                law[" ".join(text + ["$"])] = free * p
+        else:
+            grow(text + [f"){stack[-1]}"], stack[:-1], free * p)
+        for i in range(1, k + 1):
+            grow(text + [f"({i}"], stack + [i], free * p / k)
+
+    grow([], [], 1.0)
+    return law
+
+
+def _chi2_z(stat, dof):
+    """Wilson-Hilferty normal score of a chi-square statistic."""
+    c = 2 / (9 * dof)
+    return ((stat / dof) ** (1 / 3) - (1 - c)) / math.sqrt(c)
+
+
+def test_window_mass_is_the_windows_probability():
+    for k, m, lo, hi in [(1, 1, 1, 3), (2, 2, 5, 9), (1, 3, 9, 21), (3, 2, 1, 1)]:
+        cfg = SamplerConfig(DyckParams(k, m), seed=0, min_len=lo, max_len=hi)
+        want = math.fsum(_window_law(k, m, lo, hi).values())
+        assert math.isclose(math.exp(window_log_mass(cfg)), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("k, m, lo, hi", [
+    (2, 2, 5, 9),    # 168 strings
+    (1, 2, 9, 11),   # 24 strings; the walk's first rows repeat the 2-cycle
+])
+def test_tilted_frequencies_match_exact_law(k, m, lo, hi):
+    """The tilted walk draws each window string with its conditional
+    probability (chi-square over every string of the window)."""
+    law = _window_law(k, m, lo, hi)
+    mass = math.fsum(law.values())
+    n = 20_000
+    cfg = SamplerConfig(DyckParams(k, m), seed=11, min_len=lo, max_len=hi)
+    counts = Counter(format_string(s) for s in sample_strings(cfg, n))
+    assert set(counts) <= set(law)
+    stat = sum((counts[s] - n * p / mass) ** 2 / (n * p / mass)
+               for s, p in law.items())
+    assert abs(_chi2_z(stat, len(law) - 1)) < 3.5
+
+
+def test_tilted_frequencies_match_rejection_oracle():
+    """Same window, same number of strings: the tilted walk and the
+    rejection sampler it replaced agree string by string (two-sample
+    chi-square)."""
+    n = 20_000
+    cfg = SamplerConfig(DyckParams(2, 2), seed=12, min_len=5, max_len=9)
+    tilted = Counter(format_string(s) for s in sample_strings(cfg, n))
+    rejected = Counter(format_string(s)
+                       for s in sampler_reference.sample_strings(cfg, n))
+    strings = set(tilted) | set(rejected)
+    stat = sum((tilted[s] - rejected[s]) ** 2 / (tilted[s] + rejected[s])
+               for s in strings)
+    assert abs(_chi2_z(stat, len(strings) - 1)) < 3.5
+
+
+def _plain_backward_pass(m, lo, hi):
+    """First-option probability at every (t, d) of a window, and the
+    window's mass, from a backward pass over every t without caps or
+    scaling (fine while the mass stays far above the smallest double)."""
+    mass = [0.0] * (m + 1)
+    rows = [None] * hi
+    for t in range(hi - 1, -1, -1):
+        end = 1.0 if t + 1 >= lo else 0.0
+        pairs = [(end, mass[1])] + [(mass[d + 1], mass[d - 1]) for d in range(1, m)]
+        rows[t] = [a / (a + b) if a + b else None for a, b in pairs]
+        mass = ([0.5 * (end + mass[1])]
+                + [0.5 * (mass[d + 1] + mass[d - 1]) for d in range(1, m)]
+                + [mass[m - 1]])
+    return rows, mass[0]
+
+
+@pytest.mark.parametrize("k, m, lo, hi", [(3, 3, 120, 130), (2, 3, 201, 201),
+                                          (2, 5, 181, 360), (1, 1, 40, 90)])
+def test_walk_reads_the_plain_backward_pass(k, m, lo, hi):
+    """Every free choice of a walk compares its uniform with the probability
+    a plain backward pass gives for that (t, d), also where the table's
+    rows have stopped and repeat; the window masses agree too."""
+    seen = []
+
+    class Probe(float):
+        def __lt__(self, other):
+            seen.append(other)
+            return float(self) < other
+
+        def __ge__(self, other):
+            seen.append(other)
+            return float(self) >= other
+
+    class Draws:
+        tilt = sampler._tilt(m, lo, hi)
+        rng = np.random.default_rng(5)
+
+        def __call__(self):
+            return Probe(self.rng.random())
+
+    assert len(Draws.tilt.before) < lo - 1  # the 2-cycle is reached
+    want, mass = _plain_backward_pass(m, lo, hi)
+    assert math.isclose(math.exp(Draws.tilt.log_mass), mass, rel_tol=1e-9)
+    for _ in range(20):
+        seen.clear()
+        codes = sampler._attempt(k, m, hi, Draws())
+        assert lo <= len(codes) <= hi
+        got, depth = iter(seen), 0
+        for t, code in enumerate(codes):
+            if depth < m:
+                assert math.isclose(next(got), want[t][depth], rel_tol=1e-9)
+            depth += 1 if code < k else -1
+        assert next(got, None) is None
+
+
+def test_thin_window_holds_strings():
+    """A one-length window whose mass is 3.5e-12 is sampled, not refused."""
+    p = DyckParams(2, 3)
+    cfg = SamplerConfig(p, seed=0, min_len=301, max_len=301)
+    mass = _plain_backward_pass(3, 301, 301)[1]
+    assert 3.5e-12 < mass < 3.6e-12
+    assert math.isclose(math.exp(window_log_mass(cfg)), mass, rel_tol=1e-9)
+    for string in sample_strings(cfg, 5):
+        assert len(string) == 301 and is_member(p, string)
+
+
+def test_underflowing_window_mass_is_not_empty():
+    """The mass of [10001, 10001] underflows a double (about 1e-345); the
+    log-scaled pass still finds the window's strings."""
+    p = DyckParams(2, 3)
+    cfg = SamplerConfig(p, seed=0, min_len=10001, max_len=10001)
+    assert -800 < window_log_mass(cfg) < -790
+    string = sample_string(cfg)
+    assert len(string) == 10001 and is_member(p, string)
+
+
+def test_tilt_table_does_not_grow_with_the_window_edges():
+    """The rows stop where the backward pass stops changing, so windows whose
+    edges lie ten thousand or a billion tokens away have as many."""
+    for near, far in [((1, 10**4), (1, 10**9)),
+                      ((10**4, 10**4), (10**9, 10**9)),
+                      ((10**4, 2 * 10**4), (10**9, 2 * 10**9))]:
+        a, b = sampler._tilt(3, *near), sampler._tilt(3, *far)
+        assert (len(a.before), len(a.inside)) == (len(b.before), len(b.inside))
+        assert len(b.before) + len(b.inside) < 1000
 
 
 def test_bad_window_rejected():
@@ -161,6 +331,16 @@ def test_corpus_file_round_trip(tmp_path):
     assert header["min_len"] == 1 and header["max_len"] == 84
     assert header["prng"] == "numpy-pcg64"
     assert strings == corpus
+
+
+def test_corpus_header_schema():
+    cfg = SamplerConfig(DyckParams(2, 3), seed=7)
+    assert format_corpus(cfg, []).startswith("# dyckrnn-corpus schema=2 ")
+    # corpora written by the rejection sampler (schema 1) still read
+    header, strings = parse_corpus(
+        "# dyckrnn-corpus schema=1 k=2 m=3 seed=7 min_len=1 max_len=84 "
+        "prng=numpy-pcg64\n(1 )1 $\n")
+    assert header["schema"] == 1 and len(strings) == 1
 
 
 def test_strings_share_vocabulary_tokens():

@@ -322,13 +322,20 @@ class TestBlockWalkParity:
 
     def test_closing_metric_mixed_confidence(self):
         """Softened weights leave some closes confident and some not, so the
-        mean depends on the order the buckets first appear in."""
+        mean depends on the order the buckets first appear in.  Their state
+        drifts along a long string: short strings stay confident, while a
+        depth-2 pattern repeated twelve times loses confidence after about
+        ten closes.  The first string opens the buckets out of order (0, 4,
+        then 2)."""
         p = DyckParams(3, 3)
         net = build_lstm(p)
         net = clone_with(net, **{name: getattr(net, name) * 0.2
                                  for name in vars(net)
                                  if name[0] in "WUb" and name != "b_v"})
-        corpus = sample_strings(SamplerConfig(p, seed=1), 400)
+        texts = ["(1 (2 )2 (3 )3 )1 $", "(3 (3 (3 )3 )3 )3 $", "(2 )2 $",
+                 " ".join(["(1 (2 )2 )1"] * 12) + " $",
+                 " ".join(["(2 (1 )1 (1 )1 )2"] * 12) + " $"]
+        corpus = [parse_string(text) for text in texts * 3]
         got = closing_metric(net, corpus)
         want = reference.closing_metric(net, corpus)
         assert got == want
@@ -480,6 +487,15 @@ class TestCrossConstruction:
         assert report.passed
         assert report.details["constructions"] == ["simple/onehot", "lstm/onehot",
                                                    "naive"]
+
+    def test_naive_built_under_the_given_budget(self):
+        # the naive network at (4, 3) has 696 units, 484,416 recurrent weights
+        p = DyckParams(4, 3)
+        with pytest.raises(ValueError, match="budget"):
+            check_cross_construction_agreement(p, max_len=4)
+        report = check_cross_construction_agreement(p, max_len=4,
+                                                    parameter_budget=500_000)
+        assert report.passed and report.details["constructions"][-1] == "naive"
 
 
 def test_reports_serialize_to_json():
