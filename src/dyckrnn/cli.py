@@ -22,10 +22,9 @@ from .runtime import serial_blas
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
                       parse_corpus, sample_corpus, sample_strings,
                       window_log_mass)
-from .verify import (CORPUS_SUITES, QuantizedEncoder, VerificationReport,
-                     applicable_constructions, check_corpus_suites,
-                     check_cross_construction_agreement,
-                     check_full_depth_distinctness, check_generation_equivalence,
+from .verify import (CORPUS_SUITES, Enumeration, QuantizedEncoder,
+                     VerificationReport, applicable_constructions,
+                     check_corpus_suites, check_full_depth_distinctness,
                      closing_metric, closing_metric_uniform, find_collision)
 from .weightio import atomic_write_text, load_weights, save_weights
 
@@ -183,23 +182,20 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _verify_constructions(args):
+def _verify_constructions(args, construction):
     if args.weights:
         paramset = load_weights(args.weights)
         if (paramset.k, paramset.m) != (args.k, args.m):
             raise ValueError(f"{args.weights} holds weights for k={paramset.k}, "
                              f"m={paramset.m} but -k {args.k} -m {args.m} was given")
         return [paramset]
-    params = DyckParams(args.k, args.m)
-    numeric = _numeric_config(args, args.k)
     selected = []
     for arch, enc in applicable_constructions(args.k):
         if args.arch != "all" and arch != args.arch:
             continue
         if args.enc != "all" and enc is not None and enc != args.enc:
             continue
-        selected.append(build(arch, params, enc, numeric,
-                              parameter_budget=args.naive_budget))
+        selected.append(construction(arch, enc))
     if not selected:
         raise ValueError(f"no construction matches --arch {args.arch} "
                          f"--enc {args.enc} at k={args.k}")
@@ -213,8 +209,21 @@ def cmd_verify(args) -> int:
     params = DyckParams(args.k, args.m)
     reports: list[VerificationReport] = []
 
+    # Each construction this command builds is built once, so the suites
+    # that read it share one parameter object and the supports enumerated
+    # for it.  Under --weights, only cross builds: the default constructions.
+    built = {}
+
+    def construction(arch, enc):
+        if (arch, enc) not in built:
+            numeric = None if args.weights else _numeric_config(args, args.k)
+            built[arch, enc] = build(arch, params, enc, numeric,
+                                     parameter_budget=args.naive_budget)
+        return built[arch, enc]
+
     needs_nets = any(s in suites for s in ("equivalence", "distinct", *CORPUS_SUITES))
-    constructions = _verify_constructions(args) if needs_nets else None
+    constructions = _verify_constructions(args, construction) if needs_nets else None
+    enumeration = Enumeration(params, args.max_len, args.epsilon)
 
     # one walk per corpus string and construction serves every corpus suite
     corpus_suites = [s for s in suites if s in CORPUS_SUITES]
@@ -228,9 +237,7 @@ def cmd_verify(args) -> int:
 
     for suite in suites:
         if suite == "equivalence":
-            for ps in constructions:
-                reports.append(check_generation_equivalence(
-                    ps, max_len=args.max_len, epsilon=args.epsilon))
+            reports.extend(enumeration.equivalence(ps) for ps in constructions)
         elif suite in CORPUS_SUITES:
             reports.extend(by_suite[suite] for by_suite in corpus_reports)
         elif suite == "distinct":
@@ -239,10 +246,9 @@ def cmd_verify(args) -> int:
         elif suite == "collide":
             reports.append(_collision_report(args, params))
         elif suite == "cross":
-            reports.append(check_cross_construction_agreement(
-                params, max_len=args.max_len, epsilon=args.epsilon,
-                numeric=None if args.weights else _numeric_config(args, args.k),
-                parameter_budget=args.naive_budget))
+            reports.append(enumeration.cross(
+                construction(arch, enc)
+                for arch, enc in applicable_constructions(args.k)))
 
     for report in reports:
         print(report.summary_line())

@@ -82,19 +82,27 @@ class NumericConfig:
 def sat_sigmoid(cfg: NumericConfig, x):
     """Logistic function, exactly 1 for x >= beta and exactly 0 for x <= -beta.
 
-    Accepts scalars or arrays; applies elementwise.
+    Accepts scalars or arrays; applies elementwise, in place in one output
+    array.
     """
     arr = np.asarray(x, dtype=float)
-    core = 1.0 / (1.0 + np.exp(-np.clip(arr, -cfg.beta, cfg.beta)))
-    out = np.where(arr >= cfg.beta, 1.0, np.where(arr <= -cfg.beta, 0.0, core))
+    out = np.clip(arr, -cfg.beta, cfg.beta, out=np.empty_like(arr))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out[arr >= cfg.beta] = 1.0
+    out[arr <= -cfg.beta] = 0.0
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def sat_tanh(cfg: NumericConfig, x):
     """Hyperbolic tangent, exactly +-1 beyond the saturation threshold."""
     arr = np.asarray(x, dtype=float)
-    core = np.tanh(np.clip(arr, -cfg.beta, cfg.beta))
-    out = np.where(arr >= cfg.beta, 1.0, np.where(arr <= -cfg.beta, -1.0, core))
+    out = np.clip(arr, -cfg.beta, cfg.beta, out=np.empty_like(arr))
+    np.tanh(out, out=out)
+    out[arr >= cfg.beta] = 1.0
+    out[arr <= -cfg.beta] = -1.0
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

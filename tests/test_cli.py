@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dyckrnn
+from dyckrnn import runtime, verify
 from dyckrnn.automaton import DyckParams, is_member
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
@@ -144,6 +149,45 @@ class TestVerify:
         assert code == 0
         (report,) = json.loads(js.read_text())
         assert report["details"]["collision"] is not None
+
+    def test_collision_suite_leaves_numpy_random_unloaded(self):
+        script = ("import sys\n"
+                  "from dyckrnn.cli import main\n"
+                  "code = main(['verify', '--suite', 'collide', '-d', '1', "
+                  "'-p', '1', '-k', '2', '-m', '2'])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyckrnn.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+    def test_equivalence_and_cross_enumerate_each_set_once(self, monkeypatch,
+                                                           capsys):
+        calls = {"dfa_membership_set": [], "net_membership_set": []}
+        for name, seen in calls.items():
+            def spy(first, *args, real=getattr(verify, name), seen=seen,
+                    **kwargs):
+                seen.append(first)
+                return real(first, *args, **kwargs)
+
+            monkeypatch.setattr(verify, name, spy)
+        rows = []
+        for module in (verify, runtime):
+            def counting_step_rows(paramset, h, c, cols,
+                                   real=module.step_rows):
+                rows.append(len(cols))
+                return real(paramset, h, c, cols)
+
+            monkeypatch.setattr(module, "step_rows", counting_step_rows)
+        code = run_cli("verify", "-k", "2", "-m", "3", "--suite",
+                       "equivalence", "--suite", "cross")
+        assert code == 0
+        assert capsys.readouterr().out.count("PASS") == 6
+        assert calls["dfa_membership_set"] == [DyckParams(2, 3)]
+        nets = calls["net_membership_set"]
+        assert len(nets) == 5 and len({id(ps) for ps in nets}) == 5
+        assert max(rows) == verify.TREE_BLOCK_ROWS
 
     def test_corrupted_weight_file_fails(self, tmp_path, capsys):
         path = tmp_path / "w.json"

@@ -66,6 +66,45 @@ class TestSatTanh:
             assert sat_tanh(cfg, x) == pytest.approx(math.tanh(x), abs=1e-15)
 
 
+class TestInPlace:
+    """The in-place saturating functions return what the formulas built from
+    temporaries returned, bit for bit."""
+
+    @staticmethod
+    def formula_sigmoid(cfg, arr):
+        core = 1.0 / (1.0 + np.exp(-np.clip(arr, -cfg.beta, cfg.beta)))
+        return np.where(arr >= cfg.beta, 1.0,
+                        np.where(arr <= -cfg.beta, 0.0, core))
+
+    @staticmethod
+    def formula_tanh(cfg, arr):
+        core = np.tanh(np.clip(arr, -cfg.beta, cfg.beta))
+        return np.where(arr >= cfg.beta, 1.0,
+                        np.where(arr <= -cfg.beta, -1.0, core))
+
+    @pytest.mark.parametrize("beta", [0.5, 20.0])
+    def test_bit_identical_on_200k_values(self, beta):
+        cfg = NumericConfig.for_language(k=2, beta=beta)
+        values = np.random.default_rng(0).normal(0.0, 2.0 * beta, 200_000)
+        special = [np.nan, np.inf, -np.inf, beta, -beta, 0.0, -0.0,
+                   np.nextafter(beta, 0.0), np.nextafter(-beta, 0.0)]
+        values[:len(special)] = special
+        blocks = values.reshape(400, 500)
+        for fn, formula in ((sat_sigmoid, self.formula_sigmoid),
+                            (sat_tanh, self.formula_tanh)):
+            got = fn(cfg, blocks)
+            assert got.shape == blocks.shape
+            assert got.tobytes() == formula(cfg, blocks).tobytes()
+        assert blocks.tobytes() == values.reshape(400, 500).tobytes()
+
+    def test_scalar_input_returns_float(self, cfg):
+        for fn in (sat_sigmoid, sat_tanh):
+            for x in (0.3, cfg.beta, np.float64(-50.0), np.array(1.5)):
+                assert type(fn(cfg, x)) is float
+        assert math.isnan(sat_sigmoid(cfg, float("nan")))
+        assert sat_tanh(cfg, -math.inf) == -1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-100, 100), st.floats(-100, 100))
 def test_saturating_functions_monotone(x, y):

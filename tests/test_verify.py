@@ -5,7 +5,7 @@ import pytest
 
 from dyckrnn import runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, allowed_tokens, is_member,
-                               parse_string, symbol_row)
+                               parse_string, symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
@@ -24,6 +24,7 @@ from dyckrnn.verify import (Collision, QuantizedEncoder, allowed_row_mask,
                             total_string_count)
 from conftest import clone_with, flip_push_entry, zero_close_rows
 import corpus_reference as reference
+import enumeration_reference
 
 
 class TestGenerationEquivalence:
@@ -352,6 +353,149 @@ class TestBlockWalkParity:
             closing_metric(net, [parse_string("(3 )3 $")])
 
 
+ALL_CONSTRUCTIONS = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
+                     ("lstm", BINARY), ("naive", None)]
+
+
+class TestTreeWalkParity:
+    """The block-stepped tree walk returns the sets the recursive per-prefix
+    reference returns, and refuses a node budget exactly where it does."""
+
+    @staticmethod
+    def block_rows(monkeypatch):
+        """Record the rows of every block the walk steps."""
+        rows = []
+        real_step_rows = verify.step_rows
+
+        def counting_step_rows(paramset, h, c, cols):
+            rows.append(len(cols))
+            return real_step_rows(paramset, h, c, cols)
+
+        monkeypatch.setattr(verify, "step_rows", counting_step_rows)
+        return rows
+
+    @pytest.mark.parametrize("k,m,max_len", [(1, 3, 9), (2, 2, 8), (2, 3, 9),
+                                             (3, 2, 6)])
+    def test_language(self, k, m, max_len):
+        p = DyckParams(k, m)
+        assert (dfa_membership_set(p, max_len)
+                == enumeration_reference.dfa_membership_set(p, max_len))
+
+    @pytest.mark.parametrize("arch,enc,k,m,max_len", [
+        (arch, enc, k, m, max_len)
+        for k, m, max_len in [(1, 2, 8), (2, 3, 9), (3, 2, 6)]
+        for arch, enc in ALL_CONSTRUCTIONS if k > 1 or enc != BINARY])
+    def test_intact_constructions(self, monkeypatch, arch, enc, k, m, max_len):
+        net = build(arch, DyckParams(k, m), enc)
+        rows = self.block_rows(monkeypatch)
+        support = net_membership_set(net, max_len)
+        assert support == enumeration_reference.net_membership_set(net, max_len)
+        assert support == dfa_membership_set(net.dyck_params, max_len)
+        assert max(rows) <= verify.TREE_BLOCK_ROWS
+        if (k, m) == (2, 3):  # levels wide enough to span many blocks
+            assert rows.count(verify.TREE_BLOCK_ROWS) > 10
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_other_block_sizes(self, monkeypatch, block):
+        monkeypatch.setattr(verify, "TREE_BLOCK_ROWS", block)
+        rows = self.block_rows(monkeypatch)
+        p = DyckParams(2, 3)
+        assert (dfa_membership_set(p, 8)
+                == enumeration_reference.dfa_membership_set(p, 8))
+        for arch, enc in ALL_CONSTRUCTIONS:
+            net = build(arch, p, enc)
+            assert (net_membership_set(net, 8)
+                    == enumeration_reference.net_membership_set(net, 8))
+        assert max(rows) == block
+
+    @pytest.mark.parametrize("arch,sabotage", [
+        ("simple", flip_push_entry), ("simple", zero_close_rows),
+        ("simple", softened), ("lstm", zero_close_rows), ("lstm", softened),
+        ("naive", zero_close_rows)])
+    def test_sabotaged_constructions(self, arch, sabotage):
+        p = DyckParams(2, 3)
+        net = sabotage(build(arch, p, None if arch == "naive" else ONEHOT))
+        support = net_membership_set(net, 8)
+        assert support == enumeration_reference.net_membership_set(net, 8)
+        assert support != dfa_membership_set(p, 8)
+
+    @pytest.mark.parametrize("arch,enc", ALL_CONSTRUCTIONS)
+    def test_small_beta_and_lambda(self, arch, enc):
+        numeric = NumericConfig.for_language(2, beta=0.5, lam=3.0)
+        net = build(arch, DyckParams(2, 3), enc, numeric)
+        for eps in (0.02, epsilon_for(2), 0.3):
+            assert (net_membership_set(net, 8, eps)
+                    == enumeration_reference.net_membership_set(net, 8, eps))
+
+    @pytest.mark.parametrize("eps", [0.01, 0.06, 0.1, epsilon_for(2), 0.25,
+                                     0.3, 0.45])
+    def test_epsilon_values(self, eps):
+        for arch, enc in ALL_CONSTRUCTIONS:
+            net = build(arch, DyckParams(2, 2), enc)
+            assert (net_membership_set(net, 8, eps)
+                    == enumeration_reference.net_membership_set(net, 8, eps))
+
+    @pytest.mark.parametrize("arch,enc,eps", [("simple", ONEHOT, None),
+                                              ("lstm", BINARY, None),
+                                              ("naive", None, 0.3)])
+    def test_node_budget_at_the_prefix_count(self, arch, enc, eps):
+        net = build(arch, DyckParams(2, 3), enc)
+        count = enumeration_reference.prefix_count(net, 8, eps)
+        assert (net_membership_set(net, 8, eps, node_budget=count)
+                == enumeration_reference.net_membership_set(net, 8, eps, count))
+        for walk in (net_membership_set, enumeration_reference.net_membership_set):
+            with pytest.raises(RuntimeError,
+                               match=f"exceeded {count - 1} prefixes"):
+                walk(net, 8, eps, node_budget=count - 1)
+
+    @pytest.mark.parametrize("max_len", [0, 1, 2])
+    def test_shortest_trees(self, max_len):
+        net = build_simple_rnn(DyckParams(2, 2))
+        assert (net_membership_set(net, max_len)
+                == enumeration_reference.net_membership_set(net, max_len)
+                == dfa_membership_set(net.dyck_params, max_len))
+        with pytest.raises(RuntimeError, match="exceeded 0 prefixes"):
+            net_membership_set(net, max_len, node_budget=0)
+
+
+class TestEnumeration:
+    def test_sets_enumerated_once_per_parameter_object(self, monkeypatch):
+        calls = []
+        for name in ("dfa_membership_set", "net_membership_set"):
+            real = getattr(verify, name)
+
+            def spy(*args, real=real, name=name, **kwargs):
+                calls.append((name, id(args[0])))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, spy)
+        p = DyckParams(2, 2)
+        first, twin = build_simple_rnn(p), build_simple_rnn(p)
+        enumeration = verify.Enumeration(p, 6)
+        assert enumeration.equivalence(first).passed
+        report = enumeration.cross([first, twin])
+        assert report.passed and report.checked == 2 * total_string_count(2, 6)
+        # the twin equals `first` but is another object: enumerated anew
+        assert calls == [("dfa_membership_set", id(p)),
+                         ("net_membership_set", id(first)),
+                         ("net_membership_set", id(twin))]
+
+    def test_reports_match_the_separate_checks(self):
+        p = DyckParams(2, 3)
+        net = zero_close_rows(build_lstm(p))
+        enumeration = verify.Enumeration(p, 7, 0.2)
+        assert (enumeration.equivalence(net).as_dict()
+                == check_generation_equivalence(net, 7, 0.2).as_dict())
+        assert (enumeration.cross(build(a, p, e) for a, e in
+                                  verify.applicable_constructions(2)).as_dict()
+                == check_cross_construction_agreement(p, 7, 0.2).as_dict())
+
+    def test_foreign_parameter_set_refused(self):
+        enumeration = verify.Enumeration(DyckParams(2, 3), 6)
+        with pytest.raises(ValueError, match="k=2, m=2"):
+            enumeration.equivalence(build_simple_rnn(DyckParams(2, 2)))
+
+
 @pytest.mark.parametrize("p", [DyckParams(2, 3), DyckParams(3, 2)])
 def test_allowed_row_mask_matches_allowed_tokens(p):
     for state in enumerate_states(p):
@@ -463,6 +607,29 @@ class TestFindCollision:
             collision = find_collision(encoder, p)
             if collision is not None:
                 assert is_member(p, collision.first + collision.suffix)
+
+    def test_equal_seeds_give_equal_tables(self):
+        def table(seed):
+            encoder = QuantizedEncoder.from_table(2, 2, 3, seed=seed)
+            return [[encoder.step_fn(state, token)
+                     for token in vocabulary(3)[:-1]] for state in range(16)]
+
+        assert table(5) == table(5)
+        assert table(5) != table(6)
+        assert {entry for row in table(5) for entry in row} <= set(range(16))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pigeonhole_collision_with_more_states(self, seed):
+        # 4 states < 9 full-depth strings
+        p = DyckParams(3, 2)
+        collision = find_collision(QuantizedEncoder.from_table(1, 2, 3, seed=seed), p)
+        assert collision is not None
+        assert is_member(p, collision.first + collision.suffix)
+
+    def test_table_size_cap(self):
+        with pytest.raises(ValueError, match="too large"):
+            QuantizedEncoder.from_table(3, 7, 2)
+        assert QuantizedEncoder.from_table(4, 5, 2).state_budget == 2**20
 
     def test_budget_guard(self):
         p = DyckParams(128, 5)
