@@ -94,16 +94,6 @@ def symbol_row(token: Token, k: int) -> int:
     return input_column(token, k)
 
 
-def token_from_row(row: int, k: int) -> Token:
-    if row == 2 * k:
-        return END_TOKEN
-    if 0 <= row < k:
-        return Token(OPEN, row + 1)
-    if k <= row < 2 * k:
-        return Token(CLOSE, row - k + 1)
-    raise ValueError(f"row {row} out of range for k={k}")
-
-
 # Textual token syntax, used by the CLI and corpus files: open bracket i is
 # "(i", close bracket i is ")i", end-of-string is "$"; tokens are separated
 # by whitespace.  Example: "(1 (2 )2 )1 $".

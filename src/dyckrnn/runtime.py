@@ -5,10 +5,11 @@ and states can be shared across threads without coordination.  One kernel,
 step_rows, does all stepping: it advances a (rows, d) block of states, each
 row on its own input column, with the LSTM's four gate matrices packed side
 by side once per parameter set (its `packed` property).  Its one-row case
-is step, which the enumeration suites call prefix by prefix.  walk steps a
-whole corpus for the corpus suites and the closing metric: strings sorted
-by length, BLOCK_ROWS at a time, so one matrix product advances every live
-string of a block.  Traces (gate vectors, pre-activations) are recorded
+is step, which now serves only run_prefix, format_trace and the text of
+counterexamples.  walk steps a whole corpus for the corpus suites, the
+distinctness suite and the closing metric: strings sorted by length,
+BLOCK_ROWS at a time, so one matrix product advances every live string of
+a block.  Traces (gate vectors, pre-activations) are recorded
 only on request.
 
 A block product is at most BLOCK_ROWS x d x 4d, too small for BLAS threads

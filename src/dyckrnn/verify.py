@@ -12,7 +12,9 @@ block of network states advances with one runtime.step_rows and one
 readout, a block of automaton stacks with the stack arrays the corpus
 suites use.  An Enumeration holds the language and each support it has
 enumerated, so the equivalence and cross suites of one command read the
-same sets.
+same sets.  The distinctness suite walks the k^m all-open strings as one
+corpus through runtime.walk; it and the collision search share one
+pigeonhole pass over their full-depth state keys.
 
 Counterexamples are the first string in length-then-lexicographic order
 over symbol rows (opens 1..k, closes 1..k, end), so they are canonical.
@@ -22,6 +24,7 @@ configuration.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,7 +38,7 @@ from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
 from .runtime import (DECODE_TOL, StackDecodeError, decode_stack,
                       initial_state, next_distribution, readout, run_prefix,
-                      step, step_rows, walk)
+                      step_rows, walk)
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -81,6 +84,16 @@ def allowed_row_mask(params: DyckParams, state: DfaState) -> np.ndarray:
         mask[:k] = len(stack) < params.m
         mask[k + stack[-1] - 1 if stack else 2 * k] = True
     return mask
+
+
+def _epsilon(k: int, epsilon: float | None) -> float:
+    """The support threshold: epsilon_for(k) by default; a given value must
+    lie in (0, 1), or no probability could fall below it."""
+    if epsilon is None:
+        return epsilon_for(k)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
 
 
 def total_string_count(k: int, max_len: int) -> int:
@@ -186,7 +199,7 @@ def net_membership_set(paramset, max_len: int, epsilon: float | None = None,
     least epsilon; the walk short-circuits at the first violation, so only
     above-threshold prefixes are ever stepped.
     """
-    eps = epsilon_for(paramset.k) if epsilon is None else epsilon
+    eps = _epsilon(paramset.k, epsilon)
 
     def advance(state, rows, cols):
         h, c = state
@@ -219,12 +232,14 @@ class Enumeration:
 
     def __init__(self, params: DyckParams, max_len: int = 8,
                  epsilon: float | None = None):
+        if max_len < 1:
+            raise ValueError(f"max_len must be at least 1 (the end mark), "
+                             f"got {max_len}")
         self.params, self.max_len = params, max_len
-        self.eps = epsilon_for(params.k) if epsilon is None else epsilon
+        self.eps = _epsilon(params.k, epsilon)
         self._language: set[tuple[Token, ...]] | None = None
-        # (id, node_budget) -> (parameter set, its support); holding the
-        # parameter set keeps its id from being reused
-        self._supports: dict[tuple[int, int], tuple[object, set]] = {}
+        # parameter sets compare and hash by identity
+        self._supports: dict[tuple[object, int], set[tuple[Token, ...]]] = {}
 
     def language(self) -> set[tuple[Token, ...]]:
         if self._language is None:
@@ -237,11 +252,11 @@ class Enumeration:
             raise ValueError(f"parameter set for k={paramset.k}, m={paramset.m} "
                              f"in an enumeration of k={self.params.k}, "
                              f"m={self.params.m}")
-        key = (id(paramset), node_budget)
+        key = (paramset, node_budget)
         if key not in self._supports:
-            self._supports[key] = (paramset, net_membership_set(
-                paramset, self.max_len, self.eps, node_budget))
-        return self._supports[key][1]
+            self._supports[key] = net_membership_set(
+                paramset, self.max_len, self.eps, node_budget)
+        return self._supports[key]
 
     def equivalence(self, paramset,
                     node_budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -417,7 +432,7 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     """
     params = paramset.dyck_params
     k = params.k
-    eps = epsilon_for(k) if epsilon is None else epsilon
+    eps = _epsilon(k, epsilon)
     dis_bound = 1.0 / (10.0 * k)
     n = len(corpus)
     first = {s: np.full(n, -1) for s in suites}  # first failing position
@@ -550,12 +565,18 @@ def _closing_events(string):
             yield pos, pos - opens.pop()[0] - 1
 
 
+def _check_threshold(threshold: float):
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+
+
 def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricReport:
     """Mean over separations of the fraction of close brackets predicted
     confidently: renormalized close-bracket probability above the threshold.
 
     The readout runs only on the rows whose next token is a close, one
     block position at a time."""
+    _check_threshold(threshold)
     k = paramset.k
     # separation of each close, indexed by token position in corpus order
     starts = np.cumsum([0] + [len(string) for string in corpus])
@@ -582,6 +603,7 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
 def closing_metric_uniform(params: DyckParams, corpus,
                            threshold: float = 0.8) -> ClosingMetricReport:
     """Baseline scoring: every close bracket gets renormalized mass 1/k."""
+    _check_threshold(threshold)
     seps = np.array([sep for string in corpus
                      for _, sep in _closing_events(string)], dtype=int)
     return _bucket_metric(seps, np.full(seps.size, (1.0 / params.k) > threshold))
@@ -627,6 +649,9 @@ class QuantizedEncoder:
         Each entry is drawn when read, from a generator seeded with (seed,
         state, input column), so the table is fixed by the seed and never
         stored."""
+        if d < 0 or p < 0:
+            raise ValueError(f"encoder width d and bits per unit p must be "
+                             f"non-negative, got d={d}, p={p}")
         n = 2 ** (d * p)
         if n > 2**20:
             raise ValueError(f"table encoder with {n} states is too large")
@@ -636,21 +661,6 @@ class QuantizedEncoder:
             return random.Random(f"{seed}:{state}:{col}").randrange(n)
 
         return cls(d=d, p=p, initial=0, step_fn=step_fn)
-
-    @classmethod
-    def from_network(cls, paramset, p: int = 64) -> "QuantizedEncoder":
-        """Wrap a built network; the encoder state is the stack-bearing vector."""
-
-        def step_fn(state, token):
-            new, _ = step(paramset, state, token)
-            return new
-
-        def key_fn(state):
-            vec = state.c if paramset.architecture == ARCH_LSTM else state.h
-            return vec.tobytes()
-
-        return cls(d=paramset.hidden_size, p=p,
-                   initial=initial_state(paramset), step_fn=step_fn, key_fn=key_fn)
 
 
 @dataclass
@@ -667,6 +677,32 @@ class Collision:
                 f"  suffix: {format_string(self.suffix)}")
 
 
+def _all_open_strings(params: DyckParams, budget: int) -> list[tuple[Token, ...]]:
+    """The k^m all-open strings of length m in lexicographic order, refused
+    before any is built when there are more than budget."""
+    k, m = params.k, params.m
+    if k**m > budget:
+        raise RuntimeError(f"k^m = {k**m} exceeds the enumeration budget {budget}")
+    return list(itertools.product([Token("open", i) for i in range(1, k + 1)],
+                                  repeat=m))
+
+
+def _pigeonhole(params: DyckParams, strings, keys) -> Collision | None:
+    """The first string whose key repeats an earlier one's, as a Collision
+    with that earlier string, automaton-verified; None when all differ."""
+    seen: dict[object, tuple[Token, ...]] = {}
+    for second, key in zip(strings, keys):
+        if key not in seen:
+            seen[key] = second
+            continue
+        first = seen[key]
+        suffix = tuple(Token("close", t.index) for t in reversed(first)) + (Token("end"),)
+        if not is_member(params, first + suffix) or is_member(params, second + suffix):
+            raise RuntimeError("collision failed automaton verification")
+        return Collision(first=first, second=second, suffix=suffix)
+    return None
+
+
 def find_collision(encoder: QuantizedEncoder, params: DyckParams,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> Collision | None:
     """Pigeonhole search over the k^m all-open strings of length m.
@@ -677,50 +713,34 @@ def find_collision(encoder: QuantizedEncoder, params: DyckParams,
     language, second::suffix is not.  When the encoder has at least k^m
     states, no collision may exist and None is returned.
     """
-    k, m = params.k, params.m
-    if k**m > budget:
-        raise RuntimeError(f"k^m = {k**m} exceeds the enumeration budget {budget}")
-    seen: dict[object, tuple[int, ...]] = {}
-    hit: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    strings = _all_open_strings(params, budget)
 
-    def rec(state, prefix: tuple[int, ...]):
-        if hit:
+    def keys(state, depth):  # depth first, so in the strings' order
+        if depth == params.m:
+            yield encoder.key_fn(state)
             return
-        if len(prefix) == m:
-            key = encoder.key_fn(state)
-            if key in seen:
-                hit.append((seen[key], prefix))
-            else:
-                seen[key] = prefix
-            return
-        for i in range(1, k + 1):
-            rec(encoder.step_fn(state, Token("open", i)), prefix + (i,))
+        for i in range(1, params.k + 1):
+            yield from keys(encoder.step_fn(state, Token("open", i)), depth + 1)
 
-    rec(encoder.initial, ())
-    if not hit:
-        return None
-    first_idx, second_idx = hit[0]
-    first = tuple(Token("open", i) for i in first_idx)
-    second = tuple(Token("open", i) for i in second_idx)
-    suffix = tuple(Token("close", i) for i in reversed(first_idx)) + (Token("end"),)
-    if not is_member(params, first + suffix) or is_member(params, second + suffix):
-        raise RuntimeError("collision failed automaton verification")
-    return Collision(first=first, second=second, suffix=suffix)
+    return _pigeonhole(params, strings, keys(encoder.initial, 0))
 
 
 def check_full_depth_distinctness(paramset,
                                   budget: int = DEFAULT_ENUMERATION_BUDGET
                                   ) -> VerificationReport:
     """All k^m full-depth states are pairwise distinct (hidden vector for the
-    simple RNN, cell vector for the LSTM)."""
+    simple RNN, cell vector for the LSTM).  The strings are walked as one
+    corpus; being equally long, they keep their order in the walk."""
     params = paramset.dyck_params
-    encoder = QuantizedEncoder.from_network(paramset)
-    collision = find_collision(encoder, params, budget)
-    counter = collision.describe() if collision else None
+    strings = _all_open_strings(params, budget)
+    vecs = (c if paramset.architecture == ARCH_LSTM else h
+            for _, _, t, h, c, _ in walk(paramset, strings) if t == params.m)
+    collision = _pigeonhole(params, strings,
+                            (row.tobytes() for vec in vecs for row in vec))
     return VerificationReport(
         suite="full_depth_distinctness", instance=_instance(paramset),
-        checked=params.k**params.m, passed=collision is None,
-        counterexample=counter)
+        checked=len(strings), passed=collision is None,
+        counterexample=collision.describe() if collision else None)
 
 
 def applicable_constructions(k: int) -> list[tuple[str, str | None]]:

@@ -189,6 +189,44 @@ class TestVerify:
         assert len(nets) == 5 and len({id(ps) for ps in nets}) == 5
         assert max(rows) == verify.TREE_BLOCK_ROWS
 
+    def test_distinct_walks_without_scalar_steps(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar step")
+
+        for name, module in list(sys.modules.items()):
+            if name == "dyckrnn" or name.startswith("dyckrnn."):
+                for attr, value in list(vars(module).items()):
+                    if value is runtime.step:
+                        monkeypatch.setattr(module, attr, refuse)
+        rows = []
+
+        def counting_step_rows(paramset, h, c, cols, real=runtime.step_rows):
+            rows.append(len(cols))
+            return real(paramset, h, c, cols)
+
+        monkeypatch.setattr(runtime, "step_rows", counting_step_rows)
+        code = run_cli("verify", "-k", "8", "-m", "3", "--suite", "distinct",
+                       "--arch", "lstm")
+        assert code == 0
+        assert capsys.readouterr().out.count("PASS full_depth_distinctness") == 2
+        # 512 strings: 4 blocks of 128, 3 steps each, for each encoding
+        assert rows == [runtime.BLOCK_ROWS] * 24
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--suite", "equivalence", "--max-len", "0"), "max_len must be at least 1"),
+        (("--suite", "cross", "--max-len", "-2"), "max_len must be at least 1"),
+        (("--suite", "margins", "--epsilon", "nan"), "epsilon must lie in (0, 1)"),
+        (("--suite", "margins", "--epsilon", "0"), "epsilon must lie in (0, 1)"),
+        (("--suite", "collide", "-d", "-1"), "d=-1, p=1"),
+        (("--suite", "collide", "-p", "-1"), "d=1, p=-1")])
+    def test_out_of_range_option_refused(self, capsys, argv, message):
+        code = run_cli("verify", "-k", "2", "-m", "2", "--strings", "20", *argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and message in line
+
     def test_corrupted_weight_file_fails(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         assert run_cli("build", "--arch", "simple", "-k", "2", "-m", "2",
@@ -282,6 +320,19 @@ class TestMetric:
         assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
                        "--uniform-baseline") == 0
         assert "mean_p: 0.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    @pytest.mark.parametrize("threshold", ["nan", "1", "-0.5"])
+    def test_threshold_outside_unit_interval_refused(self, weights_and_corpus,
+                                                     capsys, threshold, baseline):
+        w, c = weights_and_corpus
+        capsys.readouterr()
+        assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
+                       "--threshold", threshold, *baseline) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: threshold must lie in [0, 1)")
 
     def test_mismatched_corpus_refused(self, tmp_path, weights_and_corpus, capsys):
         w, _ = weights_and_corpus

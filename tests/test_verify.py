@@ -490,10 +490,52 @@ class TestEnumeration:
                                   verify.applicable_constructions(2)).as_dict()
                 == check_cross_construction_agreement(p, 7, 0.2).as_dict())
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_refused(self, max_len):
+        net = build_simple_rnn(DyckParams(2, 2))
+        with pytest.raises(ValueError, match=f"at least 1.*got {max_len}"):
+            verify.Enumeration(DyckParams(2, 2), max_len)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_generation_equivalence(net, max_len=max_len)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_cross_construction_agreement(DyckParams(2, 2), max_len=max_len)
+
     def test_foreign_parameter_set_refused(self):
         enumeration = verify.Enumeration(DyckParams(2, 3), 6)
         with pytest.raises(ValueError, match="k=2, m=2"):
             enumeration.equivalence(build_simple_rnn(DyckParams(2, 2)))
+
+
+class TestThresholdsRefused:
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, 1.0, -0.1, 1.5,
+                                     float("inf")])
+    def test_epsilon_outside_open_unit_interval(self, eps):
+        p = DyckParams(2, 2)
+        net = build_simple_rnn(p)
+        corpus = [parse_string("(1 )1 $")]
+        for check in (lambda: net_membership_set(net, 4, eps),
+                      lambda: verify.Enumeration(p, 4, eps),
+                      lambda: check_generation_equivalence(net, 4, eps),
+                      lambda: check_cross_construction_agreement(p, 4, eps),
+                      lambda: check_corpus_suites(net, corpus, epsilon=eps),
+                      lambda: check_probability_margins(net, corpus, eps)):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+                check()
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.0, 2.0])
+    def test_threshold_outside_half_open_unit_interval(self, threshold):
+        p = DyckParams(2, 2)
+        corpus = [parse_string("(1 )1 $")]
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+            closing_metric(build_simple_rnn(p), corpus, threshold)
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+            closing_metric_uniform(p, corpus, threshold)
+
+    def test_threshold_zero_is_kept(self):
+        p = DyckParams(2, 2)
+        corpus = [parse_string("(1 (2 )2 )1 $")]
+        assert closing_metric(build_simple_rnn(p), corpus, 0.0).value == 1.0
+        assert closing_metric_uniform(p, corpus, 0.0).value == 1.0
 
 
 @pytest.mark.parametrize("p", [DyckParams(2, 3), DyckParams(3, 2)])
@@ -546,14 +588,61 @@ class TestClosingMetric:
         assert report.missing_separations == [2]
 
 
+def zero_u_c_column(lstm):
+    """Sabotage: open bracket 1 writes nothing into the cell."""
+    U_c = lstm.U_c.copy()
+    U_c[:, 0] = 0.0
+    return clone_with(lstm, U_c=U_c)
+
+
+def zero_w_i(lstm):
+    """Sabotage: the input gate no longer sees the depth."""
+    return clone_with(lstm, W_i=np.zeros_like(lstm.W_i))
+
+
 class TestDistinctness:
-    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("simple", BINARY),
-                                          ("lstm", ONEHOT), ("lstm", BINARY)])
-    def test_full_depth_states_distinct(self, arch, enc):
-        net = build(arch, DyckParams(2, 3), enc)
+    @pytest.mark.parametrize("arch,enc,k,m", [
+        ("simple", ONEHOT, 2, 3), ("simple", BINARY, 2, 3),
+        ("lstm", ONEHOT, 2, 3), ("lstm", BINARY, 2, 3), ("simple", ONEHOT, 2, 2)],
+        ids=["simple-onehot", "simple-binary", "lstm-onehot", "lstm-binary",
+             "simple-onehot-k2m2"])
+    def test_full_depth_states_distinct(self, arch, enc, k, m):
+        net = build(arch, DyckParams(k, m), enc)
         report = check_full_depth_distinctness(net)
         assert report.passed
-        assert report.checked == 8
+        assert report.checked == k**m
+
+    @pytest.mark.parametrize("beta,lam", [(20.0, None), (0.5, 3.0)])
+    @pytest.mark.parametrize("k,m", [(1, 3), (2, 3), (3, 2), (8, 3)])
+    def test_matches_the_scalar_search(self, k, m, beta, lam):
+        """Every construction the default parameter budget admits, intact
+        and sabotaged, reports what the recursive search over step reports."""
+        p = DyckParams(k, m)
+        numeric = NumericConfig.for_language(k, beta=beta, lam=lam)
+        for arch, enc in verify.applicable_constructions(k):
+            if arch == "naive" and k == 8:
+                continue  # refused by the default parameter budget
+            net = build(arch, p, enc, numeric)
+            sabotages = {"simple": [flip_push_entry],
+                         "lstm": [zero_u_c_column, zero_w_i], "naive": []}[arch]
+            nets = [net] + [sabotage(net) for sabotage in sabotages]
+            for i, variant in enumerate(nets):
+                report = check_full_depth_distinctness(variant).as_dict()
+                assert report == enumeration_reference.check_full_depth_distinctness(
+                    variant).as_dict()
+                # the zeroed LSTM weights merge full-depth states
+                assert report["passed"] == (arch != "lstm" or i == 0 or k == 1)
+
+    def test_budget_refused_before_any_string_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped past the budget check")
+
+        for module in (runtime, verify):
+            monkeypatch.setattr(module, "walk", refuse)
+        monkeypatch.setattr(verify.itertools, "product", refuse)
+        net = build_lstm(DyckParams(128, 5), BINARY)
+        with pytest.raises(RuntimeError, match="exceeds the enumeration budget"):
+            check_full_depth_distinctness(net)
 
     def test_truncated_state_collides(self):
         """Keeping fewer than m*ceil(log2 k) informative coordinates forces a
@@ -593,11 +682,6 @@ class TestFindCollision:
         collision = find_collision(encoder, p)
         assert collision is not None  # 2 states < 4 prefixes forces one
 
-    def test_network_encoder_has_no_collision(self):
-        p = DyckParams(2, 2)
-        net = build_simple_rnn(p)
-        assert find_collision(QuantizedEncoder.from_network(net), p) is None
-
     def test_boundary_capacity(self):
         # 2 states, 2 prefixes: a collision may or may not exist; when
         # returned it must verify (find_collision verifies internally).
@@ -625,6 +709,17 @@ class TestFindCollision:
         collision = find_collision(QuantizedEncoder.from_table(1, 2, 3, seed=seed), p)
         assert collision is not None
         assert is_member(p, collision.first + collision.suffix)
+
+    @pytest.mark.parametrize("d,p", [(-1, 1), (1, -1), (-2, -3)])
+    def test_negative_width_or_bits_refused(self, d, p):
+        with pytest.raises(ValueError, match=f"d={d}, p={p}"):
+            QuantizedEncoder.from_table(d, p, 2)
+
+    def test_zero_width_is_one_state(self):
+        encoder = QuantizedEncoder.from_table(0, 3, 2)
+        assert encoder.state_budget == 1
+        collision = find_collision(encoder, DyckParams(2, 2))
+        assert collision.describe() == "(1 (1  ~  (1 (2  suffix: )1 )1 $"
 
     def test_table_size_cap(self):
         with pytest.raises(ValueError, match="too large"):
