@@ -6,6 +6,9 @@ plus an accept and an absorbing reject state.  States are materialized on
 demand; the transition function is computed, never tabulated, so large
 (k, m) stay usable.
 
+A corpus of strings is one integer array of symbol rows cut by string
+offsets (`Corpus`); its strings read as Token tuples on demand.
+
 All functions here are pure and operate on immutable values.
 """
 
@@ -13,7 +16,10 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 OPEN = "open"
 CLOSE = "close"
@@ -69,8 +75,10 @@ def close_bracket(i: int) -> Token:
     return Token(CLOSE, i)
 
 
+@functools.lru_cache(maxsize=64)
 def vocabulary(k: int) -> tuple[Token, ...]:
-    """All 2k+1 symbols in canonical order: opens 1..k, closes 1..k, end."""
+    """All 2k+1 symbols in canonical order: opens 1..k, closes 1..k, end.
+    Equal k share one tuple of Tokens."""
     opens = tuple(Token(OPEN, i) for i in range(1, k + 1))
     closes = tuple(Token(CLOSE, i) for i in range(1, k + 1))
     return opens + closes + (END_TOKEN,)
@@ -140,6 +148,124 @@ def parse_string(text: str) -> tuple[Token, ...]:
         if tok.kind == END and pos != len(tokens):
             raise ValueError(f"position {pos}: end token before end of string")
     return tuple(tokens)
+
+
+class Corpus(Sequence):
+    """Token strings over k bracket types as one array of symbol rows
+    (opens 0..k-1, closes k..2k-1, end 2k) cut by string offsets: string i
+    is codes[offsets[i]:offsets[i + 1]].
+
+    Its items read as Token tuples, built when asked for from the shared
+    vocabulary(k) Tokens, so a Corpus stands wherever a list of token
+    strings does; the corpus walk, the corpus suites and the closing
+    metrics read its arrays.  `Corpus.of` encodes a list of Token strings.
+    """
+
+    def __init__(self, k: int, codes, offsets):
+        self.k = k
+        self.codes = np.asarray(codes, dtype=np.intp)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+
+    @classmethod
+    def of(cls, k: int, strings) -> Corpus:
+        """strings as a Corpus over k bracket types: the object itself when
+        it already is one, otherwise each token encoded once.  A bracket
+        index above k is refused."""
+        if isinstance(strings, Corpus) and strings.k == k:
+            return strings
+        row_of = {token: row for row, token in enumerate(vocabulary(k))}
+        codes, offsets = [], [0]
+        for string in strings:
+            for token in string:
+                row = row_of.get(token)
+                codes.append(symbol_row(token, k) if row is None else row)
+            offsets.append(len(codes))
+        return cls(k, codes, offsets)
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # a range for a slice
+        if isinstance(i, range):
+            return Corpus.of(self.k, [self[j] for j in i])
+        vocab = vocabulary(self.k)
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return tuple([vocab[code] for code in self.codes[lo:hi].tolist()])
+
+    def __iter__(self):
+        vocab, codes = vocabulary(self.k), self.codes.tolist()
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield tuple([vocab[code] for code in codes[lo:hi]])
+
+    def __eq__(self, other):
+        if isinstance(other, Corpus) and other.k == self.k:
+            return (np.array_equal(self.offsets, other.offsets)
+                    and np.array_equal(self.codes, other.codes))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == [tuple(string) for string in other]
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Corpus(k={self.k}, strings={len(self)}, tokens={self.codes.size})"
+
+    def depths(self) -> np.ndarray:
+        """Brackets open after each token, counted within its string; an
+        end mark leaves the count, a close with nothing open makes it
+        negative."""
+        k, codes = self.k, self.codes
+        step = (codes < k).astype(np.intp) - ((codes >= k) & (codes < 2 * k))
+        depth = np.cumsum(step)
+        before = np.concatenate([[0], depth])[self.offsets[:-1]]
+        return depth - np.repeat(before, np.diff(self.offsets))
+
+    def nesting(self) -> tuple[np.ndarray, np.ndarray]:
+        """The depths, and per token the position in `codes` of the open
+        bracket a close closes, -1 at opens and end marks and where a close
+        finds nothing open or an open of another index.
+
+        In a well-nested prefix the bracket a close at depth d closes is the
+        last open before it that left d brackets open.  Past a close that
+        matches nothing, its string's entries are not meaningful; the first
+        such close in corpus order is found exactly.
+        """
+        k, codes = self.k, self.codes
+        depth = self.depths()
+        match = np.full(codes.size, -1)
+        closes = np.flatnonzero((codes >= k) & (codes < 2 * k))
+        opens = np.flatnonzero(codes < k)
+        if not (closes.size and opens.size):
+            return depth, match
+        width = codes.size + 1  # sort opens by (depth, position)
+        keys = depth[opens] * width + opens
+        order = np.argsort(keys)
+        keys, opens = keys[order], opens[order]
+        level = depth[closes] + 1  # depth before each close
+        at = np.searchsorted(keys, level * width + closes) - 1
+        cand = opens[np.maximum(at, 0)]
+        # at depth d >= 1 an open of the close's own string left d open, so
+        # the last such open is never in an earlier string
+        ok = ((at >= 0) & (level >= 1) & (depth[cand] == level)
+              & (codes[cand] == codes[closes] - k))
+        match[closes[ok]] = cand[ok]
+        return depth, match
+
+    def outside(self, m: int) -> np.ndarray:
+        """Per string of a parsed corpus (no string empty, no end mark
+        before the last token), whether it leaves the depth-m language: a
+        close that matches nothing, a depth above m, or a last token that
+        is not an end mark at depth 0."""
+        k, codes = self.k, self.codes
+        depth, match = self.nesting()
+        closes = (codes >= k) & (codes < 2 * k)
+        faults = np.flatnonzero((closes & (match < 0)) | (depth > m))
+        last = self.offsets[1:] - 1
+        bad = (codes[last] != 2 * k) | (depth[last] != 0)
+        bad[np.searchsorted(self.offsets, faults, side="right") - 1] = True
+        return bad
 
 
 @dataclass(frozen=True)

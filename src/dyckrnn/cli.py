@@ -9,12 +9,13 @@ usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from .automaton import (ACCEPT, DyckParams, EMPTY, REJECT, format_string,
-                        parse_string, transition)
+from .automaton import (ACCEPT, Corpus, DyckParams, EMPTY, REJECT,
+                        format_string, parse_string, transition)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
@@ -279,6 +280,25 @@ def _collision_report(args, params: DyckParams) -> VerificationReport:
         details=details)
 
 
+def _refuse_outside(params: DyckParams, corpus: Corpus):
+    """Refuse the first corpus string outside the language, naming it: the
+    metrics score whatever they are given.  Parsing has already refused
+    indices above k and end marks before the end."""
+    bad = corpus.outside(params.m)
+    if not bad.any():
+        return
+    string = corpus[int(bad.argmax())]
+    state, fault = EMPTY, "has no end mark"
+    for pos, token in enumerate(string, start=1):
+        prev, state = state, transition(params, state, token)
+        if state == REJECT:
+            fault = {"open": f"is deeper than m={params.m} at token {pos}",
+                     "close": f"is not well nested at token {pos}",
+                     "end": f"ends at depth {len(prev.stack)}"}[token.kind]
+            break
+    raise ValueError(f"corpus string {fault}: {format_string(string)}")
+
+
 def cmd_metric(args) -> int:
     paramset = load_weights(args.weights)
     with open(args.corpus) as handle:
@@ -286,6 +306,7 @@ def cmd_metric(args) -> int:
     if (header["k"], header["m"]) != (paramset.k, paramset.m):
         raise ValueError(f"corpus is for k={header['k']}, m={header['m']} but "
                          f"weights are for k={paramset.k}, m={paramset.m}")
+    _refuse_outside(paramset.dyck_params, corpus)
     if args.uniform_baseline:
         report = closing_metric_uniform(paramset.dyck_params, corpus,
                                         threshold=args.threshold)
@@ -300,9 +321,15 @@ def cmd_metric(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call reads: parsing builds a new namespace each
+    time and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"build": cmd_build, "sample": cmd_sample, "check": cmd_check,
                 "verify": cmd_verify, "metric": cmd_metric}
     try:

@@ -4,6 +4,9 @@ The scalar type is ordinary 64-bit floating point with exact clamping layered
 on top: sigmoid and tanh return their bounding values exactly once the input
 magnitude reaches the threshold beta.  Every correctness claim downstream is
 an inequality or an at-saturation exactness claim, which the clamps make exact.
+The clamped entries are written as 0, 1 or +-1 directly; the transcendental
+runs only on the entries inside (-beta, beta), which the constructions leave
+empty (bar exact zeros, which tanh keeps) at their default constants.
 """
 
 from __future__ import annotations
@@ -79,31 +82,53 @@ class NumericConfig:
         return cls(beta=data["beta"], lam=data["lambda"], zeta=data["zeta"])
 
 
-def sat_sigmoid(cfg: NumericConfig, x):
+def _saturating(x, out):
+    """(input array, output array, scalar?) of a saturating function; a
+    scalar is worked on as one entry."""
+    arr = np.asarray(x, dtype=float)
+    scalar = np.isscalar(x) or arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    return arr, np.empty_like(arr) if out is None else out, scalar
+
+
+def sat_sigmoid(cfg: NumericConfig, x, out=None):
     """Logistic function, exactly 1 for x >= beta and exactly 0 for x <= -beta.
 
-    Accepts scalars or arrays; applies elementwise, in place in one output
-    array.
+    Accepts scalars or arrays; applies elementwise.  The exponential runs
+    only on entries strictly inside (-beta, beta) (and on NaN, which stays
+    NaN), so a saturated block costs a few comparisons.  Writes into `out`
+    when given (an array shaped like x), otherwise into a new array.
     """
-    arr = np.asarray(x, dtype=float)
-    out = np.clip(arr, -cfg.beta, cfg.beta, out=np.empty_like(arr))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    out[arr >= cfg.beta] = 1.0
-    out[arr <= -cfg.beta] = 0.0
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    arr, out, scalar = _saturating(x, out)
+    np.abs(arr, out=out)
+    inside = out >= cfg.beta
+    np.logical_not(inside, out=inside)  # NaN counts as inside
+    np.greater_equal(arr, cfg.beta, out=out)
+    if inside.any():
+        v = np.negative(arr[inside])
+        np.exp(v, out=v)
+        v += 1.0
+        np.divide(1.0, v, out=v)
+        out[inside] = v
+    return float(out[0]) if scalar else out
 
 
-def sat_tanh(cfg: NumericConfig, x):
-    """Hyperbolic tangent, exactly +-1 beyond the saturation threshold."""
-    arr = np.asarray(x, dtype=float)
-    out = np.clip(arr, -cfg.beta, cfg.beta, out=np.empty_like(arr))
-    np.tanh(out, out=out)
-    out[arr >= cfg.beta] = 1.0
-    out[arr <= -cfg.beta] = -1.0
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+def sat_tanh(cfg: NumericConfig, x, out=None):
+    """Hyperbolic tangent, exactly +-1 beyond the saturation threshold.
+
+    Like sat_sigmoid, tanh runs only on entries inside (-beta, beta) that
+    are not zero; a zero keeps its sign.
+    """
+    arr, out, scalar = _saturating(x, out)
+    np.abs(arr, out=out)
+    saturated = out >= cfg.beta
+    inside = ~saturated  # NaN counts as inside
+    inside &= arr != 0.0
+    np.copysign(saturated, arr, out=out)  # +-1, or the signed zero
+    if inside.any():
+        out[inside] = np.tanh(arr[inside])
+    return float(out[0]) if scalar else out
 
 
 def softmax(logits) -> np.ndarray:
@@ -112,6 +137,7 @@ def softmax(logits) -> np.ndarray:
     arr = np.asarray(logits, dtype=float)
     if arr.size == 0:
         raise ValueError("softmax of an empty vector")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    out = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out

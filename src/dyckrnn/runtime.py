@@ -4,13 +4,20 @@ Stepping is functional: each step returns a fresh state, so parameter sets
 and states can be shared across threads without coordination.  One kernel,
 step_rows, does all stepping: it advances a (rows, d) block of states, each
 row on its own input column, with the LSTM's four gate matrices packed side
-by side once per parameter set (its `packed` property).  Its one-row case
-is step, which now serves only run_prefix, format_trace and the text of
+by side once per parameter set (its `packed` property).  A step sums the
+recurrent product, the input column and the bias in one buffer and writes
+the LSTM's saturated gates into one activation block; the saturating
+functions write clamped entries directly and run exp or tanh only on the
+entries inside (-beta, beta).  The one-row case of step_rows is step,
+which serves only run_prefix, format_trace and the text of
 counterexamples.  walk steps a whole corpus for the corpus suites, the
-distinctness suite and the closing metric: strings sorted by length,
-BLOCK_ROWS at a time, so one matrix product advances every live string of
-a block.  Traces (gate vectors, pre-activations) are recorded
-only on request.
+distinctness suite and the closing metric: it reads the symbol-row codes
+of an automaton.Corpus (a list of Token strings is encoded once), sorts
+the strings by length and steps them BLOCK_ROWS at a time, so one matrix
+product advances every live string of a block.  runtime calls sat_sigmoid,
+sat_tanh and softmax through its own module attributes, which the
+benchmark tracer wraps.  Traces (gate vectors, pre-activations) are
+recorded only on request.
 
 A block product is at most BLOCK_ROWS x d x 4d, too small for BLAS threads
 to pay: OpenBLAS splits it anyway, and a split step waits for a worker
@@ -26,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import (DfaState, EMPTY, STACK, Token, format_token,
-                        input_column, symbol_row)
+from .automaton import (Corpus, DfaState, EMPTY, STACK, Token, format_token,
+                        input_column)
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE
 from .numerics import sat_sigmoid, sat_tanh, softmax
 
@@ -82,16 +89,22 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     """
     num = paramset.numeric
     Wt, Ut, b = paramset.packed
-    pre = h @ Wt + Ut[cols] + b
+    pre = h @ Wt
+    pre += Ut[cols]
+    pre += b
     if paramset.architecture != ARCH_LSTM:
         return sat_sigmoid(num, pre), None, pre
     d = paramset.hidden_size
-    acts = np.concatenate([sat_sigmoid(num, pre[..., :3 * d]),
-                           sat_tanh(num, pre[..., 3 * d:])], axis=-1)
+    acts = np.empty_like(pre)
+    sat_sigmoid(num, pre[..., :3 * d], out=acts[..., :3 * d])
+    sat_tanh(num, pre[..., 3 * d:], out=acts[..., 3 * d:])
     f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
                         acts[..., 2 * d:3 * d], acts[..., 3 * d:])
-    c_new = f * c + i * c_tilde
-    return o * np.tanh(c_new), c_new, acts
+    c_new = f * c
+    c_new += i * c_tilde
+    h_new = np.tanh(c_new)
+    h_new *= o
+    return h_new, c_new, acts
 
 
 def step(paramset, state: NetworkState, token: Token,
@@ -173,47 +186,47 @@ def serial_blas():
         set_(previous)
 
 
-def _symbol_rows(string, k: int) -> list[int]:
-    """Symbol rows of a string's tokens up to and including its first end
-    mark; the walk never looks past it."""
-    rows = []
-    for token in string:
-        rows.append(symbol_row(token, k))
-        if token.kind == "end":
-            break
-    return rows
-
-
 def walk(paramset, corpus):
     """Step every corpus string from the initial state, BLOCK_ROWS strings
     at a time.
 
-    The strings are sorted by how many tokens they consume, most first (a
-    stable sort), and cut into blocks, so the rows of a block still being
-    stepped are always a prefix of it.  For each block and each position t
-    from 0 to its longest string's token count, yields (rows, codes, t, h,
-    c, acts): rows the block's corpus indices in walk order; codes its
-    (rows, width) matrix of symbol rows, -1 past each string's end; h and c
-    the states after t tokens of the rows still live at t; acts the
-    activations of the step into t (None at t = 0), as step_rows returns
-    them.  The end mark is never consumed.
+    The corpus is a Corpus or a list of Token strings, which is encoded
+    once (Corpus.of).  The strings are sorted by how many tokens they
+    consume, most first (a stable sort), and cut into blocks, so the rows
+    of a block still being stepped are always a prefix of it.  For each
+    block and each position t from 0 to its longest string's token count,
+    yields (rows, codes, t, h, c, acts): rows the block's corpus indices in
+    walk order; codes its (rows, width) matrix of symbol rows up to and
+    including each string's first end mark, -1 past it; h and c the states
+    after t tokens of the rows still live at t; acts the activations of the
+    step into t (None at t = 0), as step_rows returns them.  The end mark
+    is never consumed.
     """
     k, d = paramset.k, paramset.hidden_size
-    symbols = [_symbol_rows(string, k) for string in corpus]
-    consumed = [len(r) - (bool(r) and r[-1] == 2 * k) for r in symbols]
-    order = sorted(range(len(corpus)), key=consumed.__getitem__, reverse=True)
-    for lo in range(0, len(order), BLOCK_ROWS):
-        rows = np.array(order[lo:lo + BLOCK_ROWS])
-        lengths = np.array([consumed[r] for r in rows])
-        codes = np.full((rows.size, max(len(symbols[r]) for r in rows) + 1), -1)
-        for j, r in enumerate(rows):
-            codes[j, :len(symbols[r])] = symbols[r]
+    corpus = Corpus.of(k, corpus)
+    starts = corpus.offsets[:-1]
+    lengths = np.diff(corpus.offsets)
+    ends = np.flatnonzero(corpus.codes == 2 * k)
+    owner = np.searchsorted(corpus.offsets, ends, side="right") - 1
+    owner, first = np.unique(owner, return_index=True)
+    lengths[owner] = ends[first] - starts[owner] + 1  # up to the first end mark
+    consumed = lengths.copy()
+    consumed[owner] -= 1
+    order = np.argsort(-consumed, kind="stable")
+    for lo in range(0, order.size, BLOCK_ROWS):
+        rows = order[lo:lo + BLOCK_ROWS]
+        size = lengths[rows]
+        col = np.arange(size.max() + 1)
+        inside = col < size[:, None]
+        codes = np.full(inside.shape, -1)
+        codes[inside] = corpus.codes[(starts[rows, None] + col)[inside]]
+        live_at = consumed[rows]
         h = np.zeros((rows.size, d))
         c = np.zeros((rows.size, d)) if paramset.architecture == ARCH_LSTM else None
         acts = None
-        for t in range(lengths[0] + 1):
+        for t in range(live_at[0] + 1):
             if t:
-                live = np.count_nonzero(lengths >= t)
+                live = np.count_nonzero(live_at >= t)
                 h, c, acts = step_rows(paramset, h[:live],
                                        None if c is None else c[:live],
                                        codes[:live, t - 1])

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .automaton import (DyckParams, Token, format_string, parse_string,
-                        vocabulary)
+from .automaton import (Corpus, DyckParams, Token, format_token, parse_string,
+                        symbol_row, vocabulary)
 
 PRNG_NAME = "numpy-pcg64"
 CORPUS_SCHEMA = 2
@@ -201,7 +201,8 @@ def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
 
 
 def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
-    """Window-conditioned member strings, each drawn only when asked for."""
+    """Window-conditioned member strings as symbol-row codes, each drawn
+    only when asked for."""
     p = cfg.params
     tilt = _tilt(p.m, cfg.min_len, cfg.max_len)
     if tilt.log_mass == -math.inf:  # refused before any draw
@@ -209,37 +210,47 @@ def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
                            f"length in [{cfg.min_len}, {cfg.max_len}]")
     rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng,
                           tilt)
-    # codes are vocabulary rows, so strings share the 2k+1 vocabulary tokens;
-    # a tuple built from a list is allocated at its final size
-    vocab = vocabulary(p.k)
     while True:
-        yield tuple([vocab[code] for code in _sample_codes(cfg, rand)])
+        yield _sample_codes(cfg, rand)
+
+
+def _corpus(cfg: SamplerConfig, strings) -> Corpus:
+    codes, offsets = [], [0]
+    for string in strings:
+        codes.extend(string)
+        offsets.append(len(codes))
+    return Corpus(cfg.params.k, codes, offsets)
 
 
 def sample_string(cfg: SamplerConfig,
                   rng: np.random.Generator | None = None) -> tuple[Token, ...]:
     """One member string with length inside the window.  Deterministic per seed."""
-    return next(_accepted(cfg, rng))
+    vocab = vocabulary(cfg.params.k)
+    return tuple([vocab[code] for code in next(_accepted(cfg, rng))])
 
 
-def sample_corpus(cfg: SamplerConfig, n_tokens: int) -> list[tuple[Token, ...]]:
+def sample_corpus(cfg: SamplerConfig, n_tokens: int) -> Corpus:
     """Strings until the cumulative token count reaches n_tokens."""
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    corpus, total = [], 0
-    for string in _accepted(cfg):
-        corpus.append(string)
-        total += len(string)
-        if total >= n_tokens:
-            return corpus
+
+    def until_reached():
+        total = 0
+        for string in _accepted(cfg):
+            yield string
+            total += len(string)
+            if total >= n_tokens:
+                return
+
+    return _corpus(cfg, until_reached())
 
 
-def sample_strings(cfg: SamplerConfig, n_strings: int) -> list[tuple[Token, ...]]:
+def sample_strings(cfg: SamplerConfig, n_strings: int) -> Corpus:
     """Exactly n_strings member strings."""
     if n_strings < 1:
         raise ValueError("n_strings must be >= 1")
     strings = _accepted(cfg)
-    return [next(strings) for _ in range(n_strings)]
+    return _corpus(cfg, (next(strings) for _ in range(n_strings)))
 
 
 def corpus_statistics(params: DyckParams, corpus) -> dict:
@@ -248,30 +259,29 @@ def corpus_statistics(params: DyckParams, corpus) -> dict:
     The hitting time of one occurrence is the number of tokens from an
     empty-stack point to the first later point where the stack is full;
     occurrences that end before reaching full depth are not observed.  The
-    mean is reported rather than asserted against any bound.
+    mean is reported rather than asserted against any bound.  Points are
+    counted on brackets only: the start of each string, then after each
+    bracket.
     """
-    n_tokens = 0
-    hit_total = 0
-    hit_count = 0
-    for string in corpus:
-        n_tokens += len(string)
-        depths = [0]
-        for token in string:
-            if token.kind == "open":
-                depths.append(depths[-1] + 1)
-            elif token.kind == "close":
-                depths.append(depths[-1] - 1)
-        next_full = [None] * (len(depths) + 1)
-        for t in range(len(depths) - 1, -1, -1):
-            next_full[t] = t if depths[t] == params.m else next_full[t + 1]
-        for t, d in enumerate(depths):
-            if d == 0 and next_full[t] is not None:
-                hit_total += next_full[t] - t
-                hit_count += 1
+    corpus = Corpus.of(params.k, corpus)
+    n_strings, n_tokens = len(corpus), corpus.codes.size
+    brackets = np.flatnonzero(corpus.codes < 2 * params.k)
+    owner = np.searchsorted(corpus.offsets, brackets, side="right") - 1
+    # one point per string start, then one per bracket, string by string
+    points = np.bincount(owner, minlength=n_strings) + 1
+    first = np.concatenate([[0], np.cumsum(points)])
+    depth = np.zeros(first[-1], dtype=np.intp)
+    depth[np.arange(brackets.size) + owner + 1] = corpus.depths()[brackets]
+    full = np.where(depth == params.m, np.arange(depth.size), depth.size)
+    next_full = np.minimum.accumulate(full[::-1])[::-1]
+    point_end = np.repeat(first[1:], points)
+    hits = np.flatnonzero((depth == 0) & (next_full < point_end))
+    hit_total = int((next_full[hits] - hits).sum())
+    hit_count = hits.size
     return {
-        "strings": len(corpus),
+        "strings": n_strings,
         "tokens": n_tokens,
-        "mean_len": n_tokens / len(corpus) if corpus else float("nan"),
+        "mean_len": n_tokens / n_strings if n_strings else float("nan"),
         "mean_hitting_time": hit_total / hit_count if hit_count else None,
         "hitting_observations": hit_count,
     }
@@ -285,13 +295,19 @@ def corpus_header(cfg: SamplerConfig) -> str:
 
 
 def format_corpus(cfg: SamplerConfig, corpus) -> str:
+    corpus = Corpus.of(cfg.params.k, corpus)
+    texts = [format_token(token) for token in vocabulary(cfg.params.k)]
+    words = [texts[code] for code in corpus.codes.tolist()]
+    bounds = corpus.offsets.tolist()
     lines = [corpus_header(cfg)]
-    lines.extend(format_string(s) for s in corpus)
+    lines.extend(" ".join(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     return "\n".join(lines) + "\n"
 
 
-def parse_corpus(text: str) -> tuple[dict, list[tuple[Token, ...]]]:
-    """Header fields and strings of a corpus file."""
+def parse_corpus(text: str) -> tuple[dict, Corpus]:
+    """Header fields and strings of a corpus file, the strings as a Corpus
+    over the header's k.  A line that does not parse, or holds a bracket
+    index above k, is refused with its line number."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# dyckrnn-corpus"):
         raise ValueError("missing corpus header line")
@@ -301,5 +317,19 @@ def parse_corpus(text: str) -> tuple[dict, list[tuple[Token, ...]]]:
         header[key] = value if key == "prng" else int(value)
     if "k" not in header or "m" not in header:
         raise ValueError("corpus header lacks the k= or m= field")
-    strings = [parse_string(line) for line in lines[1:] if line.strip()]
-    return header, strings
+    k = header["k"]
+    row_of = {format_token(token): row for row, token in enumerate(vocabulary(k))}
+    codes, offsets = [], [0]
+    for number, line in enumerate(lines[1:], start=2):
+        words = line.split()
+        if not words:
+            continue
+        rows = [row_of.get(word) for word in words]
+        if None in rows or 2 * k in rows[:-1]:  # parse_string names the fault
+            try:
+                rows = [symbol_row(token, k) for token in parse_string(line)]
+            except ValueError as exc:
+                raise ValueError(f"corpus line {number}: {exc}") from None
+        codes.extend(rows)
+        offsets.append(len(codes))
+    return header, Corpus(k, codes, offsets)

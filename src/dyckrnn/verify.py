@@ -13,8 +13,11 @@ readout, a block of automaton stacks with the stack arrays the corpus
 suites use.  An Enumeration holds the language and each support it has
 enumerated, so the equivalence and cross suites of one command read the
 same sets.  The distinctness suite walks the k^m all-open strings as one
-corpus through runtime.walk; it and the collision search share one
-pigeonhole pass over their full-depth state keys.
+integer corpus through runtime.walk; it and the collision search share one
+pigeonhole pass over their full-depth state keys, which turns only the
+colliding pair into Tokens.  The corpus suites and the closing metrics read
+a corpus as an automaton.Corpus; the metrics find each close bracket's open
+from its depth arrays.
 
 Counterexamples are the first string in length-then-lexicographic order
 over symbol rows (opens 1..k, closes 1..k, end), so they are canonical.
@@ -31,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .automaton import (ACCEPT, DfaState, DyckParams, Token, format_string,
-                        input_column, is_member, run, vocabulary)
+from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
+                        format_string, input_column, is_member, run, vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for
@@ -434,6 +437,7 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     k = params.k
     eps = _epsilon(k, epsilon)
     dis_bound = 1.0 / (10.0 * k)
+    corpus = Corpus.of(k, corpus)
     n = len(corpus)
     first = {s: np.full(n, -1) for s in suites}  # first failing position
     lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
@@ -548,21 +552,23 @@ class ClosingMetricReport:
         return lines
 
 
-def _closing_events(string):
-    """Yield (prefix_position, separation) for each close bracket.
-
-    Separation counts the tokens strictly between the open bracket and its
-    matching close; it is always even.
-    """
-    opens: list[tuple[int, int]] = []
-    for pos, token in enumerate(string):
-        if token.kind == "open":
-            opens.append((pos, token.index))
-        elif token.kind == "close":
-            if not opens or opens[-1][1] != token.index:
-                raise ValueError(f"corpus string is not well nested at token "
-                                 f"{pos + 1}: {format_string(string)}")
-            yield pos, pos - opens.pop()[0] - 1
+def _separations(corpus: Corpus) -> np.ndarray:
+    """Per token of the corpus, the number of tokens strictly between a
+    close bracket and the open it closes (always even), -1 at other tokens.
+    Refuses the first close, in corpus order, that closes nothing open or
+    an open of another index."""
+    k, codes = corpus.k, corpus.codes
+    _, match = corpus.nesting()
+    closes = np.flatnonzero((codes >= k) & (codes < 2 * k))
+    bad = closes[match[closes] < 0]
+    if bad.size:
+        i = np.searchsorted(corpus.offsets, bad[0], side="right") - 1
+        raise ValueError(f"corpus string is not well nested at token "
+                         f"{bad[0] - corpus.offsets[i] + 1}: "
+                         f"{format_string(corpus[i])}")
+    separation = np.full(codes.size, -1)
+    separation[closes] = closes - match[closes] - 1
+    return separation
 
 
 def _check_threshold(threshold: float):
@@ -578,12 +584,9 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     block position at a time."""
     _check_threshold(threshold)
     k = paramset.k
-    # separation of each close, indexed by token position in corpus order
-    starts = np.cumsum([0] + [len(string) for string in corpus])
-    separation = np.full(starts[-1], -1)
-    for start, string in zip(starts, corpus):
-        for pos, sep in _closing_events(string):
-            separation[start + pos] = sep
+    corpus = Corpus.of(k, corpus)
+    starts = corpus.offsets
+    separation = _separations(corpus)  # indexed by token position
     where, confident = [], []
     for rows, codes, t, h, _, _ in walk(paramset, corpus):
         cols = codes[:len(h), t]
@@ -604,8 +607,8 @@ def closing_metric_uniform(params: DyckParams, corpus,
                            threshold: float = 0.8) -> ClosingMetricReport:
     """Baseline scoring: every close bracket gets renormalized mass 1/k."""
     _check_threshold(threshold)
-    seps = np.array([sep for string in corpus
-                     for _, sep in _closing_events(string)], dtype=int)
+    separation = _separations(Corpus.of(params.k, corpus))
+    seps = separation[separation >= 0]
     return _bucket_metric(seps, np.full(seps.size, (1.0 / params.k) > threshold))
 
 
@@ -677,25 +680,29 @@ class Collision:
                 f"  suffix: {format_string(self.suffix)}")
 
 
-def _all_open_strings(params: DyckParams, budget: int) -> list[tuple[Token, ...]]:
-    """The k^m all-open strings of length m in lexicographic order, refused
-    before any is built when there are more than budget."""
+def _all_open_codes(params: DyckParams, budget: int) -> np.ndarray:
+    """The k^m all-open strings of length m as a (k^m, m) array of symbol
+    rows in lexicographic order, refused before any is built when there are
+    more than budget."""
     k, m = params.k, params.m
     if k**m > budget:
         raise RuntimeError(f"k^m = {k**m} exceeds the enumeration budget {budget}")
-    return list(itertools.product([Token("open", i) for i in range(1, k + 1)],
-                                  repeat=m))
+    return np.fromiter(itertools.product(range(k), repeat=m),
+                       dtype=np.dtype((np.intp, m)), count=k**m)
 
 
-def _pigeonhole(params: DyckParams, strings, keys) -> Collision | None:
-    """The first string whose key repeats an earlier one's, as a Collision
-    with that earlier string, automaton-verified; None when all differ."""
-    seen: dict[object, tuple[Token, ...]] = {}
-    for second, key in zip(strings, keys):
-        if key not in seen:
-            seen[key] = second
+def _pigeonhole(params: DyckParams, codes: np.ndarray, keys) -> Collision | None:
+    """The first all-open string (a row of codes) whose key repeats an
+    earlier one's, as a Collision with that earlier string,
+    automaton-verified; None when all differ.  Keys arrive in row order."""
+    seen: dict[object, int] = {}
+    for row, key in enumerate(keys):
+        earlier = seen.setdefault(key, row)
+        if earlier == row:
             continue
-        first = seen[key]
+        vocab = vocabulary(params.k)
+        first, second = (tuple([vocab[code] for code in codes[i].tolist()])
+                         for i in (earlier, row))
         suffix = tuple(Token("close", t.index) for t in reversed(first)) + (Token("end"),)
         if not is_member(params, first + suffix) or is_member(params, second + suffix):
             raise RuntimeError("collision failed automaton verification")
@@ -713,7 +720,7 @@ def find_collision(encoder: QuantizedEncoder, params: DyckParams,
     language, second::suffix is not.  When the encoder has at least k^m
     states, no collision may exist and None is returned.
     """
-    strings = _all_open_strings(params, budget)
+    codes = _all_open_codes(params, budget)
 
     def keys(state, depth):  # depth first, so in the strings' order
         if depth == params.m:
@@ -722,7 +729,7 @@ def find_collision(encoder: QuantizedEncoder, params: DyckParams,
         for i in range(1, params.k + 1):
             yield from keys(encoder.step_fn(state, Token("open", i)), depth + 1)
 
-    return _pigeonhole(params, strings, keys(encoder.initial, 0))
+    return _pigeonhole(params, codes, keys(encoder.initial, 0))
 
 
 def check_full_depth_distinctness(paramset,
@@ -732,14 +739,16 @@ def check_full_depth_distinctness(paramset,
     simple RNN, cell vector for the LSTM).  The strings are walked as one
     corpus; being equally long, they keep their order in the walk."""
     params = paramset.dyck_params
-    strings = _all_open_strings(params, budget)
+    codes = _all_open_codes(params, budget)
+    n, m = codes.shape
+    strings = Corpus(params.k, codes.ravel(), np.arange(0, n * m + 1, m))
     vecs = (c if paramset.architecture == ARCH_LSTM else h
-            for _, _, t, h, c, _ in walk(paramset, strings) if t == params.m)
-    collision = _pigeonhole(params, strings,
+            for _, _, t, h, c, _ in walk(paramset, strings) if t == m)
+    collision = _pigeonhole(params, codes,
                             (row.tobytes() for vec in vecs for row in vec))
     return VerificationReport(
         suite="full_depth_distinctness", instance=_instance(paramset),
-        checked=len(strings), passed=collision is None,
+        checked=n, passed=collision is None,
         counterexample=collision.describe() if collision else None)
 
 

@@ -1,7 +1,10 @@
 """Reference oracle for the batched corpus walk: the corpus suites and the
 closing metric checked one prefix at a time, string by string in corpus
 order, with the scalar helpers (step, decode_stack, next_distribution,
-allowed_row_mask).  The tests require the block walk to report what this
+allowed_row_mask), the closing events and corpus statistics read off Token
+strings, and the block step as it was before saturated entries skipped the
+transcendentals (clip, exp or tanh on every entry, gates joined by
+concatenate).  The tests require the block walk to report what this
 reports."""
 
 from __future__ import annotations
@@ -14,8 +17,95 @@ from dyckrnn.numerics import epsilon_for
 from dyckrnn.runtime import (StackDecodeError, decode_stack, initial_state,
                              next_distribution, step)
 from dyckrnn.verify import (CORPUS_SUITES, ClosingMetricReport,
-                            VerificationReport, _closing_events, _instance,
-                            allowed_row_mask)
+                            VerificationReport, _instance, allowed_row_mask)
+
+
+def sat_sigmoid(cfg, arr):
+    core = 1.0 / (1.0 + np.exp(-np.clip(arr, -cfg.beta, cfg.beta)))
+    return np.where(arr >= cfg.beta, 1.0, np.where(arr <= -cfg.beta, 0.0, core))
+
+
+def sat_tanh(cfg, arr):
+    core = np.tanh(np.clip(arr, -cfg.beta, cfg.beta))
+    return np.where(arr >= cfg.beta, 1.0, np.where(arr <= -cfg.beta, -1.0, core))
+
+
+def step_rows(paramset, h, c, cols):
+    """(h, c, acts) after one step of every row, as runtime.step_rows."""
+    num = paramset.numeric
+    Wt, Ut, b = paramset.packed
+    pre = h @ Wt + Ut[cols] + b
+    if paramset.architecture != ARCH_LSTM:
+        return sat_sigmoid(num, pre), None, pre
+    d = paramset.hidden_size
+    acts = np.concatenate([sat_sigmoid(num, pre[..., :3 * d]),
+                           sat_tanh(num, pre[..., 3 * d:])], axis=-1)
+    f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
+                        acts[..., 2 * d:3 * d], acts[..., 3 * d:])
+    c_new = f * c + i * c_tilde
+    return o * np.tanh(c_new), c_new, acts
+
+
+def corpus_statistics(params, corpus) -> dict:
+    """sampler.corpus_statistics, one Token at a time."""
+    n_tokens = 0
+    hit_total = 0
+    hit_count = 0
+    for string in corpus:
+        n_tokens += len(string)
+        depths = [0]
+        for token in string:
+            if token.kind == "open":
+                depths.append(depths[-1] + 1)
+            elif token.kind == "close":
+                depths.append(depths[-1] - 1)
+        next_full = [None] * (len(depths) + 1)
+        for t in range(len(depths) - 1, -1, -1):
+            next_full[t] = t if depths[t] == params.m else next_full[t + 1]
+        for t, d in enumerate(depths):
+            if d == 0 and next_full[t] is not None:
+                hit_total += next_full[t] - t
+                hit_count += 1
+    return {
+        "strings": len(corpus),
+        "tokens": n_tokens,
+        "mean_len": n_tokens / len(corpus) if corpus else float("nan"),
+        "mean_hitting_time": hit_total / hit_count if hit_count else None,
+        "hitting_observations": hit_count,
+    }
+
+
+def closing_metric_uniform(params, corpus, threshold=0.8) -> ClosingMetricReport:
+    """verify.closing_metric_uniform over the Token closing events."""
+    buckets: dict[int, list[int]] = {}
+    for string in corpus:
+        for _, sep in _closing_events(string):
+            entry = buckets.setdefault(sep, [0, 0])
+            entry[0] += int((1.0 / params.k) > threshold)
+            entry[1] += 1
+    if not buckets:
+        return ClosingMetricReport(float("nan"), {}, [])
+    per = {sep: (c, t) for sep, (c, t) in buckets.items()}
+    fractions = [c / t for c, t in per.values()]
+    missing = [sep for sep in range(0, max(per) + 1, 2) if sep not in per]
+    return ClosingMetricReport(float(np.mean(fractions)), per, missing)
+
+
+def _closing_events(string):
+    """Yield (prefix_position, separation) for each close bracket.
+
+    Separation counts the tokens strictly between the open bracket and its
+    matching close; it is always even.
+    """
+    opens: list[tuple[int, int]] = []
+    for pos, token in enumerate(string):
+        if token.kind == "open":
+            opens.append((pos, token.index))
+        elif token.kind == "close":
+            if not opens or opens[-1][1] != token.index:
+                raise ValueError(f"corpus string is not well nested at token "
+                                 f"{pos + 1}: {format_string(string)}")
+            yield pos, pos - opens.pop()[0] - 1
 
 
 def walk(paramset, string, want_trace=False):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import dyckrnn
-from dyckrnn import runtime, verify
+from dyckrnn import cli, runtime, verify
 from dyckrnn.automaton import DyckParams, is_member
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
@@ -297,6 +297,26 @@ class TestVerify:
         assert in_memory.details == from_file.details
 
 
+class TestParser:
+    def test_repeated_calls_leak_no_arguments(self, monkeypatch):
+        """main builds its parser once; each call still starts from the
+        defaults, with no --suite appended by an earlier call."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda args: seen.append(vars(args).copy()) or 0)
+        base = ["verify", "-k", "2", "-m", "2"]
+        assert main(base + ["--suite", "stack", "--suite", "margins",
+                            "--beta", "0.5", "--arch", "lstm"]) == 0
+        assert main(base + ["--suite", "cross"]) == 0
+        assert main(base) == 0
+        assert [s["suite"] for s in seen] == [["stack", "margins"], ["cross"],
+                                              None]
+        assert [s["beta"] for s in seen] == [0.5, None, None]
+        assert [s["arch"] for s in seen] == ["lstm", "all", "all"]
+        assert seen[2] == vars(cli.build_parser().parse_args(base))
+        assert cli._parser() is cli._parser()
+
+
 class TestMetric:
     @pytest.fixture
     def weights_and_corpus(self, tmp_path):
@@ -369,6 +389,34 @@ class TestMetricInputErrors:
         line = self.assert_refused(capsys, "--weights", str(w),
                                    "--corpus", str(c), *baseline)
         assert "not well nested" in line
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    @pytest.mark.parametrize("text,message", [
+        ("(1 (1 (1 )1 )1 )1 $", "corpus string is deeper than m=2 at token 3: "
+                                "(1 (1 (1 )1 )1 )1 $"),
+        ("(1 )1", "corpus string has no end mark: (1 )1"),
+        ("(2 $", "corpus string ends at depth 1: (2 $"),
+        ("(1 )2 $", "corpus string is not well nested at token 2: (1 )2 $"),
+        ("(3 )3 $", "corpus line 3: bracket index 3 is out of range for k=2"),
+    ], ids=["depth", "end-mark", "open-at-end", "mismatch", "index"])
+    def test_string_outside_the_language(self, files, capsys, baseline, text,
+                                         message):
+        w, c = files
+        c.write_text(c.read_text() + text + "\n(2 )2 $\n")
+        capsys.readouterr()
+        assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
+                       *baseline) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    def test_first_string_outside_is_named(self, files, capsys, baseline):
+        w, c = files
+        c.write_text(c.read_text() + "(1 )1\n(1 (1 (1 )1 )1 )1 $\n)2 $\n")
+        line = self.assert_refused(capsys, "--weights", str(w), "--corpus",
+                                   str(c), *baseline)
+        assert line == "error: corpus string has no end mark: (1 )1"
 
     @pytest.mark.parametrize("field", ["k", "m"])
     def test_header_without_language(self, files, capsys, field):

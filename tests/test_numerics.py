@@ -82,12 +82,14 @@ class TestInPlace:
         return np.where(arr >= cfg.beta, 1.0,
                         np.where(arr <= -cfg.beta, -1.0, core))
 
-    @pytest.mark.parametrize("beta", [0.5, 20.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 20.0])
     def test_bit_identical_on_200k_values(self, beta):
         cfg = NumericConfig.for_language(k=2, beta=beta)
         values = np.random.default_rng(0).normal(0.0, 2.0 * beta, 200_000)
         special = [np.nan, np.inf, -np.inf, beta, -beta, 0.0, -0.0,
-                   np.nextafter(beta, 0.0), np.nextafter(-beta, 0.0)]
+                   np.nextafter(beta, 0.0), np.nextafter(-beta, 0.0),
+                   5e-324, -5e-324, np.nextafter(beta, np.inf),
+                   np.nextafter(-beta, -np.inf), 1.0, -1.0]
         values[:len(special)] = special
         blocks = values.reshape(400, 500)
         for fn, formula in ((sat_sigmoid, self.formula_sigmoid),
@@ -95,7 +97,39 @@ class TestInPlace:
             got = fn(cfg, blocks)
             assert got.shape == blocks.shape
             assert got.tobytes() == formula(cfg, blocks).tobytes()
+            # the same into a strided view of a larger output
+            wide = np.full((400, 700), 7.0)
+            fn(cfg, blocks, out=wide[:, 100:600])
+            assert wide[:, 100:600].tobytes() == formula(cfg, blocks).tobytes()
+            assert (wide[:, :100] == 7.0).all() and (wide[:, 600:] == 7.0).all()
         assert blocks.tobytes() == values.reshape(400, 500).tobytes()
+
+    @pytest.mark.parametrize("beta", [0.5, 20.0])
+    def test_saturated_entries_skip_the_transcendental(self, monkeypatch, beta):
+        """Only entries strictly inside (-beta, beta), NaN among them, reach
+        exp; only those that are also non-zero reach tanh."""
+        cfg = NumericConfig.for_language(k=2, beta=beta)
+        values = np.array([beta, -beta, 3 * beta, -np.inf, np.inf, 0.0, -0.0,
+                           beta / 2, -beta / 3, np.nan])
+        seen = []
+        for name in ("exp", "tanh"):
+            real = getattr(np, name)
+
+            def counting(x, *args, real=real, **kwargs):
+                seen.append(np.asarray(x).size)
+                return real(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        sat_sigmoid(cfg, values)
+        assert seen == [5]  # two zeros, two inside, NaN
+        seen.clear()
+        sat_tanh(cfg, values)
+        assert seen == [3]  # two inside, NaN
+        seen.clear()
+        sat_sigmoid(cfg, values[:5])
+        sat_tanh(cfg, values[:7])
+        assert seen == []
+        assert np.signbit(sat_tanh(cfg, values)[6])
 
     def test_scalar_input_returns_float(self, cfg):
         for fn in (sat_sigmoid, sat_tanh):

@@ -6,13 +6,15 @@ from dyckrnn.automaton import (EMPTY, DyckParams, Token, close_bracket,
                                stack_state)
 from dyckrnn.builders import build, build_lstm, build_naive_dfa_rnn, build_simple_rnn
 from dyckrnn.encodings import BINARY, ONEHOT
-from dyckrnn.numerics import epsilon_for
-from dyckrnn import cli
+from dyckrnn.numerics import NumericConfig, epsilon_for
+from dyckrnn import cli, runtime
 from dyckrnn.runtime import (NetworkState, StackDecodeError, _openblas_threads,
                              decode_stack, format_trace, initial_state,
                              next_distribution, run_prefix, serial_blas,
                              slot_view, step)
 from dyckrnn.sampler import SamplerConfig, sample_strings
+from conftest import clone_with, flip_push_entry, zero_close_rows
+import corpus_reference
 
 
 class TestSimpleRnnSteps:
@@ -261,3 +263,63 @@ class TestSerialBlas:
         assert cli.main(["check", "-k", "1", "-m", "1", "(1 )1 $"]) == 2
         assert seen == [1] and threads() == 2
         assert "handler failed" in capsys.readouterr().err
+
+
+def _kernel_cases():
+    constructions = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
+                     ("lstm", BINARY), ("naive", None)]
+    cases = []
+    for arch, enc in constructions:
+        cases += [(arch, enc, "intact"), (arch, enc, "beta0.5"),
+                  (arch, enc, "softened"), (arch, enc, "zero_close_rows")]
+        if arch == "simple":
+            cases.append((arch, enc, "flip_push_entry"))
+    return cases
+
+
+def softened(net):
+    """Sabotage: scale every recurrent, input and bias array into the
+    unsaturated range."""
+    return clone_with(net, **{name: getattr(net, name) * 0.01
+                              for name in vars(net)
+                              if name[0] in "WUb" and name != "b_v"})
+
+
+class TestKernelParity:
+    """runtime.step_rows writes the bytes the clip/exp kernel wrote, at every
+    step of a corpus walk."""
+
+    @pytest.mark.parametrize("arch,enc,variant", _kernel_cases())
+    def test_walk_steps_match_the_reference_kernel(self, arch, enc, variant):
+        p = DyckParams(2, 3)
+        numeric = (NumericConfig.for_language(2, beta=0.5, lam=3.0)
+                   if variant == "beta0.5" else None)
+        net = build(arch, p, enc, numeric)
+        sabotage = {"zero_close_rows": zero_close_rows,
+                    "flip_push_entry": flip_push_entry,
+                    "softened": softened}.get(variant)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=5), 300)
+        steps = unsaturated = 0
+        for _, codes, t, h, c, acts in runtime.walk(net, corpus):
+            if t == 0:
+                ref_h, ref_c = h.copy(), None if c is None else c.copy()
+                continue
+            live = len(h)
+            ref_h, ref_c, ref_acts = corpus_reference.step_rows(
+                net, ref_h[:live], None if ref_c is None else ref_c[:live],
+                codes[:live, t - 1])
+            assert h.tobytes() == ref_h.tobytes()
+            assert acts.tobytes() == ref_acts.tobytes()
+            assert (c is None) == (ref_c is None)
+            if c is not None:
+                assert c.tobytes() == ref_c.tobytes()
+            saturating = acts if c is not None else h
+            unsaturated += np.count_nonzero(
+                (saturating != 0.0) & (np.abs(saturating) != 1.0))
+            steps += 1
+        assert steps > 0
+        # the constructions saturate every entry at any beta (lambda = 3
+        # included); weights scaled into the unsaturated range make the
+        # transcendentals run
+        assert (unsaturated > 0) == (variant == "softened")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dyckrnn import runtime, verify
-from dyckrnn.automaton import (ACCEPT, DyckParams, allowed_tokens, is_member,
-                               parse_string, symbol_row, vocabulary)
+from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
+                               is_member, parse_string, symbol_row,
+                               vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
@@ -632,6 +633,28 @@ class TestDistinctness:
                     variant).as_dict()
                 # the zeroed LSTM weights merge full-depth states
                 assert report["passed"] == (arch != "lstm" or i == 0 or k == 1)
+
+    def test_tokens_only_for_the_collision(self, monkeypatch):
+        """The k^m strings are walked as codes; only a colliding pair and
+        its suffix become Tokens."""
+        made = []
+        real = Token.__post_init__
+
+        def counting(self):
+            made.append(self)
+            real(self)
+
+        params = DyckParams(4, 3)
+        vocabulary(4)
+        monkeypatch.setattr(Token, "__post_init__", counting)
+        net = build("lstm", params, BINARY)
+        assert check_full_depth_distinctness(net).passed
+        assert made == []
+        report = check_full_depth_distinctness(
+            clone_with(net, W_i=np.zeros_like(net.W_i)))
+        assert not report.passed
+        # the pair reuses the vocabulary; only the suffix is new
+        assert 0 < len(made) <= params.m + 1
 
     def test_budget_refused_before_any_string_is_built(self, monkeypatch):
         def refuse(*args, **kwargs):
