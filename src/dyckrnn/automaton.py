@@ -7,7 +7,9 @@ demand; the transition function is computed, never tabulated, so large
 (k, m) stay usable.
 
 A corpus of strings is one integer array of symbol rows cut by string
-offsets (`Corpus`); its strings read as Token tuples on demand.
+offsets (`Corpus`); its strings read as Token tuples on demand.  Where each
+string leaves the language is one array scan (`Corpus.rejections`), which
+every corpus refusal reads.
 
 All functions here are pure and operate on immutable values.
 """
@@ -121,9 +123,8 @@ def format_string(tokens) -> str:
     return " ".join(format_token(t) for t in tokens)
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def parse_token(text: str) -> Token:
-    """The token a text spells; equal texts share one Token instance."""
+    """The token a text spells."""
     if text == "$":
         return END_TOKEN
     match = _TOKEN_RE.match(text)
@@ -230,7 +231,7 @@ class Corpus(Sequence):
         In a well-nested prefix the bracket a close at depth d closes is the
         last open before it that left d brackets open.  Past a close that
         matches nothing, its string's entries are not meaningful; the first
-        such close in corpus order is found exactly.
+        such close of each string is found exactly.
         """
         k, codes = self.k, self.codes
         depth = self.depths()
@@ -253,19 +254,31 @@ class Corpus(Sequence):
         match[closes[ok]] = cand[ok]
         return depth, match
 
-    def outside(self, m: int) -> np.ndarray:
-        """Per string of a parsed corpus (no string empty, no end mark
-        before the last token), whether it leaves the depth-m language: a
-        close that matches nothing, a depth above m, or a last token that
-        is not an end mark at depth 0."""
+    def _first(self, flags: np.ndarray) -> np.ndarray:
+        """Per string, the place within it of its first flagged token, or
+        its length when none is flagged."""
+        at = np.flatnonzero(flags)
+        owner, first = np.unique(
+            np.searchsorted(self.offsets, at, side="right") - 1, return_index=True)
+        places = np.diff(self.offsets)
+        places[owner] = at[first] - self.offsets[owner]
+        return places
+
+    def consumed(self) -> np.ndarray:
+        """Per string, the number of tokens before its first end mark."""
+        return self._first(self.codes == 2 * self.k)
+
+    def rejections(self, m: int) -> np.ndarray:
+        """Per string, the place of the first token the depth-m automaton
+        rejects, or the string's length when it rejects none: a close that
+        matches nothing, an open past depth m, an end mark with brackets
+        still open, or any token after an end mark."""
         k, codes = self.k, self.codes
         depth, match = self.nesting()
-        closes = (codes >= k) & (codes < 2 * k)
-        faults = np.flatnonzero((closes & (match < 0)) | (depth > m))
-        last = self.offsets[1:] - 1
-        bad = (codes[last] != 2 * k) | (depth[last] != 0)
-        bad[np.searchsorted(self.offsets, faults, side="right") - 1] = True
-        return bad
+        end_at = self.offsets[:-1] + self.consumed()  # or the next string's start
+        ended = np.arange(codes.size) > np.repeat(end_at, np.diff(self.offsets))
+        return self._first(ended | np.where(
+            codes < k, depth > m, np.where(codes < 2 * k, match < 0, depth != 0)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .automaton import (ACCEPT, Corpus, DyckParams, EMPTY, REJECT,
-                        format_string, parse_string, transition)
+                        format_string, parse_string, transition, vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
@@ -213,16 +213,19 @@ def cmd_verify(args) -> int:
     # Each construction this command builds is built once, so the suites
     # that read it share one parameter object and the supports enumerated
     # for it.  Under --weights, only cross builds: the default constructions.
+    # Numeric overrides are checked whether or not a suite builds.
     built = {}
+    numeric = None if args.weights else _numeric_config(args, args.k)
 
     def construction(arch, enc):
         if (arch, enc) not in built:
-            numeric = None if args.weights else _numeric_config(args, args.k)
             built[arch, enc] = build(arch, params, enc, numeric,
                                      parameter_budget=args.naive_budget)
         return built[arch, enc]
 
-    needs_nets = any(s in suites for s in ("equivalence", "distinct", *CORPUS_SUITES))
+    # a weight file is read and checked whatever the suites
+    needs_nets = args.weights or any(
+        s in suites for s in ("equivalence", "distinct", *CORPUS_SUITES))
     constructions = _verify_constructions(args, construction) if needs_nets else None
     enumeration = Enumeration(params, args.max_len, args.epsilon)
 
@@ -284,19 +287,20 @@ def _refuse_outside(params: DyckParams, corpus: Corpus):
     """Refuse the first corpus string outside the language, naming it: the
     metrics score whatever they are given.  Parsing has already refused
     indices above k and end marks before the end."""
-    bad = corpus.outside(params.m)
+    lengths = corpus.offsets[1:] - corpus.offsets[:-1]
+    rejected = corpus.rejections(params.m)
+    bad = (rejected < lengths) | (corpus.consumed() == lengths)
     if not bad.any():
         return
-    string = corpus[int(bad.argmax())]
-    state, fault = EMPTY, "has no end mark"
-    for pos, token in enumerate(string, start=1):
-        prev, state = state, transition(params, state, token)
-        if state == REJECT:
-            fault = {"open": f"is deeper than m={params.m} at token {pos}",
-                     "close": f"is not well nested at token {pos}",
-                     "end": f"ends at depth {len(prev.stack)}"}[token.kind]
-            break
-    raise ValueError(f"corpus string {fault}: {format_string(string)}")
+    i = int(bad.argmax())
+    pos, fault = int(rejected[i]), "has no end mark"
+    if pos < lengths[i]:
+        at = corpus.offsets[i] + pos
+        fault = {"open": f"is deeper than m={params.m} at token {pos + 1}",
+                 "close": f"is not well nested at token {pos + 1}",
+                 "end": f"ends at depth {corpus.depths()[at]}"
+                 }[vocabulary(params.k)[corpus.codes[at]].kind]
+    raise ValueError(f"corpus string {fault}: {format_string(corpus[i])}")
 
 
 def cmd_metric(args) -> int:

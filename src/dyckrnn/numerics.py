@@ -53,6 +53,9 @@ class NumericConfig:
         return GAMMA
 
     def validate(self):
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.lam > 2.0 * self.beta / GAMMA:

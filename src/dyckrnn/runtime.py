@@ -192,8 +192,9 @@ def walk(paramset, corpus):
 
     The corpus is a Corpus or a list of Token strings, which is encoded
     once (Corpus.of).  The strings are sorted by how many tokens they
-    consume, most first (a stable sort), and cut into blocks, so the rows
-    of a block still being stepped are always a prefix of it.  For each
+    consume, those before the first end mark (Corpus.consumed), most first
+    (a stable sort), and cut into blocks, so the rows of a block still
+    being stepped are always a prefix of it.  For each
     block and each position t from 0 to its longest string's token count,
     yields (rows, codes, t, h, c, acts): rows the block's corpus indices in
     walk order; codes its (rows, width) matrix of symbol rows up to and
@@ -205,13 +206,8 @@ def walk(paramset, corpus):
     k, d = paramset.k, paramset.hidden_size
     corpus = Corpus.of(k, corpus)
     starts = corpus.offsets[:-1]
-    lengths = np.diff(corpus.offsets)
-    ends = np.flatnonzero(corpus.codes == 2 * k)
-    owner = np.searchsorted(corpus.offsets, ends, side="right") - 1
-    owner, first = np.unique(owner, return_index=True)
-    lengths[owner] = ends[first] - starts[owner] + 1  # up to the first end mark
-    consumed = lengths.copy()
-    consumed[owner] -= 1
+    consumed = corpus.consumed()
+    lengths = np.minimum(consumed + 1, np.diff(corpus.offsets))  # with the end mark
     order = np.argsort(-consumed, kind="stable")
     for lo in range(0, order.size, BLOCK_ROWS):
         rows = order[lo:lo + BLOCK_ROWS]

@@ -16,8 +16,10 @@ same sets.  The distinctness suite walks the k^m all-open strings as one
 integer corpus through runtime.walk; it and the collision search share one
 pigeonhole pass over their full-depth state keys, which turns only the
 colliding pair into Tokens.  The corpus suites and the closing metrics read
-a corpus as an automaton.Corpus; the metrics find each close bracket's open
-from its depth arrays.
+a corpus as an automaton.Corpus: the suites refuse a string that leaves the
+language from its rejections array and track the automaton stacks of a
+walk block with the tree walk's stack arrays; the metrics find each close
+bracket's open from its depth arrays.
 
 Counterexamples are the first string in length-then-lexicographic order
 over symbol rows (opens 1..k, closes 1..k, end), so they are canonical.
@@ -321,33 +323,6 @@ def check_generation_equivalence(paramset, max_len: int = 8,
         paramset, node_budget)
 
 
-class _StackTracker:
-    """The automaton stacks of one block as a (rows, m) array of bracket
-    indices (bottom first, 0 above the top) and a depth vector."""
-
-    def __init__(self, params: DyckParams, corpus, rows: np.ndarray):
-        self.params, self.corpus, self.rows = params, corpus, rows
-        self.stack = np.zeros((rows.size, params.m), dtype=int)
-        self.depth = np.zeros(rows.size, dtype=int)
-
-    def consume(self, t: int, cols: np.ndarray):
-        """Apply the t-th token (symbol rows `cols`) of the first len(cols)
-        rows; a token the automaton rejects is a corpus error."""
-        k, m = self.params.k, self.params.m
-        stack, depth = self.stack[:cols.size], self.depth[:cols.size]
-        top = stack[np.arange(cols.size), np.maximum(depth - 1, 0)]
-        bad = np.where(cols < k, depth == m, (depth == 0) | (top != cols - k + 1))
-        if bad.any():
-            string = self.corpus[self.rows[np.flatnonzero(bad)[0]]]
-            raise ValueError(f"corpus string leaves the language at token "
-                             f"{t}: {format_string(string)}")
-        _push_pop(k, stack, depth, cols)
-
-    def allowed(self, sel: np.ndarray) -> np.ndarray:
-        """allowed_row_mask of each selected row, as a (rows, 2k+1) mask."""
-        return _allowed_rows(self.params, self.stack[sel], self.depth[sel])
-
-
 def _stack_predicate(paramset):
     """ok(h, c, stack, depth) per live row: decode_stack equals the
     automaton state, and for LSTMs the hidden state exposes exactly the top
@@ -427,11 +402,13 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     """Any of the corpus suites, one report each in `suites` order, over one
     block walk of the corpus.
 
-    The stack and saturation suites check the state after every consumed
-    token, margins the distribution ahead of every token.  Each suite
-    reports what it would report checking string by string in corpus order
-    and stopping at its first counterexample: the checks up to that one,
-    whose text is rebuilt from its prefix with the scalar helpers.
+    The first string, in corpus order, that leaves the language before its
+    first end mark is refused before any is walked.  The stack and
+    saturation suites check the state after every consumed token, margins
+    the distribution ahead of every token.  Each suite reports what it
+    would report checking string by string in corpus order and stopping at
+    its first counterexample: the checks up to that one, whose text is
+    rebuilt from its prefix with the scalar helpers.
     """
     params = paramset.dyck_params
     k = params.k
@@ -439,24 +416,29 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     dis_bound = 1.0 / (10.0 * k)
     corpus = Corpus.of(k, corpus)
     n = len(corpus)
+    # checks per string: the other suites at positions 1..consumed, margins
+    # at positions 0..consumed but not past a string's last token
+    consumed = corpus.consumed()
+    counts = {"margins": np.minimum(consumed + 1, np.diff(corpus.offsets)),
+              "other": consumed}
+    rejected = corpus.rejections(params.m)
+    bad = np.flatnonzero(rejected < consumed)
+    if bad.size:
+        raise ValueError(f"corpus string leaves the language at token "
+                         f"{rejected[bad[0]] + 1}: {format_string(corpus[bad[0]])}")
     first = {s: np.full(n, -1) for s in suites}  # first failing position
     lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
-    # checks per string: margins at positions 0..len-1, the other suites at
-    # positions 1..consumed
-    counts = {"margins": np.zeros(n, dtype=int), "other": np.zeros(n, dtype=int)}
     stack_ok = _stack_predicate(paramset) if "stack" in first else None
     for rows, codes, t, h, c, acts in walk(paramset, corpus):
         live = len(h)
         if t == 0:
-            tracker = _StackTracker(params, corpus, rows)
-            counts["margins"][rows] = (codes >= 0).sum(axis=1)
-            counts["other"][rows] = ((codes >= 0) & (codes < 2 * k)).sum(axis=1)
+            stack = np.zeros((rows.size, params.m), dtype=int)
+            depth = np.zeros(rows.size, dtype=int)
         else:
-            tracker.consume(t, codes[:live, t - 1])
+            _push_pop(k, stack[:live], depth[:live], codes[:live, t - 1])
             faults = {}
             if "stack" in first:
-                faults["stack"] = ~stack_ok(h, c, tracker.stack[:live],
-                                            tracker.depth[:live])
+                faults["stack"] = ~stack_ok(h, c, stack[:live], depth[:live])
             if "saturation" in first:
                 faults["saturation"] = ~_saturated(paramset, h, c, acts)
             for suite, fault in faults.items():
@@ -465,14 +447,15 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         sel = np.flatnonzero(codes[:live, t] >= 0)
         if "margins" in first and sel.size:
             dist = readout(paramset, h[sel])
-            allowed = tracker.allowed(sel)
+            allowed = _allowed_rows(params, stack[sel], depth[sel])
             lo = np.where(allowed, dist, np.inf).min(axis=1)
             hi = np.where(allowed, 0.0, dist).max(axis=1)
             pending = first["margins"][rows[sel]] < 0
             sel, lo, hi = rows[sel][pending], lo[pending], hi[pending]
             lo_min[sel] = np.minimum(lo_min[sel], lo)
             hi_max[sel] = np.maximum(hi_max[sel], hi)
-            first["margins"][sel[(lo < eps) | (hi > dis_bound)]] = t
+            # NaN fails: it is neither at least eps nor at most the bound
+            first["margins"][sel[~((lo >= eps) & (hi <= dis_bound))]] = t
 
     details = {"stack": {"strings": n}, "saturation": {},
                "margins": {"epsilon": eps, "disallowed_bound": dis_bound}}

@@ -16,8 +16,9 @@ Schema 1 documents also carry an input embedding E and load only when E is
 the (2k, 2k) identity.
 
 Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
-Loading checks every matrix shape against the architecture's hidden size d:
-W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
+Loading refuses a k or m that is not a JSON integer and a matrix entry that
+is not finite, and checks every matrix shape against the architecture's
+hidden size d: W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
 Files are written atomically (temp file, then rename), one matrix at a
 time, so saving never holds the whole document as text.
 """
@@ -86,7 +87,7 @@ def from_document(doc: dict):
     if version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported weight schema {version!r}")
     try:
-        arch, k, m = doc["architecture"], int(doc["k"]), int(doc["m"])
+        arch, k, m = doc["architecture"], doc["k"], doc["m"]
         enc_kind = doc.get("encoding_kind")
         matrices = _object(doc["matrices"], "matrices")
         numeric = NumericConfig.from_dict(
@@ -101,6 +102,10 @@ def from_document(doc: dict):
         raise ValueError(f"malformed weight document: {exc}") from None
     if arch not in _MATS:
         raise ValueError(f"unknown architecture {arch!r}")
+    for name, value in (("k", k), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"weight document {name} is {json.dumps(value)}, "
+                             f"not an integer")
     d = hidden_units(arch, enc_kind, k, m)
     shapes = {"W": (d, d), "U": (d, 2 * k), "b": (d,), "E": (2 * k, 2 * k),
               "V": (2 * k + 1, d), "b_v": (2 * k + 1,)}
@@ -113,6 +118,8 @@ def from_document(doc: dict):
             raise ValueError(f"matrix {name} has shape {tuple(shape)} with "
                              f"{mat.size} values; {arch} at k={k}, m={m} needs "
                              f"{expected}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"matrix {name} holds a value that is not finite")
         mats[name] = mat.reshape(expected)
     if version == 1 and not np.array_equal(mats.pop("E"), np.eye(2 * k)):
         raise ValueError("matrix E is not the identity (schema 1 input embedding)")

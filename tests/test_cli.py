@@ -44,6 +44,17 @@ class TestBuild:
         assert code == 2
         assert "zeta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--beta", "--lambda", "--zeta"])
+    def test_nonfinite_numeric_override_refused(self, tmp_path, capsys, option):
+        path = tmp_path / "w.json"
+        code = run_cli("build", "-k", "2", "-m", "2", "--arch", "lstm",
+                       option, "inf", "-o", str(path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        (line,) = captured.err.splitlines()
+        assert line == f"error: {option[2:]} must be finite, got inf"
+
     def test_naive_budget_guard(self, tmp_path, capsys):
         code = run_cli("build", "--arch", "naive", "-k", "4", "-m", "4",
                        "-o", str(tmp_path / "w.json"))
@@ -218,7 +229,11 @@ class TestVerify:
         (("--suite", "margins", "--epsilon", "nan"), "epsilon must lie in (0, 1)"),
         (("--suite", "margins", "--epsilon", "0"), "epsilon must lie in (0, 1)"),
         (("--suite", "collide", "-d", "-1"), "d=-1, p=1"),
-        (("--suite", "collide", "-p", "-1"), "d=1, p=-1")])
+        (("--suite", "collide", "-p", "-1"), "d=1, p=-1"),
+        (("--suite", "margins", "--arch", "simple", "--enc", "onehot",
+          "--zeta", "inf"), "zeta must be finite, got inf"),
+        (("--suite", "collide", "--lambda", "inf"), "lambda must be finite"),
+        (("--suite", "collide", "--beta", "-1"), "beta must be positive")])
     def test_out_of_range_option_refused(self, capsys, argv, message):
         code = run_cli("verify", "-k", "2", "-m", "2", "--strings", "20", *argv)
         assert code == 2
@@ -255,6 +270,24 @@ class TestVerify:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and "k=2, m=2" in line
+
+    @pytest.mark.parametrize("suite", ["cross", "collide"])
+    def test_weight_file_read_whatever_the_suites(self, tmp_path, capsys, suite):
+        """A --weights file is read and checked even when no requested
+        suite reads it."""
+        path = tmp_path / "w.json"
+        assert run_cli("build", "-k", "2", "-m", "2", "-o", str(path)) == 0
+        for weights, k, message in ((tmp_path / "none.json", "2",
+                                     "No such file or directory"),
+                                    (path, "3", "k=2, m=2 but -k 3 -m 2")):
+            capsys.readouterr()
+            code = run_cli("verify", "-k", k, "-m", "2", "--suite", suite,
+                           "--weights", str(weights))
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error:") and message in line
 
     @pytest.mark.parametrize("strings", ["0", "-1"])
     def test_empty_corpus_refused(self, capsys, strings):
@@ -445,8 +478,17 @@ class TestMetricInputErrors:
         (lambda doc: doc["matrices"]["W"].update(shape=5), "matrix W has shape 5"),
         (lambda doc: doc.update(matrices=[]), "matrices is a JSON list"),
         (lambda doc: doc.update(numeric_config=[1]), "numeric_config is a JSON list"),
+        (lambda doc: doc.update(k=2.9), "weight document k is 2.9, not an integer"),
+        (lambda doc: doc.update(m=True), "weight document m is true, not an integer"),
+        (lambda doc: doc["matrices"]["b_v"]["data"].__setitem__(0, float("nan")),
+         "matrix b_v holds a value that is not finite"),
+        (lambda doc: doc["matrices"]["W"]["data"].__setitem__(3, float("-inf")),
+         "matrix W holds a value that is not finite"),
+        (lambda doc: doc["numeric_config"].update(zeta=float("inf")),
+         "zeta must be finite, got inf"),
     ], ids=["not-an-object", "shape-not-a-list", "matrices-list",
-            "numeric-config-list"])
+            "numeric-config-list", "fractional-k", "boolean-m", "nan-entry",
+            "infinite-entry", "infinite-zeta"])
     @pytest.mark.parametrize("command", ["metric", "verify"])
     def test_malformed_weight_document(self, files, capsys, edit, message,
                                        command):

@@ -9,8 +9,8 @@ import pytest
 import corpus_reference as reference
 from conftest import zero_close_rows
 from dyckrnn import runtime
-from dyckrnn.automaton import (Corpus, DyckParams, format_string, parse_string,
-                               vocabulary)
+from dyckrnn.automaton import (EMPTY, REJECT, Corpus, DyckParams, format_string,
+                               parse_string, transition, vocabulary)
 from dyckrnn.builders import build
 from dyckrnn.cli import main
 from dyckrnn.encodings import BINARY, ONEHOT
@@ -124,6 +124,38 @@ class TestNesting:
         _, match = Corpus.of(2, [parse_string(")1 (1"),
                                  parse_string(")1 $")]).nesting()
         assert match.tolist() == [-1, -1, -1, -1]
+
+    @staticmethod
+    def scan(params, string):
+        """(first REJECT place or the length, tokens before the first end
+        mark) from the transition function, one token at a time."""
+        state, rejected, consumed = EMPTY, len(string), len(string)
+        for place, token in enumerate(string):
+            if token.kind == "end":
+                consumed = min(consumed, place)
+            state = transition(params, state, token)
+            if state == REJECT:
+                rejected = min(rejected, place)
+        return rejected, consumed
+
+    @pytest.mark.parametrize("k,m", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rejections_match_the_transition_loop(self, k, m, seed):
+        params = DyckParams(k, m)
+        vocab = vocabulary(k)
+        end, open1, close1 = vocab[2 * k], vocab[0], vocab[k]
+        strings = (random_strings(k, 40, seed) + mutated(
+            k, sample_strings(SamplerConfig(params, seed=seed), 60), seed)
+            + [(), (end, end, open1), (open1, end, close1, end)])
+        members = sum(self.scan(params, s)[0] == len(s) for s in strings)
+        ended = sum(self.scan(params, s)[1] < len(s) for s in strings)
+        assert 0 < members < len(strings) and 0 < ended < len(strings)
+        for corpus in (strings, strings[::-1], strings[:1]):
+            corpus = Corpus.of(k, corpus)
+            want = [self.scan(params, s) for s in corpus]
+            got = list(zip(corpus.rejections(m).tolist(),
+                           corpus.consumed().tolist()))
+            assert got == want
 
     @pytest.mark.parametrize("seed", range(6))
     def test_separations_match_the_token_loop(self, seed):

@@ -201,6 +201,14 @@ class TestNumericConfig:
         with pytest.raises(ValueError, match="beta"):
             NumericConfig(beta=0.0, lam=60.0, zeta=5.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("beta", math.inf), ("lambda", math.inf), ("zeta", math.inf),
+        ("lambda", -math.inf), ("zeta", math.nan)])
+    def test_nonfinite_rejected(self, name, value):
+        fields = {"beta": 20.0, "lambda": 60.0, "zeta": 5.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            NumericConfig.from_dict(fields)
+
     def test_round_trip(self):
         cfg = NumericConfig.for_language(3, beta=40.0)
         assert NumericConfig.from_dict(cfg.to_dict()) == cfg

@@ -115,6 +115,21 @@ class TestProbabilityMargins:
         report = check_probability_margins(net, corpus)
         assert not report.passed
 
+    @pytest.mark.parametrize("arch", ["simple", "lstm"])
+    def test_nan_readout_fails(self, arch):
+        """A NaN probability is neither at least epsilon nor at most the
+        disallowed bound, so it fails the suite."""
+        p = DyckParams(2, 2)
+        net = build(arch, p, ONEHOT)
+        b_v = net.b_v.copy()
+        b_v[0] = np.nan
+        corpus = sample_strings(SamplerConfig(p, seed=5), 50)
+        assert check_probability_margins(net, corpus).passed
+        report = check_probability_margins(clone_with(net, b_v=b_v), corpus)
+        assert not report.passed
+        assert report.checked == 1
+        assert "min allowed nan" in report.counterexample
+
     def test_invalid_zeta_is_a_config_error_not_a_margin_failure(self):
         """Constants below the construction preconditions are refused at
         construction time, before any margin suite can run."""
@@ -305,6 +320,39 @@ class TestBlockWalkParity:
             with pytest.raises(ValueError, match="leaves the language"):
                 check_corpus_suites(net, [parse_string("(1 )1 $"),
                                           parse_string(text)])
+
+    def test_first_string_outside_in_corpus_order_refused(self):
+        """The refusal names the first string in corpus order that leaves
+        the language, as the closing metric does, though a longer string
+        that leaves it later is walked in an earlier block."""
+        p = DyckParams(2, 3)
+        net = build_simple_rnn(p)
+        first = parse_string("(1 )1 )2 $")  # leaves at token 3
+        late = parse_string("(1 (2 )2 (1 )1 )2" + " (2 )2" * 10 + " $")
+        members = list(sample_strings(
+            SamplerConfig(p, seed=6, min_len=9, max_len=26), 349))
+        corpus = [first] + members[:149] + [late] + members[149:]
+        assert len(late) == 27 and len(corpus) > runtime.BLOCK_ROWS
+        message = "corpus string leaves the language at token 3: (1 )1 )2 $"
+        with pytest.raises(ValueError) as info:
+            check_corpus_suites(net, corpus)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            closing_metric(net, corpus)
+        assert str(info.value).endswith("at token 3: (1 )1 )2 $")
+        with pytest.raises(ValueError) as info:
+            check_corpus_suites(net, corpus[1:])
+        assert str(info.value).startswith("corpus string leaves the language "
+                                          "at token 6: (1 (2 )2 (1 )1 )2 (2")
+
+    def test_strings_past_their_first_end_mark_are_not_refused(self):
+        """Only the tokens a network consumes must stay in the language."""
+        net = build_simple_rnn(DyckParams(2, 2))
+        corpus = [parse_string("(1 $"), parse_string("(1 )1 $")
+                  + parse_string(")2 (1 (1 (1")]
+        reports = check_corpus_suites(net, corpus, ("stack", "saturation"))
+        assert [r.checked for r in reports] == [3, 3]
+        assert all(r.passed for r in reports)
 
     def test_out_of_range_token_refused(self):
         net = build_lstm(DyckParams(2, 2))
