@@ -119,13 +119,34 @@ class LstmParams:
         return DyckParams(self.k, self.m)
 
     @functools.cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The four gates side by side in the order f, i, o, c~, for
-        row-vector states: W^T (d, 4d), U^T (2k, 4d) and b (4d,)."""
+    def packed(self):
+        """The distinct gate units, for row-vector states: (W^T, U^T, b,
+        sigmoids, inverse).
+
+        The 4d gate units in the order f, i, o, c~ are the rows of
+        [W | U | b]; the constructions repeat a few of them many times
+        (30 distinct of 400 at k=128, m=5, binary).  Each unit is kept
+        once, separately within the sigmoid group (f, i, o: the first
+        `sigmoids` columns) and the tanh group (c~), and two units are
+        equal only when their bytes are.  W^T is (d, u), U^T (2k, u) and
+        b (u,); inverse (4d,) maps each gate unit to its column, so a
+        block gathered through it, `distinct[..., inverse]`, is the full
+        (..., 4d) gate block.
+        """
+        d = self.hidden_size
         W = np.concatenate([self.W_f, self.W_i, self.W_o, self.W_c])
         U = np.concatenate([self.U_f, self.U_i, self.U_o, self.U_c])
         b = np.concatenate([self.b_f, self.b_i, self.b_o, self.b_c])
-        return W.T, np.ascontiguousarray(U.T), b
+        units = np.ascontiguousarray(np.column_stack([W, U, b]))
+        keys = units.view(np.dtype((np.void, units[0].nbytes)))[:, 0]
+        sig, sig_inv = np.unique(keys[:3 * d], return_index=True,
+                                 return_inverse=True)[1:]
+        tanh, tanh_inv = np.unique(keys[3 * d:], return_index=True,
+                                   return_inverse=True)[1:]
+        keep = np.concatenate([sig, 3 * d + tanh])
+        inverse = np.concatenate([sig_inv, sig.size + tanh_inv])
+        return (np.ascontiguousarray(W[keep].T),
+                np.ascontiguousarray(U[keep].T), b[keep], sig.size, inverse)
 
 
 def _close_row_pattern(encoding: Encoding, i: int, zeta: float) -> np.ndarray:

@@ -213,8 +213,16 @@ def cmd_verify(args) -> int:
     # Each construction this command builds is built once, so the suites
     # that read it share one parameter object and the supports enumerated
     # for it.  Under --weights, only cross builds: the default constructions.
-    # Numeric overrides are checked whether or not a suite builds.
+    # Numeric overrides are checked whether or not a suite builds, and
+    # refused with --weights, whose file holds its own constants.
     built = {}
+    overrides = [flag for flag, value in (("--beta", args.beta),
+                                          ("--lambda", args.lam),
+                                          ("--zeta", args.zeta))
+                 if value is not None]
+    if args.weights and overrides:
+        raise ValueError(f"{', '.join(overrides)} cannot be given with "
+                         f"--weights: the weight file holds its own constants")
     numeric = None if args.weights else _numeric_config(args, args.k)
 
     def construction(arch, enc):

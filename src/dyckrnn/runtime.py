@@ -3,13 +3,16 @@
 Stepping is functional: each step returns a fresh state, so parameter sets
 and states can be shared across threads without coordination.  One kernel,
 step_rows, does all stepping: it advances a (rows, d) block of states, each
-row on its own input column, with the LSTM's four gate matrices packed side
-by side once per parameter set (its `packed` property).  A step sums the
-recurrent product, the input column and the bias in one buffer and writes
-the LSTM's saturated gates into one activation block; the saturating
-functions write clamped entries directly and run exp or tanh only on the
-entries inside (-beta, beta).  The one-row case of step_rows is step,
-which serves only run_prefix, format_trace and the text of
+row on its own input column, with the weights packed once per parameter set
+(its `packed` property).  The LSTM's gates are built from constant blocks,
+so most of its 4d gate units repeat: `packed` keeps each distinct unit once
+(30 of 400 at k=128, m=5, binary) with an index back to the full layout.
+A step sums the recurrent product, the input column and the bias in one
+buffer (for the LSTM, on the distinct units only), saturates it, and
+gathers the LSTM's gates into one full (rows, 4d) activation block; the
+saturating functions write clamped entries directly and run exp or tanh
+only on the entries inside (-beta, beta).  The one-row case of step_rows
+is step, which serves only run_prefix, format_trace and the text of
 counterexamples.  walk steps a whole corpus for the corpus suites, the
 distinctness suite and the closing metric: it reads the symbol-row codes
 of an automaton.Corpus (a list of Token strings is encoded once), sorts
@@ -19,10 +22,11 @@ sat_tanh and softmax through its own module attributes, which the
 benchmark tracer wraps.  Traces (gate vectors, pre-activations) are
 recorded only on request.
 
-A block product is at most BLOCK_ROWS x d x 4d, too small for BLAS threads
-to pay: OpenBLAS splits it anyway, and a split step waits for a worker
-thread that a busy host may not schedule.  serial_blas runs BLAS on the
-calling thread while it is entered; the CLI runs every command inside it.
+A block product, (BLOCK_ROWS, d) by (d, d) or by the LSTM's (d, u), is
+too small for BLAS threads to pay: OpenBLAS splits it anyway, and a split
+step waits for a worker thread that a busy host may not schedule.
+serial_blas runs BLAS on the calling thread while it is entered; the CLI
+runs every command inside it.
 """
 
 from __future__ import annotations
@@ -80,24 +84,29 @@ def initial_state(paramset) -> NetworkState:
 
 def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     """The one stepping kernel: each row of a (rows, d) state block consumes
-    its own input column, with the gate matrices packed side by side.
+    its own input column.
 
-    h and c may also be single (d,) vectors with one column.  c is None
-    outside the LSTM.  Returns the new h and c and the step's activations:
-    for the LSTM the saturated gates f, i, o and the candidate c~ side by
-    side along the last axis, for the sigmoid RNNs the pre-activation.
+    The LSTM's product, input and bias sums and saturations run on its
+    distinct gate units (paramset.packed); one fancy index through the
+    packed inverse gathers them back to the full gate block.  h and c may
+    also be single (d,) vectors with one column.  c is None outside the
+    LSTM.  Returns the new h and c and the step's activations: for the
+    LSTM the saturated gates f, i, o and the candidate c~ side by side
+    along the last axis, for the sigmoid RNNs the pre-activation.
     """
     num = paramset.numeric
-    Wt, Ut, b = paramset.packed
+    Wt, Ut, b = paramset.packed[:3]
     pre = h @ Wt
     pre += Ut[cols]
     pre += b
     if paramset.architecture != ARCH_LSTM:
         return sat_sigmoid(num, pre), None, pre
+    sigmoids, inverse = paramset.packed[3:]
+    distinct = np.empty_like(pre)
+    sat_sigmoid(num, pre[..., :sigmoids], out=distinct[..., :sigmoids])
+    sat_tanh(num, pre[..., sigmoids:], out=distinct[..., sigmoids:])
+    acts = distinct[..., inverse]
     d = paramset.hidden_size
-    acts = np.empty_like(pre)
-    sat_sigmoid(num, pre[..., :3 * d], out=acts[..., :3 * d])
-    sat_tanh(num, pre[..., 3 * d:], out=acts[..., 3 * d:])
     f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
                         acts[..., 2 * d:3 * d], acts[..., 3 * d:])
     c_new = f * c

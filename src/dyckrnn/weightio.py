@@ -158,5 +158,9 @@ def load_weights(path: str):
     # weight files repeat a few distinct values: parse each spelling once
     # and share the float, rather than holding one object per entry
     with open(path) as handle:
-        doc = json.load(handle, parse_float=functools.lru_cache(None)(float))
+        try:
+            doc = json.load(handle,
+                            parse_float=functools.lru_cache(None)(float))
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path} is not a JSON weight file: {exc}") from None
     return from_document(doc)

@@ -4,8 +4,8 @@ order, with the scalar helpers (step, decode_stack, next_distribution,
 allowed_row_mask), the closing events and corpus statistics read off Token
 strings, and the block step as it was before saturated entries skipped the
 transcendentals (clip, exp or tanh on every entry, gates joined by
-concatenate).  The tests require the block walk to report what this
-reports."""
+concatenate and gathered to the full gate block through the packed
+inverse).  The tests require the block walk to report what this reports."""
 
 from __future__ import annotations
 
@@ -33,13 +33,17 @@ def sat_tanh(cfg, arr):
 def step_rows(paramset, h, c, cols):
     """(h, c, acts) after one step of every row, as runtime.step_rows."""
     num = paramset.numeric
-    Wt, Ut, b = paramset.packed
+    Wt, Ut, b = paramset.packed[:3]
     pre = h @ Wt + Ut[cols] + b
     if paramset.architecture != ARCH_LSTM:
         return sat_sigmoid(num, pre), None, pre
+    # the LSTM's product runs on the distinct gate units, as the kernel's
+    # does: BLAS rounding of an unsaturated entry depends on the column count
+    sigmoids, inverse = paramset.packed[3:]
+    acts = np.concatenate([sat_sigmoid(num, pre[..., :sigmoids]),
+                           sat_tanh(num, pre[..., sigmoids:])],
+                          axis=-1)[..., inverse]
     d = paramset.hidden_size
-    acts = np.concatenate([sat_sigmoid(num, pre[..., :3 * d]),
-                           sat_tanh(num, pre[..., 3 * d:])], axis=-1)
     f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
                         acts[..., 2 * d:3 * d], acts[..., 3 * d:])
     c_new = f * c + i * c_tilde

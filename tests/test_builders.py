@@ -15,6 +15,7 @@ from dyckrnn.encodings import (ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY,
 from dyckrnn.numerics import NumericConfig
 from dyckrnn.verify import check_generation_equivalence
 from dyckrnn.weightio import from_document, load_weights, save_weights, to_document
+from conftest import clone_with, zero_close_rows
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -320,6 +321,112 @@ def test_schema_1_reader(name):
     v1["matrices"]["E"] = {"shape": [3, 3], "data": np.eye(3).ravel().tolist()}
     with pytest.raises(ValueError, match=r"matrix E has shape \(3, 3\)"):
         from_document(v1)
+
+
+GATE_ARRAYS = [f"{kind}_{gate}" for kind in "WUb" for gate in "fioc"]
+
+
+def _raw_gates(net, kind):
+    """The four gates' W, U or b stacked in the order f, i, o, c~."""
+    return np.concatenate([getattr(net, f"{kind}_{gate}") for gate in "fioc"])
+
+
+def _dense_lstm(k, m, seed):
+    """An LSTM whose gate arrays are random, so no two units repeat."""
+    base = build_lstm(DyckParams(k, m), ONEHOT)
+    rng = np.random.default_rng(seed)
+    return clone_with(base, **{name: rng.normal(size=getattr(base, name).shape)
+                               for name in GATE_ARRAYS})
+
+
+def _copied_units_lstm():
+    """An LSTM whose input-gate unit 1 copies forget unit 1 exactly, unit 0
+    copies forget unit 0 but for the sign of its zeros, and candidate unit
+    2 copies forget unit 2 exactly."""
+    net = build_lstm(DyckParams(2, 3), BINARY)
+    copies = {name: getattr(net, name).copy()
+              for name in ("W_i", "U_i", "b_i", "W_c", "U_c", "b_c")}
+    for kind in "WUb":
+        copies[f"{kind}_i"][:2] = getattr(net, f"{kind}_f")[:2]
+        copies[f"{kind}_c"][2] = getattr(net, f"{kind}_f")[2]
+    copies["W_i"][0, copies["W_i"][0] == 0.0] = -0.0
+    return clone_with(net, **copies)
+
+
+def _packing_cases(tmp_path):
+    """(label, LstmParams) for every LSTM build, its sabotages, weight
+    files read from disk, and parameter sets with no repeated unit."""
+    cases = [(f"{enc} k={k} m={m}", build_lstm(DyckParams(k, m), enc))
+             for k, m in ((2, 2), (2, 3), (8, 3), (32, 3))
+             for enc in (ONEHOT, BINARY)]
+    net = build_lstm(DyckParams(2, 3), BINARY)
+    cases += [
+        ("zero_close_rows", zero_close_rows(net)),
+        ("softened", clone_with(net, **{name: getattr(net, name) * 0.01
+                                        for name in GATE_ARRAYS})),
+        ("beta 0.5", build_lstm(DyckParams(2, 3), ONEHOT,
+                                NumericConfig.for_language(2, beta=0.5, lam=3.0))),
+        ("copied units", _copied_units_lstm())]
+    for name in ("lstm_onehot_k2_m2", "lstm_binary_k2_m2"):
+        with open(os.path.join(GOLDEN_DIR, name + ".json")) as handle:
+            doc = json.load(handle)
+        path = tmp_path / f"{name}_v2.json"
+        path.write_text(json.dumps(doc))
+        cases.append((f"{name} schema 2", load_weights(str(path))))
+        doc["schema_version"] = 1
+        doc["matrices"]["E"] = {"shape": [4, 4],
+                                "data": np.eye(4).ravel().tolist()}
+        path = tmp_path / f"{name}_v1.json"
+        path.write_text(json.dumps(doc))
+        cases.append((f"{name} schema 1", load_weights(str(path))))
+    cases += [(f"dense k={k} m={m}", _dense_lstm(k, m, seed=k))
+              for k, m in ((2, 2), (3, 3))]
+    return cases
+
+
+class TestLstmPacking:
+    """LstmParams.packed keeps each gate unit once and gathers back to the
+    raw gate matrices byte for byte."""
+
+    def test_distinct_units_gather_to_the_raw_gates(self, tmp_path):
+        for label, net in _packing_cases(tmp_path):
+            d = net.hidden_size
+            Wt, Ut, b, sigmoids, inverse = net.packed
+            assert inverse.shape == (4 * d,), label
+            assert Wt[:, inverse].T.tobytes() == _raw_gates(net, "W").tobytes(), label
+            assert Ut[:, inverse].T.tobytes() == _raw_gates(net, "U").tobytes(), label
+            assert b[inverse].tobytes() == _raw_gates(net, "b").tobytes(), label
+            # f, i and o units never share a column with a c~ unit
+            assert inverse[:3 * d].max() < sigmoids <= inverse[3 * d:].min(), label
+            # every column is used, and no two columns of a group hold the
+            # same unit
+            assert np.array_equal(np.unique(inverse), np.arange(b.size)), label
+            units = [unit.tobytes() for unit in np.vstack([Wt, Ut, b]).T]
+            assert len(set(units[:sigmoids])) == sigmoids, label
+            assert len(set(units[sigmoids:])) == b.size - sigmoids, label
+
+    def test_equal_units_share_a_column(self):
+        net = _copied_units_lstm()
+        inverse, d = net.packed[4], net.hidden_size
+        assert inverse[d + 1] == inverse[1] and inverse[d] != inverse[0]
+        assert inverse[3 * d + 2] != inverse[2]
+
+    @pytest.mark.parametrize("k,m,enc,distinct,sigmoids", [
+        (128, 5, BINARY, 30, 15), (8, 3, ONEHOT, 17, 9), (8, 3, BINARY, 16, 9)])
+    def test_constructions_repeat_their_units(self, k, m, enc, distinct,
+                                              sigmoids):
+        Wt, Ut, b, n_sigmoid, inverse = build_lstm(DyckParams(k, m), enc).packed
+        assert Wt.shape[1] == Ut.shape[1] == b.size == distinct
+        assert n_sigmoid == sigmoids
+        assert inverse.size == 4 * hidden_units(ARCH_LSTM, enc, k, m)
+
+    @pytest.mark.parametrize("k,m", [(2, 2), (3, 3)])
+    def test_no_repeated_unit_keeps_every_unit(self, k, m):
+        net = _dense_lstm(k, m, seed=k)
+        d = net.hidden_size
+        _, _, b, sigmoids, inverse = net.packed
+        assert b.size == 4 * d and sigmoids == 3 * d
+        assert sorted(inverse[:3 * d]) == list(range(3 * d))
 
 
 def test_build_dispatch_unknown():

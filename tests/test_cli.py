@@ -289,6 +289,30 @@ class TestVerify:
             (line,) = captured.err.splitlines()
             assert line.startswith("error:") and message in line
 
+    @pytest.mark.parametrize("overrides,named", [
+        (("--beta", "0.5"), "--beta"),
+        (("--lambda", "90"), "--lambda"),
+        (("--zeta", "inf", "--beta", "0.5"), "--beta, --zeta"),
+        (("--beta", "20", "--lambda", "90", "--zeta", "3"),
+         "--beta, --lambda, --zeta")])
+    @pytest.mark.parametrize("suite", ["margins", "cross"])
+    def test_numeric_override_with_weights_refused(self, tmp_path, capsys,
+                                                   overrides, named, suite):
+        """The file's constants are the ones verified, so an override that
+        would not be applied is refused rather than dropped."""
+        path = tmp_path / "w.json"
+        assert run_cli("build", "--arch", "lstm", "-k", "2", "-m", "2",
+                       "-o", str(path)) == 0
+        capsys.readouterr()
+        code = run_cli("verify", "-k", "2", "-m", "2", "--weights", str(path),
+                       "--suite", suite, "--strings", "20", *overrides)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {named} cannot be given with --weights: the weight file "
+            f"holds its own constants"]
+
     @pytest.mark.parametrize("strings", ["0", "-1"])
     def test_empty_corpus_refused(self, capsys, strings):
         code = run_cli("verify", "-k", "2", "-m", "2", "--suite", "stack",
@@ -472,6 +496,25 @@ class TestMetricInputErrors:
         w.write_text(json.dumps(doc))
         line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
         assert repr(path[-1]) in line
+
+    @pytest.mark.parametrize("content", [
+        "# dyckrnn-corpus schema=1 k=2 m=2\n(1 )1 $\n".encode(), b"",
+        b"\xff\xfe\x00", b'{"schema_version": 2,'],
+        ids=["corpus", "empty", "not-text", "truncated"])
+    @pytest.mark.parametrize("command", ["metric", "verify"])
+    def test_weight_file_not_json_is_named(self, files, capsys, content,
+                                           command):
+        w, c = files
+        w.write_bytes(content)
+        capsys.readouterr()
+        argv = (["metric", "--weights", str(w), "--corpus", str(c)]
+                if command == "metric" else
+                ["verify", "-k", "2", "-m", "2", "--weights", str(w)])
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {w} is not a JSON weight file: ")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: [], "weight document is a JSON list"),

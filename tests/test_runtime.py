@@ -323,3 +323,54 @@ class TestKernelParity:
         # included); weights scaled into the unsaturated range make the
         # transcendentals run
         assert (unsaturated > 0) == (variant == "softened")
+
+
+def full_gate_step(net, h, c, cols):
+    """One LSTM step on the full (d, 4d) gate matrices stacked from the raw
+    W_*, U_* and b_* arrays, never from the packed distinct units."""
+    num, d = net.numeric, net.hidden_size
+    W, U, b = (np.concatenate([getattr(net, f"{kind}_{gate}") for gate in "fioc"])
+               for kind in "WUb")
+    pre = h @ W.T + U.T[cols] + b
+    acts = np.concatenate([corpus_reference.sat_sigmoid(num, pre[..., :3 * d]),
+                           corpus_reference.sat_tanh(num, pre[..., 3 * d:])],
+                          axis=-1)
+    f, i, o, c_tilde = np.split(acts, 4, axis=-1)
+    c_new = f * c + i * c_tilde
+    return o * np.tanh(c_new), c_new, acts
+
+
+def _exactness_cases():
+    cases = [(DyckParams(k, m), enc, 60)
+             for k, m in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (8, 3))
+             for enc in (ONEHOT, BINARY) if k > 1 or enc == ONEHOT]
+    return cases + [(DyckParams(128, 5), BINARY, 20)]
+
+
+class TestDistinctUnitExactness:
+    """The walk on the distinct gate units writes the bytes of the full
+    gate product, and every saturating value is exactly 0, 1 or -1."""
+
+    @pytest.mark.parametrize("p,enc,strings", _exactness_cases(),
+                             ids=lambda v: str(v))
+    def test_walk_matches_the_full_gate_product(self, p, enc, strings):
+        net = build_lstm(p, enc)
+        cfg = (SamplerConfig(p, seed=2027, min_len=181, max_len=360)
+               if p.k == 128 else SamplerConfig(p, seed=3))
+        steps = 0
+        for _, codes, t, h, c, acts in runtime.walk(net, sample_strings(cfg, strings)):
+            if t == 0:
+                ref_h, ref_c = h.copy(), c.copy()
+                continue
+            live = len(h)
+            ref_h, ref_c, ref_acts = full_gate_step(
+                net, ref_h[:live], ref_c[:live], codes[:live, t - 1])
+            assert h.tobytes() == ref_h.tobytes()
+            assert c.tobytes() == ref_c.tobytes()
+            assert acts.tobytes() == ref_acts.tobytes()
+            d = net.hidden_size
+            assert np.all((acts[:, :3 * d] == 0.0) | (acts[:, :3 * d] == 1.0))
+            assert np.all(np.isin(acts[:, 3 * d:], (-1.0, 0.0, 1.0)))
+            assert np.all(np.isin(c, (-1.0, 0.0, 1.0)))
+            steps += live
+        assert steps > 0
