@@ -9,7 +9,9 @@ so most of its 4d gate units repeat: `packed` keeps each distinct unit once
 (30 of 400 at k=128, m=5, binary) with an index back to the full layout.
 A step sums the recurrent product, the input column and the bias in one
 buffer (for the LSTM, on the distinct units only), saturates it, and
-gathers the LSTM's gates into one full (rows, 4d) activation block; the
+gathers the LSTM's gates unit-major, so that each gate is a contiguous
+(d, rows) block for the cell update; the states and activations it returns
+are (rows, d) and (rows, 4d) transposed views of such blocks.  The
 saturating functions write clamped entries directly and run exp or tanh
 only on the entries inside (-beta, beta).  The one-row case of step_rows
 is step, which serves only run_prefix, format_trace and the text of
@@ -88,11 +90,15 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
 
     The LSTM's product, input and bias sums and saturations run on its
     distinct gate units (paramset.packed); one fancy index through the
-    packed inverse gathers them back to the full gate block.  h and c may
-    also be single (d,) vectors with one column.  c is None outside the
-    LSTM.  Returns the new h and c and the step's activations: for the
-    LSTM the saturated gates f, i, o and the candidate c~ side by side
-    along the last axis, for the sigmoid RNNs the pre-activation.
+    packed inverse gathers them back unit-major, as the rows of a
+    (4d, rows) block, so f, i, o, c~ and the cell update are contiguous
+    (d, rows) blocks.  The LSTM's h, c and activations come back as
+    transposed views of those blocks; c is read fastest when it is one
+    too, as walk allocates it.  h and c may also be single (d,) vectors
+    with one column.  c is None outside the LSTM.  Returns the new h and c
+    and the step's activations: for the LSTM the saturated gates f, i, o
+    and the candidate c~ side by side along the last axis, for the sigmoid
+    RNNs the pre-activation.
     """
     num = paramset.numeric
     Wt, Ut, b = paramset.packed[:3]
@@ -105,15 +111,14 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     distinct = np.empty_like(pre)
     sat_sigmoid(num, pre[..., :sigmoids], out=distinct[..., :sigmoids])
     sat_tanh(num, pre[..., sigmoids:], out=distinct[..., sigmoids:])
-    acts = distinct[..., inverse]
+    acts = np.ascontiguousarray(distinct.T)[inverse]  # unit-major: (4d, rows)
     d = paramset.hidden_size
-    f, i, o, c_tilde = (acts[..., :d], acts[..., d:2 * d],
-                        acts[..., 2 * d:3 * d], acts[..., 3 * d:])
-    c_new = f * c
+    f, i, o, c_tilde = acts[:d], acts[d:2 * d], acts[2 * d:3 * d], acts[3 * d:]
+    c_new = f * c.T
     c_new += i * c_tilde
     h_new = np.tanh(c_new)
     h_new *= o
-    return h_new, c_new, acts
+    return h_new.T, c_new.T, acts.T
 
 
 def step(paramset, state: NetworkState, token: Token,
@@ -227,7 +232,7 @@ def walk(paramset, corpus):
         codes[inside] = corpus.codes[(starts[rows, None] + col)[inside]]
         live_at = consumed[rows]
         h = np.zeros((rows.size, d))
-        c = np.zeros((rows.size, d)) if paramset.architecture == ARCH_LSTM else None
+        c = np.zeros((d, rows.size)).T if paramset.architecture == ARCH_LSTM else None
         acts = None
         for t in range(live_at[0] + 1):
             if t:

@@ -40,7 +40,7 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
                         format_string, input_column, is_member, run, vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
-from .numerics import NumericConfig, epsilon_for
+from .numerics import NumericConfig, epsilon_for, softmax
 from .runtime import (DECODE_TOL, StackDecodeError, decode_stack,
                       initial_state, next_distribution, readout, run_prefix,
                       step_rows, walk)
@@ -564,21 +564,23 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     confidently: renormalized close-bracket probability above the threshold.
 
     The readout runs only on the rows whose next token is a close, one
-    block position at a time."""
+    block position at a time, and only over the k close logits: the
+    renormalized close distribution is exactly their softmax.  It stays
+    defined where the full (2k+1) softmax underflows every close to 0."""
     _check_threshold(threshold)
     k = paramset.k
     corpus = Corpus.of(k, corpus)
     starts = corpus.offsets
     separation = _separations(corpus)  # indexed by token position
+    V, b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
     where, confident = [], []
     for rows, codes, t, h, _, _ in walk(paramset, corpus):
         cols = codes[:len(h), t]
         sel = np.flatnonzero((cols >= k) & (cols < 2 * k))
         if sel.size:
-            dist = readout(paramset, h[sel])
-            p_close = dist[:, k:2 * k].sum(axis=1)
+            dist = softmax(h[sel] @ V + b_v)
             where.append(starts[rows[sel]] + t)
-            confident.append(dist[np.arange(sel.size), cols[sel]] / p_close
+            confident.append(dist[np.arange(sel.size), cols[sel] - k]
                              > threshold)
     where = np.concatenate(where or [np.zeros(0, dtype=int)])
     confident = np.concatenate(confident or [np.zeros(0, dtype=bool)])
@@ -638,9 +640,10 @@ class QuantizedEncoder:
         if d < 0 or p < 0:
             raise ValueError(f"encoder width d and bits per unit p must be "
                              f"non-negative, got d={d}, p={p}")
+        if d * p > 20:  # before the power: 2^(d*p) can be too long to print
+            raise ValueError(f"table encoder with 2^{d * p} states is too "
+                             f"large (at most 2^20)")
         n = 2 ** (d * p)
-        if n > 2**20:
-            raise ValueError(f"table encoder with {n} states is too large")
 
         def step_fn(state, token):
             col = input_column(token, k)

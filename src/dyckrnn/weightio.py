@@ -20,7 +20,8 @@ Loading refuses a k or m that is not a JSON integer and a matrix entry that
 is not finite, and checks every matrix shape against the architecture's
 hidden size d: W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
 Files are written atomically (temp file, then rename), one matrix at a
-time, so saving never holds the whole document as text.
+time, so saving never holds the whole document as text; each distinct
+value of a matrix is spelled once.
 """
 
 from __future__ import annotations
@@ -67,12 +68,22 @@ def to_document(paramset) -> dict:
                          for name in _MATS[paramset.architecture]}}
 
 
+def _matrix_text(arr: np.ndarray) -> str:
+    """json.dumps of the matrix's entry in to_document, with each distinct
+    value spelled once.  Values are told apart by their bytes, so -0.0 and
+    0.0 keep their own spellings."""
+    values, inverse = np.unique(arr.ravel().view(np.int64), return_inverse=True)
+    spelled = [json.dumps(v) for v in values.view(np.float64).tolist()]
+    data = ", ".join(map(spelled.__getitem__, inverse.tolist()))
+    return f'{{"shape": {json.dumps(list(arr.shape))}, "data": [{data}]}}'
+
+
 def _document_text(paramset):
     """json.dumps(to_document(paramset)) + "\n", one matrix at a time."""
     yield json.dumps(_header(paramset))[:-1] + ', "matrices": {'
     for i, name in enumerate(_MATS[paramset.architecture]):
         yield (", " if i else "") + json.dumps(name) + ": "
-        yield json.dumps(_matrix(paramset, name))
+        yield _matrix_text(getattr(paramset, name))
     yield "}}\n"
 
 
@@ -106,6 +117,7 @@ def from_document(doc: dict):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"weight document {name} is {json.dumps(value)}, "
                              f"not an integer")
+    params = DyckParams(k, m)
     d = hidden_units(arch, enc_kind, k, m)
     shapes = {"W": (d, d), "U": (d, 2 * k), "b": (d,), "E": (2 * k, 2 * k),
               "V": (2 * k + 1, d), "b_v": (2 * k + 1,)}
@@ -123,7 +135,6 @@ def from_document(doc: dict):
         mats[name] = mat.reshape(expected)
     if version == 1 and not np.array_equal(mats.pop("E"), np.eye(2 * k)):
         raise ValueError("matrix E is not the identity (schema 1 input embedding)")
-    params = DyckParams(k, m)
     enc = None if arch == ARCH_NAIVE else build_encoding(params, enc_kind, arch)
     if arch == ARCH_LSTM:
         return LstmParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
@@ -139,7 +150,10 @@ def _atomic_write(path: str, chunks):
     """Write the strings of `chunks` in turn to a temp file, then rename it
     to path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)

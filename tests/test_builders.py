@@ -248,6 +248,38 @@ class TestWeightIO:
         save_weights(str(path), net)
         assert path.read_text() == json.dumps(to_document(net)) + "\n"
 
+    @pytest.mark.parametrize("k,m,arch,enc", [
+        (1, 1, ARCH_SIMPLE, ONEHOT), (1, 1, ARCH_LSTM, ONEHOT),
+        (1, 1, ARCH_NAIVE, None), (2, 2, ARCH_NAIVE, None),
+        (8, 3, ARCH_SIMPLE, ONEHOT), (8, 3, ARCH_SIMPLE, BINARY),
+        (8, 3, ARCH_LSTM, ONEHOT), (8, 3, ARCH_LSTM, BINARY),
+        (128, 5, ARCH_LSTM, BINARY), (128, 5, ARCH_SIMPLE, BINARY)])
+    def test_value_spelling_matches_one_shot_document(self, tmp_path, k, m,
+                                                       arch, enc):
+        """The writer spells each distinct matrix value once; the file is
+        still the one-shot document, byte for byte."""
+        net = build(arch, DyckParams(k, m), enc)
+        path = tmp_path / "weights.json"
+        save_weights(str(path), net)
+        assert path.read_text() == json.dumps(to_document(net)) + "\n"
+
+    def test_signed_zeros_and_many_values_spelled_apart(self, tmp_path):
+        net = build_simple_rnn(DyckParams(2, 2), BINARY)
+        W = np.random.default_rng(0).normal(size=net.W.shape) * 1e3
+        W[0, :3] = [-0.0, 0.0, -0.0]
+        W[1, :3] = [5e-324, -1e308, 1 / 3]
+        V = net.V.copy()
+        V[0, 0] = -0.0
+        net = clone_with(net, W=W, V=V)
+        path = tmp_path / "weights.json"
+        save_weights(str(path), net)
+        text = path.read_text()
+        assert text == json.dumps(to_document(net)) + "\n"
+        assert '"data": [-0.0, 0.0, -0.0, ' in text
+        loaded = load_weights(str(path))
+        assert loaded.W.tobytes() == W.tobytes()
+        assert loaded.V.tobytes() == V.tobytes()
+
     def test_document_json_round_trip_exact(self):
         net = build_simple_rnn(DyckParams(2, 2), BINARY)
         doc = to_document(net)

@@ -161,6 +161,16 @@ class TestVerify:
         (report,) = json.loads(js.read_text())
         assert report["details"]["collision"] is not None
 
+    def test_collision_table_too_large_is_refused_before_the_power(self, capsys):
+        code = run_cli("verify", "--suite", "collide", "-d", "100000", "-p",
+                       "64", "-k", "2", "-m", "2")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: table encoder with 2^6400000 states is too large "
+            "(at most 2^20)"]
+
     def test_collision_suite_leaves_numpy_random_unloaded(self):
         script = ("import sys\n"
                   "from dyckrnn.cli import main\n"
@@ -549,3 +559,37 @@ class TestMetricInputErrors:
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith("error:")
         assert message in line
+
+    @pytest.mark.parametrize("field,value", [("k", -1), ("k", 0), ("m", 0)])
+    @pytest.mark.parametrize("enc", ["onehot", "binary"])
+    @pytest.mark.parametrize("command", ["metric", "verify"])
+    def test_weight_file_language_below_one(self, files, capsys, field, value,
+                                            enc, command):
+        w, c = files
+        assert run_cli("build", "--arch", "lstm", "--enc", enc, "-k", "2",
+                       "-m", "2", "-o", str(w)) == 0
+        doc = json.loads(w.read_text())
+        doc[field] = value
+        w.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = (["metric", "--weights", str(w), "--corpus", str(c)]
+                if command == "metric" else
+                ["verify", "-k", "2", "-m", "2", "--weights", str(w)])
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {field} must be >= 1, got {value}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--arch", "lstm", "--enc", "binary", "-k", "2", "-m", "2", "-o"),
+    ("sample", "-k", "2", "-m", "2", "--tokens", "10", "-o"),
+    ("verify", "-k", "2", "-m", "2", "--suite", "stack", "--strings", "3",
+     "--json-report")], ids=["build", "sample", "verify-report"])
+def test_failed_write_names_the_requested_path(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, str(target)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: cannot write {target}: No such file or directory"
+    assert not (tmp_path / "missing").exists()

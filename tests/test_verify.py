@@ -229,6 +229,14 @@ def softened(net):
     return TestCorpusWalk.softened(net)
 
 
+def random_readout(net):
+    """Sabotage: a random readout, so each close has its own logit weights
+    and bias and the closes' renormalized probabilities spread out."""
+    rng = np.random.default_rng(0)
+    return clone_with(net, V=rng.normal(size=net.V.shape) * 0.5,
+                      b_v=rng.normal(size=net.b_v.shape) * 2.0)
+
+
 def expose_all_slots(lstm):
     """Sabotage: drop the output gate's recurrent block, so the hidden
     state shows every occupied slot while the cell keeps the stack."""
@@ -362,13 +370,45 @@ class TestBlockWalkParity:
 
     @pytest.mark.parametrize("arch,enc,sabotage", [
         ("lstm", BINARY, None), ("simple", ONEHOT, None), ("naive", None, None),
-        ("simple", ONEHOT, zero_close_rows), ("lstm", ONEHOT, softened)])
+        ("simple", ONEHOT, zero_close_rows), ("lstm", ONEHOT, softened),
+        ("lstm", BINARY, random_readout)])
     def test_closing_metric(self, arch, enc, sabotage):
         p = DyckParams(2, 3)
         net = build(arch, p, enc)
         net = sabotage(net) if sabotage else net
         corpus = sample_strings(SamplerConfig(p, seed=12), 300)
         assert closing_metric(net, corpus) == reference.closing_metric(net, corpus)
+
+    def test_closing_metric_at_the_papers_scale(self):
+        """The close-only readout scores the (128, 5) binary LSTM as the
+        full-softmax reference does."""
+        p = DyckParams(128, 5)
+        net = build_lstm(p, BINARY)
+        corpus = sample_strings(
+            SamplerConfig(p, seed=2027, min_len=181, max_len=360), 20)
+        got = closing_metric(net, corpus)
+        assert got == reference.closing_metric(net, corpus)
+        assert got.value == 1.0
+
+    def test_closing_metric_where_the_close_probabilities_underflow(self):
+        """With the close readout rows erased and a large readout scale, the
+        open logit exceeds the close logit by about 1,500 at depth 1, so
+        the full softmax rounds the close probability there to 0 and the
+        renormalized close probability would be 0/0.  The close-only
+        readout takes the softmax over the close logits alone, which is
+        defined: at k = 1 the one close has mass 1, so every close is
+        confident, as the uniform baseline at k = 1 also counts it."""
+        p = DyckParams(1, 2)
+        corpus = [parse_string("(1 )1 $"), parse_string("(1 (1 )1 )1 $"),
+                  parse_string("(1 )1 (1 )1 $")]
+        for arch in ("simple", "lstm"):
+            net = zero_close_rows(build(arch, p, ONEHOT,
+                                        NumericConfig.for_language(1, zeta=2000.0)))
+            state, _ = runtime.run_prefix(net, parse_string("(1 $")[:1])
+            assert runtime.next_distribution(net, state)[1] == 0.0
+            got = closing_metric(net, corpus)
+            assert got.per_separation == {0: (4, 4), 2: (1, 1)}
+            assert got == closing_metric_uniform(p, corpus)
 
     def test_closing_metric_mixed_confidence(self):
         """Softened weights leave some closes confident and some not, so the
