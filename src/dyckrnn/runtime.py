@@ -8,13 +8,14 @@ row on its own input column, with the weights packed once per parameter set
 so most of its 4d gate units repeat: `packed` keeps each distinct unit once
 (30 of 400 at k=128, m=5, binary) with an index back to the full layout.
 A step sums the recurrent product, the input column and the bias in one
-buffer (for the LSTM, on the distinct units only), saturates it, and
-gathers the LSTM's gates unit-major, so that each gate is a contiguous
-(d, rows) block for the cell update; the states and activations it returns
-are (rows, d) and (rows, 4d) transposed views of such blocks.  The
-saturating functions write clamped entries directly and run exp or tanh
-only on the entries inside (-beta, beta).  The one-row case of step_rows
-is step, which serves only run_prefix, format_trace and the text of
+buffer (for the LSTM, on the distinct units only, copied unit-major so that
+each saturating function reads one contiguous block), saturates it, and
+gathers the LSTM's gates, so that each gate is a contiguous (d, rows) block
+for the cell update; the states and activations it returns are (rows, d)
+and (rows, 4d) transposed views of such blocks.  The saturating functions
+write clamped entries directly and run exp or tanh only on the entries
+inside (-beta, beta).  The one-row case of step_rows is step, which serves
+only run_prefix, format_trace and the text of
 counterexamples.  walk steps a whole corpus for the corpus suites, the
 distinctness suite and the closing metric: it reads the symbol-row codes
 of an automaton.Corpus (a list of Token strings is encoded once), sorts
@@ -89,16 +90,16 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     its own input column.
 
     The LSTM's product, input and bias sums and saturations run on its
-    distinct gate units (paramset.packed); one fancy index through the
-    packed inverse gathers them back unit-major, as the rows of a
-    (4d, rows) block, so f, i, o, c~ and the cell update are contiguous
-    (d, rows) blocks.  The LSTM's h, c and activations come back as
-    transposed views of those blocks; c is read fastest when it is one
-    too, as walk allocates it.  h and c may also be single (d,) vectors
-    with one column.  c is None outside the LSTM.  Returns the new h and c
-    and the step's activations: for the LSTM the saturated gates f, i, o
-    and the candidate c~ side by side along the last axis, for the sigmoid
-    RNNs the pre-activation.
+    distinct gate units (paramset.packed), the saturations on a unit-major
+    (units, rows) copy of the sums; one fancy index through the packed
+    inverse gathers them into the rows of a (4d, rows) block, so f, i, o,
+    c~ and the cell update are contiguous (d, rows) blocks.  The LSTM's h,
+    c and activations come back as transposed views of those blocks; c is
+    read fastest when it is one too, as walk allocates it.  h and c may
+    also be single (d,) vectors with one column.  c is None outside the
+    LSTM.  Returns the new h and c and the step's activations: for the
+    LSTM the saturated gates f, i, o and the candidate c~ side by side
+    along the last axis, for the sigmoid RNNs the pre-activation.
     """
     num = paramset.numeric
     Wt, Ut, b = paramset.packed[:3]
@@ -108,10 +109,11 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     if paramset.architecture != ARCH_LSTM:
         return sat_sigmoid(num, pre), None, pre
     sigmoids, inverse = paramset.packed[3:]
+    pre = np.ascontiguousarray(pre.T)  # unit-major: (distinct units, rows)
     distinct = np.empty_like(pre)
-    sat_sigmoid(num, pre[..., :sigmoids], out=distinct[..., :sigmoids])
-    sat_tanh(num, pre[..., sigmoids:], out=distinct[..., sigmoids:])
-    acts = np.ascontiguousarray(distinct.T)[inverse]  # unit-major: (4d, rows)
+    sat_sigmoid(num, pre[:sigmoids], out=distinct[:sigmoids])
+    sat_tanh(num, pre[sigmoids:], out=distinct[sigmoids:])
+    acts = distinct[inverse]  # (4d, rows)
     d = paramset.hidden_size
     f, i, o, c_tilde = acts[:d], acts[d:2 * d], acts[2 * d:3 * d], acts[3 * d:]
     c_new = f * c.T

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.max_len is None:
             object.__setattr__(self, "max_len", default_max_len(self.params.m))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_len < 1:
             raise ValueError("min_len must be >= 1")
         if self.min_len > self.max_len:
@@ -141,27 +144,17 @@ def window_log_mass(cfg: SamplerConfig) -> float:
     return _tilt(cfg.params.m, cfg.min_len, cfg.max_len).log_mass
 
 
-class _UniformBuffer:
-    """Buffered uniforms; one generator call per 64k draws keeps the walk fast.
-    Walks drawing from here read their window's table as `tilt`."""
-
-    def __init__(self, rng: np.random.Generator, tilt: _Tilt, size: int = 65536):
-        self.tilt = tilt
-        self._rng = rng
-        self._size = size
-        self._buf = rng.random(size)
-        self._pos = 0
-
-    def __call__(self) -> float:
-        pos = self._pos
-        if pos == self._size:
-            self._buf = self._rng.random(self._size)
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+def _uniforms(rng: np.random.Generator, tilt: _Tilt) -> partial:
+    """rng's uniforms, one per call, drawn 4,096 at a time as Python floats
+    (the stream does not depend on the batch size).  Walks drawing from
+    here read their window's table as `tilt`."""
+    draws = chain.from_iterable(map(lambda n: rng.random(n).tolist(), repeat(4096)))
+    rand = partial(next, draws)
+    rand.tilt = tilt
+    return rand
 
 
-def _attempt(k: int, m: int, max_len: int, rand: _UniformBuffer) -> list[int]:
+def _attempt(k: int, m: int, max_len: int, rand: partial) -> list[int]:
     """One walk, tilted by `rand.tilt` so that it ends inside the window;
     returns token codes (0..k-1 open i+1, k..2k-1 close, 2k end)."""
     tilt = rand.tilt
@@ -196,7 +189,7 @@ def _attempt(k: int, m: int, max_len: int, rand: _UniformBuffer) -> list[int]:
         out.append(i)
 
 
-def _sample_codes(cfg: SamplerConfig, rand: _UniformBuffer) -> list[int]:
+def _sample_codes(cfg: SamplerConfig, rand: partial) -> list[int]:
     return _attempt(cfg.params.k, cfg.params.m, cfg.max_len, rand)
 
 
@@ -208,8 +201,8 @@ def _accepted(cfg: SamplerConfig, rng: np.random.Generator | None = None):
     if tilt.log_mass == -math.inf:  # refused before any draw
         raise RuntimeError(f"no string of the k={p.k}, m={p.m} language has a "
                            f"length in [{cfg.min_len}, {cfg.max_len}]")
-    rand = _UniformBuffer(np.random.default_rng(cfg.seed) if rng is None else rng,
-                          tilt)
+    rand = _uniforms(np.random.default_rng(cfg.seed) if rng is None else rng,
+                     tilt)
     while True:
         yield _sample_codes(cfg, rand)
 
@@ -224,7 +217,8 @@ def _corpus(cfg: SamplerConfig, strings) -> Corpus:
 
 def sample_string(cfg: SamplerConfig,
                   rng: np.random.Generator | None = None) -> tuple[Token, ...]:
-    """One member string with length inside the window.  Deterministic per seed."""
+    """One member string with length inside the window.  Deterministic per
+    seed; a generator passed as rng is advanced in batches of 4,096 draws."""
     vocab = vocabulary(cfg.params.k)
     return tuple([vocab[code] for code in next(_accepted(cfg, rng))])
 
@@ -314,7 +308,10 @@ def parse_corpus(text: str) -> tuple[dict, Corpus]:
     header = {}
     for part in lines[0].split()[2:]:
         key, _, value = part.partition("=")
-        header[key] = value if key == "prng" else int(value)
+        try:
+            header[key] = value if key == "prng" else int(value)
+        except ValueError:
+            raise ValueError(f"corpus header field {part} is not an integer") from None
     if "k" not in header or "m" not in header:
         raise ValueError("corpus header lacks the k= or m= field")
     k = header["k"]

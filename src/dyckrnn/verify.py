@@ -573,19 +573,18 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     starts = corpus.offsets
     separation = _separations(corpus)  # indexed by token position
     V, b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
-    where, confident = [], []
+    # verdicts by token position; closes past a first end mark are not walked
+    scored = np.zeros(separation.size, dtype=bool)
+    confident = np.zeros(separation.size, dtype=bool)
     for rows, codes, t, h, _, _ in walk(paramset, corpus):
         cols = codes[:len(h), t]
         sel = np.flatnonzero((cols >= k) & (cols < 2 * k))
         if sel.size:
             dist = softmax(h[sel] @ V + b_v)
-            where.append(starts[rows[sel]] + t)
-            confident.append(dist[np.arange(sel.size), cols[sel] - k]
-                             > threshold)
-    where = np.concatenate(where or [np.zeros(0, dtype=int)])
-    confident = np.concatenate(confident or [np.zeros(0, dtype=bool)])
-    order = np.argsort(where)
-    return _bucket_metric(separation[where[order]], confident[order])
+            where = starts[rows[sel]] + t
+            scored[where] = True
+            confident[where] = dist[np.arange(sel.size), cols[sel] - k] > threshold
+    return _bucket_metric(separation[scored], confident[scored])
 
 
 def closing_metric_uniform(params: DyckParams, corpus,

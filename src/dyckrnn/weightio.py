@@ -148,20 +148,19 @@ def atomic_write_text(path: str, text: str):
 
 def _atomic_write(path: str, chunks):
     """Write the strings of `chunks` in turn to a temp file, then rename it
-    to path."""
+    to path.  A failure names path and leaves no temp file behind."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:  # name the path asked for, not the temp file
-        raise OSError(f"cannot write {path}: {exc.strerror}") from None
-    try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_weights(path: str, paramset):

@@ -118,6 +118,19 @@ class TestSample:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "-k", "2", "-m", "2", "--tokens", "10", "-o", "c.txt"),
+    ("verify", "-k", "2", "-m", "2", "--suite", "stack", "--strings", "3")],
+    ids=["sample", "verify"])
+def test_negative_seed_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert os.listdir(tmp_path) == []
+
+
 class TestCheck:
     def test_member(self, capsys):
         assert run_cli("check", "-k", "1", "-m", "1", "(1 )1 $") == 0
@@ -494,6 +507,16 @@ class TestMetricInputErrors:
         line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
         assert f"{field}=" in line
 
+    @pytest.mark.parametrize("old,new", [("k=2", "k=abc"), ("seed=0", "seed=x"),
+                                         ("seed=0", "seed=0 foo")],
+                             ids=["k", "seed", "bare-word"])
+    def test_header_field_not_an_integer(self, files, capsys, old, new):
+        w, c = files
+        c.write_text(c.read_text().replace(old, new, 1))
+        line = self.assert_refused(capsys, "--weights", str(w), "--corpus", str(c))
+        field = new.split()[-1]
+        assert line == f"error: corpus header field {field} is not an integer"
+
     @pytest.mark.parametrize("path", [("numeric_config",), ("matrices",),
                                       ("matrices", "W")])
     def test_weight_document_without_field(self, files, capsys, path):
@@ -582,14 +605,27 @@ class TestMetricInputErrors:
             f"error: {field} must be >= 1, got {value}"]
 
 
-@pytest.mark.parametrize("argv", [
+WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ("build", "--arch", "lstm", "--enc", "binary", "-k", "2", "-m", "2", "-o"),
     ("sample", "-k", "2", "-m", "2", "--tokens", "10", "-o"),
     ("verify", "-k", "2", "-m", "2", "--suite", "stack", "--strings", "3",
      "--json-report")], ids=["build", "sample", "verify-report"])
+
+
+@WRITING_COMMANDS
 def test_failed_write_names_the_requested_path(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "out.txt"
     assert run_cli(*argv, str(target)) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: cannot write {target}: No such file or directory"
     assert not (tmp_path / "missing").exists()
+
+
+@WRITING_COMMANDS
+def test_failed_rename_names_the_requested_path(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run_cli(*argv, str(target)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: cannot write {target}: Is a directory"
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -40,6 +41,24 @@ def test_different_seeds_differ():
     a = sample_corpus(SamplerConfig(p, seed=1), 500)
     b = sample_corpus(SamplerConfig(p, seed=2), 500)
     assert a != b
+
+
+@pytest.mark.parametrize("k,m,seed,window,draw,digest", [
+    (2, 3, 7, {}, lambda cfg: sample_corpus(cfg, 1000),
+     "20bf30db9a24af258166a9bdc0b0fa0c229abe49cc898e70fc841bed3fd7ad1a"),
+    (8, 3, 2026, {}, lambda cfg: sample_strings(cfg, 1000),
+     "6c5c3dbb14b470b0bc3650d1a78e351dedd0db3d06343d32ebd78bb1637b785e"),
+    (128, 5, 2027, {"min_len": 181, "max_len": 360},
+     lambda cfg: sample_corpus(cfg, 100_000),
+     "0240065bcc78343f1f7f47514cbfa2613bb0a967bcb971cfe44145c6c7851638"),
+], ids=["k2-m3-seed7", "corpus-checks", "sample-metric"])
+def test_draws_match_the_recorded_corpora(k, m, seed, window, draw, digest):
+    """A seed's corpus is part of the file contract: the same seed and
+    window write the same bytes across versions, so a change to how the
+    uniforms are drawn or read shows here."""
+    cfg = SamplerConfig(DyckParams(k, m), seed=seed, **window)
+    text = format_corpus(cfg, draw(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sample_string_deterministic():

@@ -432,6 +432,21 @@ class TestBlockWalkParity:
         assert list(got.per_separation) == list(want.per_separation)
         assert 0.0 < got.value < 1.0
 
+    def test_closing_metric_skips_tokens_past_the_end_mark(self):
+        """The walk stops at a string's first end mark, so the closes after
+        it are not scored: such strings score exactly as the same strings
+        cut there.  The tails hold separations the cut strings lack."""
+        p = DyckParams(2, 3)
+        net = build_lstm(p, BINARY)
+        pairs = [("(1 )1 $", "(2 )2 $"), ("(2 (1 )1 )2 $", "(1 (2 (1 )1 )2 )1 $"),
+                 ("(1 )1 $", ""), ("(2 )2 $", "(1 (1 )1 )1")]
+        cut = [parse_string(head) for head, _ in pairs]
+        tailed = [parse_string(head) + parse_string(tail) for head, tail in pairs]
+        want = reference.closing_metric(net, cut)
+        assert want.per_separation == {0: (4, 4), 2: (1, 1)}
+        assert closing_metric(net, tailed) == want
+        assert reference.closing_metric(net, tailed) == want
+
     def test_closing_metric_edge_cases(self):
         net = build_simple_rnn(DyckParams(2, 2))
         assert np.isnan(closing_metric(net, []).value)
