@@ -21,8 +21,8 @@ from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
 from .runtime import serial_blas
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
-                      parse_corpus, sample_corpus, sample_strings,
-                      window_log_mass)
+                      parse_corpus, parse_corpus_header, sample_corpus,
+                      sample_strings, window_log_mass)
 from .verify import (CORPUS_SUITES, Enumeration, QuantizedEncoder,
                      VerificationReport, applicable_constructions,
                      check_corpus_suites, check_full_depth_distinctness,
@@ -314,10 +314,12 @@ def _refuse_outside(params: DyckParams, corpus: Corpus):
 def cmd_metric(args) -> int:
     paramset = load_weights(args.weights)
     with open(args.corpus) as handle:
-        header, corpus = parse_corpus(handle.read())
+        text = handle.read()
+    header = parse_corpus_header(text)  # before the header's k sizes anything
     if (header["k"], header["m"]) != (paramset.k, paramset.m):
         raise ValueError(f"corpus is for k={header['k']}, m={header['m']} but "
                          f"weights are for k={paramset.k}, m={paramset.m}")
+    _, corpus = parse_corpus(text)
     _refuse_outside(paramset.dyck_params, corpus)
     if args.uniform_baseline:
         report = closing_metric_uniform(paramset.dyck_params, corpus,
@@ -329,6 +331,8 @@ def cmd_metric(args) -> int:
     if report.missing_separations:
         print(f"empty separation buckets (excluded from the mean): "
               f"{report.missing_separations}")
+    if not args.uniform_baseline:
+        print(f"readout rows: {report.readout_rows} for {report.closes} closes")
     print(f"mean_p: {report.value}")
     return 0
 

@@ -298,15 +298,14 @@ def format_corpus(cfg: SamplerConfig, corpus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_corpus(text: str) -> tuple[dict, Corpus]:
-    """Header fields and strings of a corpus file, the strings as a Corpus
-    over the header's k.  A line that does not parse, or holds a bracket
-    index above k, is refused with its line number."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# dyckrnn-corpus"):
+def parse_corpus_header(text: str) -> dict:
+    """Header fields of a corpus file, read from its first line alone, so a
+    caller can check them before the strings are built."""
+    first = text.partition("\n")[0].splitlines()[:1]
+    if not first or not first[0].startswith("# dyckrnn-corpus"):
         raise ValueError("missing corpus header line")
     header = {}
-    for part in lines[0].split()[2:]:
+    for part in first[0].split()[2:]:
         key, _, value = part.partition("=")
         try:
             header[key] = value if key == "prng" else int(value)
@@ -314,10 +313,18 @@ def parse_corpus(text: str) -> tuple[dict, Corpus]:
             raise ValueError(f"corpus header field {part} is not an integer") from None
     if "k" not in header or "m" not in header:
         raise ValueError("corpus header lacks the k= or m= field")
+    return header
+
+
+def parse_corpus(text: str) -> tuple[dict, Corpus]:
+    """Header fields and strings of a corpus file, the strings as a Corpus
+    over the header's k.  A line that does not parse, or holds a bracket
+    index above k, is refused with its line number."""
+    header = parse_corpus_header(text)
     k = header["k"]
     row_of = {format_token(token): row for row, token in enumerate(vocabulary(k))}
     codes, offsets = [], [0]
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(text.splitlines()[1:], start=2):
         words = line.split()
         if not words:
             continue

@@ -19,7 +19,8 @@ colliding pair into Tokens.  The corpus suites and the closing metrics read
 a corpus as an automaton.Corpus: the suites refuse a string that leaves the
 language from its rejections array and track the automaton stacks of a
 walk block with the tree walk's stack arrays; the metrics find each close
-bracket's open from its depth arrays.
+bracket's open from its depth arrays, and the closing metric reads out each
+distinct hidden row before a close once.
 
 Counterexamples are the first string in length-then-lexicographic order
 over symbol rows (opens 1..k, closes 1..k, end), so they are canonical.
@@ -526,6 +527,12 @@ class ClosingMetricReport:
     value: float
     per_separation: dict[int, tuple[int, int]]  # separation -> (confident, total)
     missing_separations: list[int]
+    readout_rows: int = field(default=0, compare=False)  # hidden rows read out
+
+    @property
+    def closes(self) -> int:
+        """The number of close brackets scored."""
+        return sum(total for _, total in self.per_separation.values())
 
     def table_lines(self) -> list[str]:
         lines = ["separation  confident  total  fraction"]
@@ -549,7 +556,9 @@ def _separations(corpus: Corpus) -> np.ndarray:
         raise ValueError(f"corpus string is not well nested at token "
                          f"{bad[0] - corpus.offsets[i] + 1}: "
                          f"{format_string(corpus[i])}")
-    separation = np.full(codes.size, -1)
+    # 32 bits when they hold every position: the array outlives the walk
+    separation = np.full(codes.size, -1,
+                         dtype=np.int32 if codes.size < 2**31 else np.int64)
     separation[closes] = closes - match[closes] - 1
     return separation
 
@@ -559,32 +568,125 @@ def _check_threshold(threshold: float):
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
 
 
+# The bytes closing_metric may keep of distinct hidden rows and their
+# verdicts; a row that finds the table full is read out directly.
+_READOUT_TABLE_BYTES = 1 << 21
+
+
+class _CloseVerdicts:
+    """The close verdicts (renormalized probability above the threshold,
+    per close bracket) of hidden rows, each distinct row read out once.
+
+    A row's key is its dot product with cos(0), ..., cos(d - 1), which
+    einsum sums in one fixed order; a BLAS product can round one row
+    differently at another place in a block.  A key finds a stored row
+    only when their bytes are equal, so 0.0 and -0.0 stay apart.  A row
+    whose key holds another row, or that finds the table full, is read
+    out directly."""
+
+    def __init__(self, paramset, threshold: float):
+        k, d = paramset.k, paramset.hidden_size
+        self.V, self.b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
+        self.threshold = threshold
+        self.weights = np.cos(np.arange(d))
+        self.capacity = _READOUT_TABLE_BYTES // (8 * d + k)
+        self.slot_of: dict[float, int] = {}
+        self.rows = np.empty((1, d))  # grown as rows are stored
+        self.verdicts = np.empty((1, k), dtype=bool)
+        self.size = 0
+        self.computed = 0
+
+    def read(self, h: np.ndarray) -> np.ndarray:
+        """The (rows, k) verdicts of the rows of h."""
+        self.computed += len(h)
+        return softmax(h @ self.V + self.b_v) > self.threshold
+
+    def slots(self, h: np.ndarray, closes: np.ndarray,
+              confident: np.ndarray) -> np.ndarray:
+        """Per row of h, its row of self.verdicts, storing the rows not seen
+        before; -1 for a row read out directly, whose verdict on its close
+        bracket (`closes`, 0-based) is written to `confident`."""
+        keys = np.einsum("ij,j->i", h, self.weights).tolist()
+        get = self.slot_of.get
+        found = [get(key, -1) for key in keys]
+        fresh = -1 in found
+        if fresh:
+            self._store(h, keys, found)
+        slot = np.array(found)
+        same = self.rows[slot].view(np.int64) == h.view(np.int64)
+        if fresh:  # -1 reads an unused row
+            same[slot < 0] = False
+        if not same.all():
+            direct = np.flatnonzero(~same.all(axis=1))
+            slot[direct] = -1
+            confident[direct] = self.read(h[direct])[np.arange(direct.size),
+                                                     closes[direct]]
+        return slot
+
+    def _store(self, h, keys, found):
+        """Store each row of h whose key no stored row holds, while the table
+        has room, read out the rows stored, and point `found` at them."""
+        size = self.size
+        grown = min(self.capacity, size + len(keys))
+        if grown > len(self.rows):  # the rows past `size` are left untouched
+            rows, verdicts = self.rows, self.verdicts
+            self.rows = np.empty((grown, rows.shape[1]))
+            self.verdicts = np.empty((grown, verdicts.shape[1]), dtype=bool)
+            self.rows[:size], self.verdicts[:size] = rows[:size], verdicts[:size]
+        for i, key in enumerate(keys):
+            if found[i] == -1:  # or stored from an earlier row of h
+                found[i] = self.slot_of.get(key, -1)
+            if found[i] == -1 and self.size < self.capacity:
+                found[i] = self.slot_of[key] = self.size
+                self.rows[self.size] = h[i]
+                self.size += 1
+        if self.size > size:
+            self.verdicts[size:self.size] = self.read(self.rows[size:self.size])
+
+
 def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricReport:
     """Mean over separations of the fraction of close brackets predicted
     confidently: renormalized close-bracket probability above the threshold.
 
-    The readout runs only on the rows whose next token is a close, one
-    block position at a time, and only over the k close logits: the
-    renormalized close distribution is exactly their softmax.  It stays
-    defined where the full (2k+1) softmax underflows every close to 0."""
+    The readout runs only over the k close logits, whose softmax is
+    exactly the renormalized close distribution, so it stays defined where
+    the full (2k+1) softmax underflows every close to 0.  It runs once per
+    distinct hidden row before a close, as exact networks repeat rows: the
+    LSTM exposes only the top slot, so its h takes at most m*k + 1 values,
+    and the simple RNN's h is set by the stack and by whether the last
+    token pushed or popped.  Each reuse is checked byte for byte against
+    the stored row.  Rows that never repeat (softened or random weights)
+    fill a table of fixed size and are then read out directly, so the
+    report does not depend on the table.  Each walk block's closes are
+    laid out at t = 0 and their verdicts gathered after its last close."""
     _check_threshold(threshold)
     k = paramset.k
     corpus = Corpus.of(k, corpus)
-    starts = corpus.offsets
     separation = _separations(corpus)  # indexed by token position
-    V, b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
+    table = _CloseVerdicts(paramset, threshold)
     # verdicts by token position; closes past a first end mark are not walked
     scored = np.zeros(separation.size, dtype=bool)
     confident = np.zeros(separation.size, dtype=bool)
     for rows, codes, t, h, _, _ in walk(paramset, corpus):
-        cols = codes[:len(h), t]
-        sel = np.flatnonzero((cols >= k) & (cols < 2 * k))
-        if sel.size:
-            dist = softmax(h[sel] @ V + b_v)
-            where = starts[rows[sel]] + t
+        if not t:  # the block's closes, by position, then by row
+            at, row = np.nonzero(((codes >= k) & (codes < 2 * k)).T)
+            bounds = np.searchsorted(at, np.arange(codes.shape[1] + 1))
+            closes = codes[row, at] - k
+            where = corpus.offsets[rows[row]] + at
+            del at  # not kept while the block is walked
+            slot = np.empty(row.size, dtype=np.intp)
+            block = np.empty(row.size, dtype=bool)
+        lo, hi = bounds[t], bounds[t + 1]
+        if lo == hi:
+            continue
+        slot[lo:hi] = table.slots(h[row[lo:hi]], closes[lo:hi], block[lo:hi])
+        if hi == row.size:  # the block's last close
             scored[where] = True
-            confident[where] = dist[np.arange(sel.size), cols[sel] - k] > threshold
-    return _bucket_metric(separation[scored], confident[scored])
+            confident[where] = np.where(slot >= 0, table.verdicts[slot, closes],
+                                        block)
+    report = _bucket_metric(separation[scored], confident[scored])
+    report.readout_rows = table.computed
+    return report
 
 
 def closing_metric_uniform(params: DyckParams, corpus,

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import dyckrnn
-from dyckrnn import cli, runtime, verify
+from dyckrnn import cli, runtime, sampler, verify
 from dyckrnn.automaton import DyckParams, is_member
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
@@ -421,6 +421,20 @@ class TestMetric:
                        "--uniform-baseline") == 0
         assert "mean_p: 0.0" in capsys.readouterr().out
 
+    def test_readout_rows_are_counted(self, weights_and_corpus, capsys):
+        """The exact LSTM's h exposes only the top slot, so the closes of
+        the (8, 3) corpus are read out from m*k = 24 distinct rows; the
+        uniform baseline reads none out and prints no such line."""
+        w, c = weights_and_corpus
+        closes = c.read_text().count(")")
+        assert run_cli("metric", "--weights", str(w), "--corpus", str(c)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"readout rows: 24 for {closes} closes",
+                              "mean_p: 1.0"]
+        assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
+                       "--uniform-baseline") == 0
+        assert "readout rows" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
     @pytest.mark.parametrize("threshold", ["nan", "1", "-0.5"])
     def test_threshold_outside_unit_interval_refused(self, weights_and_corpus,
@@ -497,6 +511,27 @@ class TestMetricInputErrors:
         line = self.assert_refused(capsys, "--weights", str(w), "--corpus",
                                    str(c), *baseline)
         assert line == "error: corpus string has no end mark: (1 )1"
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    @pytest.mark.parametrize("strings", ["", "(1 )1 $\n"], ids=["empty", "string"])
+    def test_header_checked_before_its_language_is_built(
+            self, files, capsys, monkeypatch, baseline, strings):
+        """A header for another k is refused before anything is sized by
+        its k, so a huge k in a header cannot exhaust memory."""
+        w, c = files
+        c.write_text(c.read_text().splitlines()[0].replace("k=2", "k=1000")
+                     + "\n" + strings)
+        real = sampler.vocabulary
+
+        def vocabulary(k):
+            assert k != 1000, "the vocabulary was built for the header's k"
+            return real(k)
+
+        monkeypatch.setattr(sampler, "vocabulary", vocabulary)
+        line = self.assert_refused(capsys, "--weights", str(w), "--corpus",
+                                   str(c), *baseline)
+        assert line == ("error: corpus is for k=1000, m=2 but weights are for "
+                        "k=2, m=2")
 
     @pytest.mark.parametrize("field", ["k", "m"])
     def test_header_without_language(self, files, capsys, field):

@@ -5,8 +5,8 @@ import pytest
 
 from dyckrnn import runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
-                               is_member, parse_string, symbol_row,
-                               vocabulary)
+                               format_string, is_member, parse_string,
+                               symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
@@ -24,6 +24,7 @@ from dyckrnn.verify import (Collision, QuantizedEncoder, allowed_row_mask,
                             find_collision, net_membership_set,
                             total_string_count)
 from conftest import clone_with, flip_push_entry, zero_close_rows
+from test_builders import _dense_lstm
 import corpus_reference as reference
 import enumeration_reference
 
@@ -690,6 +691,106 @@ class TestClosingMetric:
                   parse_string("(1 (1 )1 (1 )1 )1 $")]
         report = closing_metric(net, corpus)
         assert report.missing_separations == [2]
+
+
+def invisible_unit(net):
+    """Erase the recurrent and readout weights that read hidden unit 0 of a
+    sigmoid RNN, so what unit 0 holds moves neither its steps nor its
+    readout."""
+    W, V = net.W.copy(), net.V.copy()
+    W[:, 0] = 0.0
+    V[:, 0] = 0.0
+    return clone_with(net, W=W, V=V)
+
+
+class TestDistinctRowReadout:
+    """closing_metric reads out each distinct hidden row once and reuses
+    its verdicts only for rows with the same bytes; the rest are read out
+    directly, so every report matches the reference."""
+
+    P = DyckParams(2, 3)
+
+    @pytest.fixture
+    def corpus(self):
+        return sample_strings(SamplerConfig(self.P, seed=12), 300)
+
+    @staticmethod
+    def write_unit_zero(monkeypatch, value):
+        """Make every step write value(input columns) into hidden unit 0,
+        in the corpus walk and in the reference's single steps alike."""
+        real = runtime.step_rows
+
+        def step_rows(paramset, h, c, cols):
+            h, c, acts = real(paramset, h, c, cols)
+            h = h.copy()
+            h[..., 0] = value(np.asarray(cols))
+            return h, c, acts
+
+        monkeypatch.setattr(runtime, "step_rows", step_rows)
+
+    def plain_rows(self, net, corpus, monkeypatch):
+        """The readout rows with +0.0 in unit 0: the distinct-row count."""
+        with monkeypatch.context() as patch:
+            self.write_unit_zero(patch, lambda cols: 0.0)
+            return closing_metric(net, corpus).readout_rows
+
+    def test_rows_sharing_a_key_are_read_out_directly(self, corpus, monkeypatch):
+        """1e20 in unit 0 swamps every other term of the key, so all rows
+        share one key while their other units differ."""
+        net = invisible_unit(build_simple_rnn(self.P))
+        distinct = self.plain_rows(net, corpus, monkeypatch)
+        self.write_unit_zero(monkeypatch, lambda cols: 1e20)
+        got = closing_metric(net, corpus)
+        assert got == reference.closing_metric(net, corpus)
+        assert 1 < distinct < got.readout_rows <= got.closes
+
+    def test_rows_differing_in_a_zeros_sign_stay_apart(self, corpus,
+                                                       monkeypatch):
+        """-0.0 after an odd input column, +0.0 after an even one: rows
+        that reach one stack through different last tokens share a key but
+        not their bytes."""
+        net = invisible_unit(build_simple_rnn(self.P))
+        distinct = self.plain_rows(net, corpus, monkeypatch)
+        self.write_unit_zero(monkeypatch,
+                             lambda cols: np.where(cols % 2, -0.0, 0.0))
+        got = closing_metric(net, corpus)
+        assert got == reference.closing_metric(net, corpus)
+        assert distinct < got.readout_rows
+
+    @pytest.mark.parametrize("cap", [0, 10])
+    @pytest.mark.parametrize("net", ["softened", "random gates"])
+    def test_rows_that_never_repeat_outgrow_the_table(self, corpus, monkeypatch,
+                                                      net, cap):
+        """Past the table's cap of rows, new rows are read out directly."""
+        net = (softened(build_lstm(self.P)) if net == "softened"
+               else _dense_lstm(self.P.k, self.P.m, seed=3))
+        assert len(corpus) > runtime.BLOCK_ROWS
+        full = closing_metric(net, corpus)
+        row_bytes = 8 * net.hidden_size + self.P.k
+        monkeypatch.setattr(verify, "_READOUT_TABLE_BYTES", cap * row_bytes)
+        got = closing_metric(net, corpus)
+        assert got == full == reference.closing_metric(net, corpus)
+        assert cap < full.readout_rows < got.readout_rows <= got.closes
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_refusals_name_the_first_faulty_string(self, bad_first):
+        """A string that opens with a close is walked in the last block and
+        a long mismatched one in the first; either way the first in corpus
+        order is named, before anything is walked."""
+        p = self.P
+        net = build_lstm(p, BINARY)
+        members = list(sample_strings(
+            SamplerConfig(p, seed=6, min_len=9, max_len=26), 300))
+        opening = parse_string(")1 (1 )1 $")
+        long_bad = parse_string("(1 (2 )2 (1 )1" + " (2 )2" * 10 + " )2 $")
+        bad = [opening, long_bad] if bad_first else [long_bad, opening]
+        corpus = members[:150] + bad[:1] + members[150:] + bad[1:]
+        named = format_string(bad[0])
+        at = "1" if bad[0] is opening else "26"
+        with pytest.raises(ValueError) as info:
+            closing_metric(net, corpus)
+        assert str(info.value) == (f"corpus string is not well nested at "
+                                   f"token {at}: {named}")
 
 
 def zero_u_c_column(lstm):
