@@ -166,6 +166,7 @@ class Corpus(Sequence):
         self.k = k
         self.codes = np.asarray(codes, dtype=np.intp)
         self.offsets = np.asarray(offsets, dtype=np.intp)
+        self._match = None  # nesting()'s match array, found once
 
     @classmethod
     def of(cls, k: int, strings) -> Corpus:
@@ -231,15 +232,25 @@ class Corpus(Sequence):
         In a well-nested prefix the bracket a close at depth d closes is the
         last open before it that left d brackets open.  Past a close that
         matches nothing, its string's entries are not meaningful; the first
-        such close of each string is found exactly.
+        such close of each string is found exactly.  The match array is
+        found once per corpus and kept, read-only, in 32 bits when they
+        hold every position; the depths are recounted at each call.
         """
-        k, codes = self.k, self.codes
         depth = self.depths()
-        match = np.full(codes.size, -1)
+        if self._match is None:
+            self._match = self._matches(depth)
+            self._match.flags.writeable = False
+        return depth, self._match
+
+    def _matches(self, depth: np.ndarray) -> np.ndarray:
+        """nesting()'s match array, by one sort of the opens."""
+        k, codes = self.k, self.codes
+        match = np.full(codes.size, -1,
+                        dtype=np.int32 if codes.size < 2**31 else np.intp)
         closes = np.flatnonzero((codes >= k) & (codes < 2 * k))
         opens = np.flatnonzero(codes < k)
         if not (closes.size and opens.size):
-            return depth, match
+            return match
         width = codes.size + 1  # sort opens by (depth, position)
         keys = depth[opens] * width + opens
         order = np.argsort(keys)
@@ -252,7 +263,7 @@ class Corpus(Sequence):
         ok = ((at >= 0) & (level >= 1) & (depth[cand] == level)
               & (codes[cand] == codes[closes] - k))
         match[closes[ok]] = cand[ok]
-        return depth, match
+        return match
 
     def _first(self, flags: np.ndarray) -> np.ndarray:
         """Per string, the place within it of its first flagged token, or
@@ -380,3 +391,17 @@ def allowed_tokens(params: DyckParams, state: DfaState) -> frozenset[Token]:
 def stack_state_count(params: DyckParams) -> int:
     """Number of stack states: sum over m' of k^m'."""
     return sum(params.k**i for i in range(params.m + 1))
+
+
+def prefix_count(params: DyckParams, max_len: int) -> int:
+    """Number of bracket prefixes of fewer than max_len tokens that the
+    automaton has not rejected, the empty one included: the prefixes a walk
+    of the language's prefix tree up to max_len visits.  Counted per depth,
+    one length at a time."""
+    k, m = params.k, params.m
+    counts, total = [1] + [0] * m, 0
+    for _ in range(max_len):
+        total += sum(counts)
+        counts = [(k * counts[d - 1] if d else 0) + (counts[d + 1] if d < m else 0)
+                  for d in range(m + 1)]
+    return total

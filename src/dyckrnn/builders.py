@@ -213,17 +213,7 @@ def build_readout(params: DyckParams, encoding: Encoding, numeric: NumericConfig
     return V, b_v
 
 
-def _resolve_encoding(params: DyckParams, encoding, architecture: str) -> Encoding:
-    if isinstance(encoding, Encoding):
-        if encoding.kind == BINARY and encoding.architecture != architecture:
-            raise ValueError(
-                f"binary encoding built for {encoding.architecture!r} cannot "
-                f"drive a {architecture!r} network")
-        return encoding
-    return build_encoding(params, encoding, architecture)
-
-
-def build_simple_rnn(params: DyckParams, encoding=ONEHOT,
+def build_simple_rnn(params: DyckParams, encoding: str = ONEHOT,
                      numeric: NumericConfig | None = None) -> RnnParams:
     """Simple RNN with hidden size 2*m*w.
 
@@ -233,7 +223,7 @@ def build_simple_rnn(params: DyckParams, encoding=ONEHOT,
     observed token and, on a push, deposits the new codeword into slot 1.
     """
     k, m = params.k, params.m
-    enc = _resolve_encoding(params, encoding, ARCH_SIMPLE)
+    enc = build_encoding(params, encoding, ARCH_SIMPLE)
     num = numeric if numeric is not None else NumericConfig.for_language(k)
     w = enc.width
     stack_dim = m * w
@@ -254,7 +244,7 @@ def build_simple_rnn(params: DyckParams, encoding=ONEHOT,
                      numeric=num, W=W, U=U, b=b, V=V, b_v=b_v)
 
 
-def build_lstm(params: DyckParams, encoding=ONEHOT,
+def build_lstm(params: DyckParams, encoding: str = ONEHOT,
                numeric: NumericConfig | None = None) -> LstmParams:
     """LSTM with hidden size m*w and a zero recurrent candidate matrix.
 
@@ -265,7 +255,7 @@ def build_lstm(params: DyckParams, encoding=ONEHOT,
     through the coordinate sum of the slot, which the encoding pins to 1.
     """
     k, m = params.k, params.m
-    enc = _resolve_encoding(params, encoding, ARCH_LSTM)
+    enc = build_encoding(params, encoding, ARCH_LSTM)
     num = numeric if numeric is not None else NumericConfig.for_language(k)
     w = enc.width
     d = m * w

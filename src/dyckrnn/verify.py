@@ -20,7 +20,7 @@ a corpus as an automaton.Corpus: the suites refuse a string that leaves the
 language from its rejections array and track the automaton stacks of a
 walk block with the tree walk's stack arrays; the metrics find each close
 bracket's open from its depth arrays, and the closing metric reads out each
-distinct hidden row before a close once.
+distinct hidden row before a close once, finding repeats by the row's bytes.
 
 Counterexamples are the first string in length-then-lexicographic order
 over symbol rows (opens 1..k, closes 1..k, end), so they are canonical.
@@ -38,11 +38,12 @@ from typing import Callable
 import numpy as np
 
 from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
-                        format_string, input_column, is_member, run, vocabulary)
+                        format_string, input_column, is_member, prefix_count,
+                        run, vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .runtime import (DECODE_TOL, StackDecodeError, decode_stack,
+from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       initial_state, next_distribution, readout, run_prefix,
                       step_rows, walk)
 
@@ -268,12 +269,12 @@ class Enumeration:
                     node_budget: int = DEFAULT_ENUMERATION_BUDGET
                     ) -> VerificationReport:
         """The generation_equivalence report of one construction."""
-        k, max_len = self.params.k, self.max_len
-        if total_string_count(k, max_len) > node_budget:
+        k, m, max_len = self.params.k, self.params.m, self.max_len
+        visited = prefix_count(self.params, max_len)
+        if visited > node_budget:
             raise RuntimeError(
-                f"enumeration of all strings for k={k}, max_len={max_len} "
-                f"({total_string_count(k, max_len)} strings) exceeds the "
-                f"budget {node_budget}")
+                f"the language walk for k={k}, m={m}, max_len={max_len} "
+                f"visits {visited} prefixes, over the budget {node_budget}")
         lang = self.language()
         support = self.support(paramset, node_budget)
         passed = lang == support
@@ -568,80 +569,9 @@ def _check_threshold(threshold: float):
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
 
 
-# The bytes closing_metric may keep of distinct hidden rows and their
-# verdicts; a row that finds the table full is read out directly.
+# The bytes closing_metric may keep of distinct hidden rows (their bytes,
+# the key) and their verdicts; a full table is emptied.
 _READOUT_TABLE_BYTES = 1 << 21
-
-
-class _CloseVerdicts:
-    """The close verdicts (renormalized probability above the threshold,
-    per close bracket) of hidden rows, each distinct row read out once.
-
-    A row's key is its dot product with cos(0), ..., cos(d - 1), which
-    einsum sums in one fixed order; a BLAS product can round one row
-    differently at another place in a block.  A key finds a stored row
-    only when their bytes are equal, so 0.0 and -0.0 stay apart.  A row
-    whose key holds another row, or that finds the table full, is read
-    out directly."""
-
-    def __init__(self, paramset, threshold: float):
-        k, d = paramset.k, paramset.hidden_size
-        self.V, self.b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
-        self.threshold = threshold
-        self.weights = np.cos(np.arange(d))
-        self.capacity = _READOUT_TABLE_BYTES // (8 * d + k)
-        self.slot_of: dict[float, int] = {}
-        self.rows = np.empty((1, d))  # grown as rows are stored
-        self.verdicts = np.empty((1, k), dtype=bool)
-        self.size = 0
-        self.computed = 0
-
-    def read(self, h: np.ndarray) -> np.ndarray:
-        """The (rows, k) verdicts of the rows of h."""
-        self.computed += len(h)
-        return softmax(h @ self.V + self.b_v) > self.threshold
-
-    def slots(self, h: np.ndarray, closes: np.ndarray,
-              confident: np.ndarray) -> np.ndarray:
-        """Per row of h, its row of self.verdicts, storing the rows not seen
-        before; -1 for a row read out directly, whose verdict on its close
-        bracket (`closes`, 0-based) is written to `confident`."""
-        keys = np.einsum("ij,j->i", h, self.weights).tolist()
-        get = self.slot_of.get
-        found = [get(key, -1) for key in keys]
-        fresh = -1 in found
-        if fresh:
-            self._store(h, keys, found)
-        slot = np.array(found)
-        same = self.rows[slot].view(np.int64) == h.view(np.int64)
-        if fresh:  # -1 reads an unused row
-            same[slot < 0] = False
-        if not same.all():
-            direct = np.flatnonzero(~same.all(axis=1))
-            slot[direct] = -1
-            confident[direct] = self.read(h[direct])[np.arange(direct.size),
-                                                     closes[direct]]
-        return slot
-
-    def _store(self, h, keys, found):
-        """Store each row of h whose key no stored row holds, while the table
-        has room, read out the rows stored, and point `found` at them."""
-        size = self.size
-        grown = min(self.capacity, size + len(keys))
-        if grown > len(self.rows):  # the rows past `size` are left untouched
-            rows, verdicts = self.rows, self.verdicts
-            self.rows = np.empty((grown, rows.shape[1]))
-            self.verdicts = np.empty((grown, verdicts.shape[1]), dtype=bool)
-            self.rows[:size], self.verdicts[:size] = rows[:size], verdicts[:size]
-        for i, key in enumerate(keys):
-            if found[i] == -1:  # or stored from an earlier row of h
-                found[i] = self.slot_of.get(key, -1)
-            if found[i] == -1 and self.size < self.capacity:
-                found[i] = self.slot_of[key] = self.size
-                self.rows[self.size] = h[i]
-                self.size += 1
-        if self.size > size:
-            self.verdicts[size:self.size] = self.read(self.rows[size:self.size])
 
 
 def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricReport:
@@ -654,16 +584,23 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     distinct hidden row before a close, as exact networks repeat rows: the
     LSTM exposes only the top slot, so its h takes at most m*k + 1 values,
     and the simple RNN's h is set by the stack and by whether the last
-    token pushed or popped.  Each reuse is checked byte for byte against
-    the stored row.  Rows that never repeat (softened or random weights)
-    fill a table of fixed size and are then read out directly, so the
-    report does not depend on the table.  Each walk block's closes are
-    laid out at t = 0 and their verdicts gathered after its last close."""
+    token pushed or popped.  A table keyed by each row's bytes (so 0.0 and
+    -0.0 stay apart) holds the row's k verdicts.  Rows that never repeat
+    (softened or random weights) fill it, and a full table is emptied, so
+    the report does not depend on its size.  Each walk block's closes are
+    laid out at t = 0 and their verdicts gathered after its last close, or
+    before the table is emptied."""
     _check_threshold(threshold)
-    k = paramset.k
+    k, d = paramset.k, paramset.hidden_size
     corpus = Corpus.of(k, corpus)
     separation = _separations(corpus)  # indexed by token position
-    table = _CloseVerdicts(paramset, threshold)
+    V, b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
+    row_key = np.dtype((np.void, 8 * d))
+    slot_of: dict[bytes, int] = {}  # a row's bytes -> its row of verdicts
+    # at least one step's rows, so a step's new rows always fit
+    capacity = max(_READOUT_TABLE_BYTES // (8 * d + k), BLOCK_ROWS)
+    verdicts = np.empty((capacity, k), dtype=bool)
+    readout_rows = 0
     # verdicts by token position; closes past a first end mark are not walked
     scored = np.zeros(separation.size, dtype=bool)
     confident = np.zeros(separation.size, dtype=bool)
@@ -675,17 +612,32 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
             where = corpus.offsets[rows[row]] + at
             del at  # not kept while the block is walked
             slot = np.empty(row.size, dtype=np.intp)
-            block = np.empty(row.size, dtype=bool)
+            done = 0  # the block's closes whose verdicts are written
         lo, hi = bounds[t], bounds[t + 1]
         if lo == hi:
             continue
-        slot[lo:hi] = table.slots(h[row[lo:hi]], closes[lo:hi], block[lo:hi])
+        h = h[row[lo:hi]]
+        keys = h.view(row_key).ravel().tolist()
+        found = list(map(slot_of.get, keys))
+        if None in found:
+            new = {key: i for i, key in enumerate(keys) if found[i] is None}
+            if len(slot_of) + len(new) > capacity:
+                confident[where[done:lo]] = verdicts[slot[done:lo], closes[done:lo]]
+                done = lo
+                slot_of.clear()
+                new = dict(zip(keys, range(len(keys))))
+            size = len(slot_of)
+            slot_of.update(zip(new, range(size, size + len(new))))
+            verdicts[size:len(slot_of)] = softmax(
+                h[list(new.values())] @ V + b_v) > threshold
+            readout_rows += len(new)
+            found = list(map(slot_of.get, keys))
+        slot[lo:hi] = found
         if hi == row.size:  # the block's last close
             scored[where] = True
-            confident[where] = np.where(slot >= 0, table.verdicts[slot, closes],
-                                        block)
+            confident[where[done:]] = verdicts[slot[done:], closes[done:]]
     report = _bucket_metric(separation[scored], confident[scored])
-    report.readout_rows = table.computed
+    report.readout_rows = readout_rows
     return report
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import dyckrnn
 from dyckrnn import cli, runtime, sampler, verify
-from dyckrnn.automaton import DyckParams, is_member
+from dyckrnn.automaton import Corpus, DyckParams, is_member
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
 from dyckrnn.verify import check_generation_equivalence
@@ -434,6 +434,19 @@ class TestMetric:
         assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
                        "--uniform-baseline") == 0
         assert "readout rows" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
+    def test_corpus_opens_are_sorted_once(self, weights_and_corpus,
+                                          monkeypatch, baseline):
+        """The refusal of strings outside the language and the separations
+        read one match array: each metric mode sorts the corpus once."""
+        w, c = weights_and_corpus
+        sorts, real = [], Corpus._matches
+        monkeypatch.setattr(Corpus, "_matches", lambda self, depth: (
+            sorts.append(len(self)) or real(self, depth)))
+        assert run_cli("metric", "--weights", str(w), "--corpus", str(c),
+                       *baseline) == 0
+        assert len(sorts) == 1
 
     @pytest.mark.parametrize("baseline", [(), ("--uniform-baseline",)])
     @pytest.mark.parametrize("threshold", ["nan", "1", "-0.5"])

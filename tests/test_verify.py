@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from dyckrnn import runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
                                format_string, is_member, parse_string,
-                               symbol_row, vocabulary)
+                               prefix_count, run, symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
@@ -58,6 +59,32 @@ class TestGenerationEquivalence:
         net = build_simple_rnn(DyckParams(2, 2))
         with pytest.raises(RuntimeError, match="budget"):
             check_generation_equivalence(net, max_len=30)
+
+    @pytest.mark.parametrize("arch", ["simple", "lstm"])
+    def test_past_depth_two(self, arch):
+        """At (8, 3) there are over a million strings below length 6, but
+        the language walk visits 17,233 prefixes: within the budget."""
+        p = DyckParams(8, 3)
+        assert total_string_count(8, 6) > verify.DEFAULT_ENUMERATION_BUDGET
+        report = check_generation_equivalence(build(arch, p, BINARY), max_len=6)
+        assert report.passed and report.checked == total_string_count(8, 6)
+
+
+def test_language_prefix_count():
+    """The per-depth count equals the bracket strings the automaton has not
+    rejected, counted one by one, and the prefixes an exact network's walk
+    counts against its node budget."""
+    p = DyckParams(2, 2)
+    net = build_simple_rnn(DyckParams(2, 3))
+    assert (prefix_count(net.dyck_params, 8)
+            == enumeration_reference.prefix_count(net, 8, None))
+    brackets = vocabulary(p.k)[:2 * p.k]
+    assert prefix_count(p, 7) == sum(
+        run(p, s).is_stack for t in range(7)
+        for s in itertools.product(brackets, repeat=t))
+    assert prefix_count(DyckParams(8, 3), 6) == 17_233
+    assert prefix_count(DyckParams(8, 3), 8) == 367_953
+    assert prefix_count(p, 30) == 1_252_698_793
 
 
 def test_membership_sets_agree_with_oracle():
@@ -390,6 +417,7 @@ class TestBlockWalkParity:
         got = closing_metric(net, corpus)
         assert got == reference.closing_metric(net, corpus)
         assert got.value == 1.0
+        assert got.readout_rows <= p.m * p.k + 1
 
     def test_closing_metric_where_the_close_probabilities_underflow(self):
         """With the close readout rows erased and a large readout scale, the
@@ -704,9 +732,9 @@ def invisible_unit(net):
 
 
 class TestDistinctRowReadout:
-    """closing_metric reads out each distinct hidden row once and reuses
-    its verdicts only for rows with the same bytes; the rest are read out
-    directly, so every report matches the reference."""
+    """closing_metric reads out each distinct hidden row once, finding
+    repeats by the rows' bytes, and empties a full table, so every report
+    matches the reference."""
 
     P = DyckParams(2, 3)
 
@@ -734,21 +762,23 @@ class TestDistinctRowReadout:
             self.write_unit_zero(patch, lambda cols: 0.0)
             return closing_metric(net, corpus).readout_rows
 
-    def test_rows_sharing_a_key_are_read_out_directly(self, corpus, monkeypatch):
-        """1e20 in unit 0 swamps every other term of the key, so all rows
-        share one key while their other units differ."""
+    def test_rows_sharing_a_large_unit_are_read_out_once(self, corpus,
+                                                         monkeypatch):
+        """1e20 in unit 0 swamps every other unit in any weighted sum of a
+        row, but rows are told apart by their bytes: each distinct row is
+        still read out exactly once."""
         net = invisible_unit(build_simple_rnn(self.P))
         distinct = self.plain_rows(net, corpus, monkeypatch)
         self.write_unit_zero(monkeypatch, lambda cols: 1e20)
         got = closing_metric(net, corpus)
         assert got == reference.closing_metric(net, corpus)
-        assert 1 < distinct < got.readout_rows <= got.closes
+        assert 1 < distinct == got.readout_rows < got.closes
 
     def test_rows_differing_in_a_zeros_sign_stay_apart(self, corpus,
                                                        monkeypatch):
         """-0.0 after an odd input column, +0.0 after an even one: rows
-        that reach one stack through different last tokens share a key but
-        not their bytes."""
+        that reach one stack through different last tokens compare equal
+        but differ in their bytes."""
         net = invisible_unit(build_simple_rnn(self.P))
         distinct = self.plain_rows(net, corpus, monkeypatch)
         self.write_unit_zero(monkeypatch,
@@ -761,7 +791,8 @@ class TestDistinctRowReadout:
     @pytest.mark.parametrize("net", ["softened", "random gates"])
     def test_rows_that_never_repeat_outgrow_the_table(self, corpus, monkeypatch,
                                                       net, cap):
-        """Past the table's cap of rows, new rows are read out directly."""
+        """A table at its cap of rows is emptied, and rows seen before are
+        read out again."""
         net = (softened(build_lstm(self.P)) if net == "softened"
                else _dense_lstm(self.P.k, self.P.m, seed=3))
         assert len(corpus) > runtime.BLOCK_ROWS
@@ -771,6 +802,20 @@ class TestDistinctRowReadout:
         got = closing_metric(net, corpus)
         assert got == full == reference.closing_metric(net, corpus)
         assert cap < full.readout_rows < got.readout_rows <= got.closes
+
+    def test_a_full_table_is_emptied_within_a_walk_block(self, corpus,
+                                                        monkeypatch):
+        """One walk block brings more distinct rows than the smallest table
+        holds, so the table is emptied between two of its steps: the
+        verdicts of the closes already looked up are written first."""
+        net = _dense_lstm(self.P.k, self.P.m, seed=3)
+        block = corpus[:runtime.BLOCK_ROWS]
+        full = closing_metric(net, block)
+        monkeypatch.setattr(verify, "_READOUT_TABLE_BYTES", 0)
+        got = closing_metric(net, block)
+        assert got == full == reference.closing_metric(net, block)
+        assert runtime.BLOCK_ROWS < full.readout_rows <= got.readout_rows
+        assert 0.0 < got.value < 1.0
 
     @pytest.mark.parametrize("bad_first", [True, False])
     def test_refusals_name_the_first_faulty_string(self, bad_first):
