@@ -9,7 +9,8 @@ demand; the transition function is computed, never tabulated, so large
 A corpus of strings is one integer array of symbol rows cut by string
 offsets (`Corpus`); its strings read as Token tuples on demand.  Where each
 string leaves the language is one array scan (`Corpus.rejections`), which
-every corpus refusal reads.
+every corpus refusal reads, and the automaton stack after every token is
+one running maximum per slot (`Corpus.stacks`).
 
 All functions here are pure and operate on immutable values.
 """
@@ -264,6 +265,28 @@ class Corpus(Sequence):
               & (codes[cand] == codes[closes] - k))
         match[closes[ok]] = cand[ok]
         return match
+
+    def stacks(self, m: int) -> np.ndarray:
+        """Per token, the automaton stack after it as a (tokens, m) array of
+        bracket indices, bottom first, 0 above the top, in the smallest
+        unsigned type that holds k: a row's depth is its nonzero count.
+
+        Slot j holds the bracket of the last open that reached depth j + 1,
+        found with one running maximum per slot, while more than j brackets
+        are open.  The rows are the automaton's before a string's first end
+        mark, while the string stays in the depth-m language (`rejections`).
+        """
+        k, codes = self.k, self.codes
+        depth = self.depths()
+        place = np.arange(codes.size)
+        stack = np.zeros((codes.size, m), dtype=np.min_scalar_type(k))
+        opens = codes < k
+        for j in range(m):
+            last = np.where(opens & (depth == j + 1), place, -1)
+            np.maximum.accumulate(last, out=last)
+            filled = (depth > j) & (last >= 0)
+            stack[filled, j] = codes[last[filled]] + 1
+        return stack
 
     def _first(self, flags: np.ndarray) -> np.ndarray:
         """Per string, the place within it of its first flagged token, or

@@ -5,12 +5,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus_reference as reference
 from conftest import zero_close_rows
 from dyckrnn import runtime
 from dyckrnn.automaton import (EMPTY, REJECT, Corpus, DyckParams, format_string,
-                               parse_string, transition, vocabulary)
+                               parse_string, run, transition, vocabulary)
 from dyckrnn.builders import build
 from dyckrnn.cli import main
 from dyckrnn.encodings import BINARY, ONEHOT
@@ -43,6 +45,33 @@ def mutated(k, strings, seed):
         s[rng.integers(len(s))] = vocab[rng.integers(2 * k + 1)]
         out.append(tuple(s))
     return out
+
+
+@st.composite
+def member_prefixes(draw, k, m):
+    """A prefix of a depth-m member string; one that returns to depth 0 may
+    go on with its end mark and then any symbols."""
+    vocab, stack, string = vocabulary(k), [], []
+    for pick in draw(st.lists(st.integers(0, k), max_size=14)):
+        allowed = list(range(k)) if len(stack) < m else []
+        if stack:
+            allowed.append(k + stack[-1] - 1)
+        row = allowed[pick % len(allowed)]
+        if row < k:
+            stack.append(row + 1)
+        else:
+            stack.pop()
+        string.append(vocab[row])
+    if not stack and draw(st.booleans()):
+        tail = draw(st.lists(st.integers(0, 2 * k), max_size=4))
+        string += [vocab[2 * k]] + [vocab[row] for row in tail]
+    return tuple(string)
+
+
+@st.composite
+def member_corpora(draw):
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return k, m, draw(st.lists(member_prefixes(k, m), max_size=6))
 
 
 def outcome(fn, *args):
@@ -124,6 +153,22 @@ class TestNesting:
         _, match = Corpus.of(2, [parse_string(")1 (1"),
                                  parse_string(")1 $")]).nesting()
         assert match.tolist() == [-1, -1, -1, -1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(member_corpora())
+    def test_stacks_match_the_automaton(self, drawn):
+        """After every consumed token the stack, and so its depth, is the
+        automaton's, whatever the strings around it hold."""
+        k, m, strings = drawn
+        corpus = Corpus.of(k, strings)
+        stack = corpus.stacks(m)
+        assert stack.shape == (corpus.codes.size, m)
+        for i, string in enumerate(strings):
+            for t in range(1, corpus.consumed()[i] + 1):
+                want = run(DyckParams(k, m), string[:t]).stack
+                at = corpus.offsets[i] + t - 1
+                assert stack[at].tolist() == list(want) + [0] * (m - len(want))
+                assert np.count_nonzero(stack[at]) == len(want)
 
     @staticmethod
     def scan(params, string):

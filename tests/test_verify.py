@@ -233,6 +233,15 @@ class TestCorpusWalk:
         assert [r.suite for r in reports] == ["saturation_exactness",
                                               "stack_correspondence"]
 
+    def test_no_suites_walk_nothing(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked a corpus for no suite")
+
+        p = DyckParams(2, 2)
+        corpus = sample_strings(SamplerConfig(p, seed=1), 20)
+        monkeypatch.setattr(verify, "walk", no_walk)
+        assert check_corpus_suites(build_lstm(p), corpus, ()) == []
+
     @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("lstm", BINARY)])
     def test_one_step_per_token(self, monkeypatch, arch, enc):
         p = DyckParams(4, 3)
@@ -395,6 +404,100 @@ class TestBlockWalkParity:
         for suites in (("stack",), ("margins",)):
             with pytest.raises(ValueError, match="out of range"):
                 check_corpus_suites(net, [parse_string("(3 )3 $")], suites)
+
+    @pytest.fixture
+    def floored_slab(self, monkeypatch):
+        """The corpus suites' slab at its floor of BLOCK_ROWS rows, so that
+        a block of BLOCK_ROWS live strings is checked once per step and a
+        string's steps span many checks."""
+        monkeypatch.setattr(verify, "_SLAB_BYTES", 0)
+
+    @pytest.mark.parametrize("arch,enc,sabotage", [
+        ("simple", ONEHOT, None), ("simple", BINARY, None), ("lstm", ONEHOT, None),
+        ("lstm", BINARY, None), ("naive", None, None),
+        ("simple", ONEHOT, flip_push_entry), ("simple", ONEHOT, zero_close_rows),
+        ("simple", ONEHOT, softened), ("lstm", BINARY, zero_close_rows),
+        ("lstm", BINARY, softened), ("lstm", BINARY, expose_all_slots)])
+    def test_floored_slab(self, floored_slab, arch, enc, sabotage):
+        p = DyckParams(2, 3)
+        net = build(arch, p, enc)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=3), 300)
+        reports = self.assert_matches_reference(net, corpus)
+        assert all(r["passed"] for r in reports) == (sabotage is None)
+
+    def test_margins_failure_in_a_later_slab(self, floored_slab, monkeypatch):
+        """128 strings stay live together for 25 steps, so each of those
+        steps fills the floored slab and is checked on its own.  Softened
+        weights keep the margins for a while: the first failing string in
+        corpus order fails at prefix length 19, where a disallowed token
+        takes 0.054, and its smallest allowed probability, the smallest of
+        the strings up to it, comes at prefix length 17, two checks
+        earlier."""
+        p = DyckParams(3, 3)
+        net = build_lstm(p)
+        net = clone_with(net, **{name: getattr(net, name) * 0.2
+                                 for name in vars(net)
+                                 if name[0] in "WUb" and name != "b_v"})
+        passing = parse_string(" ".join(["(1 (2 (3 )3 )2 )1"] * 4) + " $")
+        late = parse_string("(3 )3 (2 (1 )1 )2 (1 (2 )2 )1 (2 )2 (2 (3 )3 )2 "
+                            "(2 (3 (3 )3 (3 )3 (2 )2 )3 )2 $")
+        corpus = [passing] * 60 + [late] + [passing] * 67
+        assert len(corpus) == runtime.BLOCK_ROWS
+        readouts = []
+        real_readout = verify.readout
+
+        def counting_readout(paramset, h):
+            readouts.append(len(h))
+            return real_readout(paramset, h)
+
+        monkeypatch.setattr(verify, "readout", counting_readout)
+        got = check_probability_margins(net, corpus)
+        assert readouts == [runtime.BLOCK_ROWS] * 25 + [2]
+        assert got.counterexample.startswith(
+            format_string(late) + " @ prefix length 19: min allowed 0.718")
+        assert got.checked == 60 * 25 + 20
+        assert got.details["min_allowed"] == pytest.approx(0.15458, abs=1e-5)
+        self.assert_matches_reference(net, corpus)
+
+    def test_floored_slab_strings_without_end_mark_and_past_it(self, floored_slab):
+        p = DyckParams(2, 3)
+        corpus = list(sample_strings(SamplerConfig(p, seed=8), 200))
+        corpus[5:5] = [(), parse_string("(1 (2"), parse_string("$"),
+                       parse_string("(2 )2 $") + parse_string(")1 (1 (1 (1 (1"),
+                       parse_string("(1 (1 )1 (2"),
+                       parse_string("$") * 2 + parse_string(")2")]
+        for net in (build_simple_rnn(p), zero_close_rows(build_lstm(p, BINARY))):
+            self.assert_matches_reference(net, corpus)
+
+    @pytest.mark.parametrize("sabotage", [None, zero_close_rows, softened])
+    def test_floored_slab_lstm_onehot_past_depth_two(self, floored_slab, sabotage):
+        p = DyckParams(8, 3)
+        net = build_lstm(p, ONEHOT)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=2026), 300)
+        reports = self.assert_matches_reference(net, corpus)
+        assert all(r["passed"] for r in reports) == (sabotage is None)
+
+    @pytest.mark.parametrize("arch,k", [("simple", 48), ("lstm", 96)])
+    def test_slab_floored_by_its_hidden_size(self, arch, k):
+        """With 288 hidden units h alone takes over 2 KB a row, so the slab
+        budget holds fewer rows than a block: the slab keeps BLOCK_ROWS."""
+        p = DyckParams(k, 3)
+        net = build(arch, p, ONEHOT)
+        assert verify._SLAB_BYTES // (8 * net.hidden_size) < runtime.BLOCK_ROWS
+        corpus = sample_strings(SamplerConfig(p, seed=5), 150)
+        self.assert_matches_reference(net, corpus)
+        self.assert_matches_reference(zero_close_rows(net), corpus)
+
+    def test_bracket_indices_past_a_byte(self):
+        """Corpus stacks keep bracket indices in a byte up to k = 255, but
+        the allowed close of bracket 200 at k = 200 is symbol row 399."""
+        p = DyckParams(200, 2)
+        corpus = [parse_string(text) for text in
+                  ("(200 )200 $", "(150 (200 )200 )150 (199 )199 $", "(1 )1 $")]
+        reports = self.assert_matches_reference(build_simple_rnn(p), corpus)
+        assert all(r["passed"] for r in reports)
 
     @pytest.mark.parametrize("arch,enc,sabotage", [
         ("lstm", BINARY, None), ("simple", ONEHOT, None), ("naive", None, None),
