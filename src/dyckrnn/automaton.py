@@ -168,6 +168,7 @@ class Corpus(Sequence):
         self.codes = np.asarray(codes, dtype=np.intp)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self._match = None  # nesting()'s match array, found once
+        self._kept: dict[tuple, np.ndarray] = {}  # the counts below, by call
 
     @classmethod
     def of(cls, k: int, strings) -> Corpus:
@@ -266,16 +267,29 @@ class Corpus(Sequence):
         match[closes[ok]] = cand[ok]
         return match
 
+    def _once(self, name: str, *args) -> np.ndarray:
+        """self.<name>(*args), counted once per corpus and kept read-only."""
+        key = (name, *args)
+        if key not in self._kept:
+            counted = getattr(self, name)(*args)
+            counted.flags.writeable = False
+            self._kept[key] = counted
+        return self._kept[key]
+
     def stacks(self, m: int) -> np.ndarray:
         """Per token, the automaton stack after it as a (tokens, m) array of
         bracket indices, bottom first, 0 above the top, in the smallest
         unsigned type that holds k: a row's depth is its nonzero count.
+        Counted once per corpus and m, and kept read-only.
 
         Slot j holds the bracket of the last open that reached depth j + 1,
         found with one running maximum per slot, while more than j brackets
         are open.  The rows are the automaton's before a string's first end
         mark, while the string stays in the depth-m language (`rejections`).
         """
+        return self._once("_stacks", m)
+
+    def _stacks(self, m: int) -> np.ndarray:
         k, codes = self.k, self.codes
         depth = self.depths()
         place = np.arange(codes.size)
@@ -299,14 +313,22 @@ class Corpus(Sequence):
         return places
 
     def consumed(self) -> np.ndarray:
-        """Per string, the number of tokens before its first end mark."""
+        """Per string, the number of tokens before its first end mark;
+        counted once per corpus, and kept read-only."""
+        return self._once("_consumed")
+
+    def _consumed(self) -> np.ndarray:
         return self._first(self.codes == 2 * self.k)
 
     def rejections(self, m: int) -> np.ndarray:
         """Per string, the place of the first token the depth-m automaton
         rejects, or the string's length when it rejects none: a close that
         matches nothing, an open past depth m, an end mark with brackets
-        still open, or any token after an end mark."""
+        still open, or any token after an end mark.  Counted once per
+        corpus and m, and kept read-only."""
+        return self._once("_rejections", m)
+
+    def _rejections(self, m: int) -> np.ndarray:
         k, codes = self.k, self.codes
         depth, match = self.nesting()
         end_at = self.offsets[:-1] + self.consumed()  # or the next string's start

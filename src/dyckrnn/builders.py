@@ -32,6 +32,10 @@ from .numerics import NumericConfig
 DEFAULT_PARAMETER_BUDGET = 100_000
 
 
+class ParameterBudgetError(ValueError):
+    """A construction needs more dense weights than the parameter budget."""
+
+
 def hidden_units(architecture: str, encoding_kind: str | None, k: int, m: int) -> int:
     """Hidden-state size each builder allocates, without building anything."""
     if architecture == ARCH_SIMPLE:
@@ -336,7 +340,7 @@ def build_naive_dfa_rnn(params: DyckParams, numeric: NumericConfig | None = None
     num = numeric if numeric is not None else NumericConfig.for_language(k)
     dim = hidden_units(ARCH_NAIVE, None, k, m)
     if dim * dim > parameter_budget:
-        raise ValueError(
+        raise ParameterBudgetError(
             f"naive automaton network needs {dim} units "
             f"({dim * dim} dense recurrent weights), over the budget of "
             f"{parameter_budget}; raise parameter_budget to force it")

@@ -26,7 +26,8 @@ from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
 from .verify import (CORPUS_SUITES, Enumeration, QuantizedEncoder,
                      VerificationReport, applicable_constructions,
                      check_corpus_suites, check_full_depth_distinctness,
-                     closing_metric, closing_metric_uniform, find_collision)
+                     closing_metric, closing_metric_uniform,
+                     cross_constructions, find_collision)
 from .weightio import atomic_write_text, load_weights, save_weights
 
 SUITES = ("equivalence", "stack", "margins", "saturation", "distinct",
@@ -211,8 +212,10 @@ def cmd_verify(args) -> int:
     reports: list[VerificationReport] = []
 
     # Each construction this command builds is built once, so the suites
-    # that read it share one parameter object and the supports enumerated
+    # that read it share one parameter object and the product graph walked
     # for it.  Under --weights, only cross builds: the default constructions.
+    # Cross leaves out one the parameter budget refuses; a construction the
+    # other suites read is refused before any suite runs.
     # Numeric overrides are checked whether or not a suite builds, and
     # refused with --weights, whose file holds its own constants.
     built = {}
@@ -237,7 +240,8 @@ def cmd_verify(args) -> int:
     constructions = _verify_constructions(args, construction) if needs_nets else None
     enumeration = Enumeration(params, args.max_len, args.epsilon)
 
-    # one walk per corpus string and construction serves every corpus suite
+    # one walk per corpus string and construction serves every corpus
+    # suite; the sampled Corpus counts its arrays once for all of them
     corpus_suites = [s for s in suites if s in CORPUS_SUITES]
     corpus_reports = []
     if corpus_suites:
@@ -259,8 +263,7 @@ def cmd_verify(args) -> int:
             reports.append(_collision_report(args, params))
         elif suite == "cross":
             reports.append(enumeration.cross(
-                construction(arch, enc)
-                for arch, enc in applicable_constructions(args.k)))
+                *cross_constructions(args.k, construction)))
 
     for report in reports:
         print(report.summary_line())

@@ -6,12 +6,15 @@ correspondence and probability margins on sampled corpora, saturation
 exactness, full-depth state distinctness, the pigeonhole collision search
 that witnesses the memory lower bound, and agreement across constructions.
 
-The exhaustive suites walk a prefix tree, the automaton's and each
-network's, depth first in blocks of at most TREE_BLOCK_ROWS prefixes: a
-block of network states advances with one runtime.step_rows and one
-readout, a block of automaton stacks with one push or pop per row.  An
-Enumeration holds the language and each support it has enumerated, so the
-equivalence and cross suites of one command read the same sets.  The
+The exhaustive suites count strings on a product graph instead of listing
+them: one breadth-first walk pairs the automaton's stack with a network's
+state, merges the pairs of one depth whose bytes are equal, and carries
+per pair how many prefixes reach it, so the language, the support, their
+common strings and the first string they differ on are read off one walk.
+The walk lives in the product module.  An Enumeration keeps one walk per
+construction, so the equivalence and cross suites of one command read the
+same counts; cross walks two networks against each other only to name
+where two supports that both differ from the language differ.  The
 distinctness suite walks the k^m all-open strings as one integer corpus
 through runtime.walk; it and the collision search share one pigeonhole pass
 over their full-depth state keys, which turns only the colliding pair into
@@ -41,12 +44,12 @@ import numpy as np
 from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
                         format_string, input_column, is_member, prefix_count,
                         run, vocabulary)
-from .builders import DEFAULT_PARAMETER_BUDGET, build
+from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
+from .product import Graph, Language, Support, allowed_rows, members, walk_graph
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
-                      initial_state, next_distribution, readout, run_prefix,
-                      step_rows, walk)
+                      next_distribution, readout, run_prefix, walk)
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -109,135 +112,35 @@ def total_string_count(k: int, max_len: int) -> int:
     return sum((2 * k) ** t for t in range(max_len))
 
 
-def _push_pop(k: int, stack: np.ndarray, depth: np.ndarray, cols: np.ndarray):
-    """Apply one allowed token per row (symbol rows `cols`) to (rows, m)
-    automaton stacks of bracket indices (bottom first, 0 above the top) and
-    their depth vector, in place: the language's prefix-tree walk in
-    dfa_membership_set.  A corpus reads its stacks from Corpus.stacks."""
-    live = np.arange(cols.size)
-    opens = cols < k
-    stack[live[opens], depth[opens]] = cols[opens] + 1
-    depth += np.where(opens, 1, -1)
-    stack[live[~opens], depth[~opens]] = 0
-
-
-def _allowed_rows(params: DyckParams, stack: np.ndarray,
-                  depth: np.ndarray) -> np.ndarray:
-    """allowed_row_mask of each (stack, depth) row, as a (rows, 2k+1) mask."""
-    k, rows = params.k, np.arange(depth.size)
-    mask = np.zeros((depth.size, 2 * k + 1), dtype=bool)
-    mask[:, :k] = (depth < params.m)[:, None]
-    top = stack[rows, np.maximum(depth - 1, 0)]
-    mask[rows, np.where(depth > 0, k + top - 1, 2 * k)] = True
-    return mask
-
-
-# Prefixes per tree block.  Per-block overhead dominates at these hidden
-# sizes, so larger blocks run faster, but every level of the walk keeps one
-# block of states alive: in the enumerate benchmark (2-core Xeon) blocks of
-# 16, 32, 64 and 128 rows ran at 10, 16, 22 and 25 M strings/s and read
-# 39.3, 39.7, 40.4 and 42.0 MB peak RSS.
-TREE_BLOCK_ROWS = 64
-
-
-def _tree_members(k: int, max_len: int, root, advance,
-                  node_budget: int | None = None) -> set[tuple[Token, ...]]:
-    """The member strings of a prefix tree up to max_len, walked depth first
-    in blocks of at most TREE_BLOCK_ROWS prefixes.
-
-    root is the (state, allowed) pair of the one-row block holding the empty
-    prefix; advance(state, parent_rows, cols) steps those rows of a block's
-    state on the symbol rows `cols` and returns the children's (state,
-    allowed), allowed being a (rows, 2k+1) mask.  A prefix of t tokens ends
-    a member when its end mark is allowed and t + 1 <= max_len, and has a
-    child for each allowed bracket while t + 2 <= max_len.  Each level keeps
-    one parent block and the offset of its next child block, so the walk
-    never holds a whole tree level.  Every prefix stepped, the empty one
-    included, counts against node_budget.
-    """
-    vocab = vocabulary(k)
-    members: set[tuple[Token, ...]] = set()
-    levels = []  # [state, prefix codes, parent rows, cols, next offset]
-    visited = 0
-
-    def visit(state, allowed, codes):
-        nonlocal visited
-        visited += len(codes)
-        if node_budget is not None and visited > node_budget:
-            raise RuntimeError(f"support enumeration exceeded {node_budget} prefixes")
-        t = codes.shape[1]
-        if t + 1 <= max_len:
-            for row in codes[allowed[:, 2 * k]].tolist():
-                members.add(tuple([vocab[col] for col in row] + [vocab[2 * k]]))
-        if t + 2 <= max_len:
-            parents, cols = np.nonzero(allowed[:, :2 * k])
-            if parents.size:
-                levels.append([state, codes, parents, cols, 0])
-
-    visit(*root, np.zeros((1, 0), dtype=int))
-    while levels:
-        level = levels[-1]
-        state, codes, parents, cols, lo = level
-        hi = level[4] = lo + TREE_BLOCK_ROWS
-        if hi >= parents.size:
-            levels.pop()
-        rows, cols = parents[lo:hi], cols[lo:hi]
-        visit(*advance(state, rows, cols), np.column_stack([codes[rows], cols]))
-    return members
-
-
 def dfa_membership_set(params: DyckParams, max_len: int) -> set[tuple[Token, ...]]:
-    """All member strings of total length <= max_len (end mark included)."""
-
-    def advance(state, rows, cols):
-        stack, depth = state[0][rows], state[1][rows]
-        _push_pop(params.k, stack, depth, cols)
-        return (stack, depth), _allowed_rows(params, stack, depth)
-
-    stack, depth = np.zeros((1, params.m), dtype=int), np.zeros(1, dtype=int)
-    root = ((stack, depth), _allowed_rows(params, stack, depth))
-    return _tree_members(params.k, max_len, root, advance)
+    """All member strings of total length <= max_len (end mark included),
+    listed from the automaton's graph."""
+    return members(Language(params), params.k, max_len)
 
 
 def net_membership_set(paramset, max_len: int, epsilon: float | None = None,
                        node_budget: int = DEFAULT_ENUMERATION_BUDGET
                        ) -> set[tuple[Token, ...]]:
-    """The epsilon-truncated support up to max_len.
+    """The epsilon-truncated support up to max_len, listed from the
+    network's state graph.
 
-    A string is in the support when every conditional token probability is at
-    least epsilon; the walk short-circuits at the first violation, so only
-    above-threshold prefixes are ever stepped.
+    A string is in the support when every conditional token probability is
+    at least epsilon; only above-threshold prefixes are stepped, and each
+    counts against node_budget.
     """
     eps = _epsilon(paramset.k, epsilon)
-
-    def advance(state, rows, cols):
-        h, c = state
-        h, c, _ = step_rows(paramset, h[rows], None if c is None else c[rows], cols)
-        return (h, c), readout(paramset, h) >= eps
-
-    start = initial_state(paramset)
-    h = start.h[None]
-    c = None if start.c is None else start.c[None]
-    root = ((h, c), readout(paramset, h) >= eps)
-    return _tree_members(paramset.k, max_len, root, advance, node_budget)
+    return members(Support(paramset, eps, node_budget), paramset.k, max_len)
 
 
-_KIND_RANK = {"open": 0, "close": 1, "end": 2}
-
-
-def _string_sort_key(string):
-    return (len(string), [(_KIND_RANK[t.kind], t.index) for t in string])
-
-
-def _first_difference(a: set, b: set) -> tuple[Token, ...]:
-    return min(a.symmetric_difference(b), key=_string_sort_key)
+def _construction_name(arch: str, enc: str | None) -> str:
+    return arch if enc is None else f"{arch}/{enc}"
 
 
 class Enumeration:
-    """The language and the epsilon-truncated supports up to max_len, each
-    enumerated at most once: the equivalence and cross suites of one command
-    read the same sets.  A support is kept for the parameter object it was
-    enumerated from, so two constructions never share one."""
+    """The product graph of the automaton and each construction up to
+    max_len, each walked at most once: the equivalence and cross suites of
+    one command read the same counts.  A walk is kept for the parameter
+    object it was walked from, so two constructions never share one."""
 
     def __init__(self, params: DyckParams, max_len: int = 8,
                  epsilon: float | None = None):
@@ -246,26 +149,22 @@ class Enumeration:
                              f"got {max_len}")
         self.params, self.max_len = params, max_len
         self.eps = _epsilon(params.k, epsilon)
-        self._language: set[tuple[Token, ...]] | None = None
         # parameter sets compare and hash by identity
-        self._supports: dict[tuple[object, int], set[tuple[Token, ...]]] = {}
+        self._graphs: dict[tuple[object, int], Graph] = {}
 
-    def language(self) -> set[tuple[Token, ...]]:
-        if self._language is None:
-            self._language = dfa_membership_set(self.params, self.max_len)
-        return self._language
-
-    def support(self, paramset,
-                node_budget: int = DEFAULT_ENUMERATION_BUDGET) -> set[tuple[Token, ...]]:
+    def _graph(self, paramset,
+               node_budget: int = DEFAULT_ENUMERATION_BUDGET) -> Graph:
+        """The automaton by network walk of one construction."""
         if paramset.dyck_params != self.params:
             raise ValueError(f"parameter set for k={paramset.k}, m={paramset.m} "
                              f"in an enumeration of k={self.params.k}, "
                              f"m={self.params.m}")
         key = (paramset, node_budget)
-        if key not in self._supports:
-            self._supports[key] = net_membership_set(
-                paramset, self.max_len, self.eps, node_budget)
-        return self._supports[key]
+        if key not in self._graphs:
+            sides = (Language(self.params),
+                     Support(paramset, self.eps, node_budget))
+            self._graphs[key] = walk_graph(sides, self.params.k, self.max_len)[0]
+        return self._graphs[key]
 
     def equivalence(self, paramset,
                     node_budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -277,44 +176,64 @@ class Enumeration:
             raise RuntimeError(
                 f"the language walk for k={k}, m={m}, max_len={max_len} "
                 f"visits {visited} prefixes, over the budget {node_budget}")
-        lang = self.language()
-        support = self.support(paramset, node_budget)
-        passed = lang == support
+        graph = self._graph(paramset, node_budget)
         counter = None
-        details = {"epsilon": self.eps, "max_len": max_len,
-                   "language_size": len(lang), "support_size": len(support)}
-        if not passed:
-            witness = _first_difference(lang, support)
-            side = "language-only" if witness in lang else "support-only"
-            counter = f"{format_string(witness)} ({side})"
+        if not graph.agree:
+            side = "language-only" if graph.first_has_it else "support-only"
+            counter = f"{format_string(graph.difference)} ({side})"
         return VerificationReport(
             suite="generation_equivalence", instance=_instance(paramset),
-            checked=total_string_count(k, max_len), passed=passed,
-            counterexample=counter, details=details)
+            checked=total_string_count(k, max_len), passed=graph.agree,
+            counterexample=counter,
+            details={"epsilon": self.eps, "max_len": max_len,
+                     "language_size": graph.sizes[0],
+                     "support_size": graph.sizes[1], "states": graph.states})
 
-    def cross(self, paramsets) -> VerificationReport:
+    def cross(self, paramsets, left_out: dict[str, str] | None = None
+              ) -> VerificationReport:
         """The cross_construction_agreement report over the given parameter
-        sets, taken one at a time from an iterable."""
-        names, supports = [], []
+        sets, taken one at a time from an iterable; `left_out` names each
+        construction not compared, with the reason.
+
+        Two supports that both agree with the language are equal, and when
+        one agrees, their first difference is the other's from the
+        language.  Only two supports that both differ from it are walked
+        against each other, for their first difference."""
+        kept, names, graphs = [], [], []
         for paramset in paramsets:
-            arch, enc = paramset.architecture, paramset.encoding
-            names.append(arch if enc is None else f"{arch}/{enc.kind}")
-            supports.append(self.support(paramset))
-        lang = self.language()
+            enc = paramset.encoding
+            kept.append(paramset)
+            names.append(_construction_name(paramset.architecture,
+                                            enc and enc.kind))
+            graphs.append(self._graph(paramset))
+        states = sum(graph.states for graph in graphs)
         counter = None
-        for name, support in zip(names[1:], supports[1:]):
-            if support != supports[0]:
-                witness = _first_difference(supports[0], support)
-                counter = f"{names[0]} vs {name}: {format_string(witness)}"
+        for i in range(1, len(graphs)):
+            first, other = graphs[0], graphs[i]
+            if first.agree != other.agree:
+                witness = (other if first.agree else first).difference
+            elif first.agree:
+                continue
+            else:
+                pair = walk_graph(tuple(
+                    Support(ps, self.eps, DEFAULT_ENUMERATION_BUDGET)
+                    for ps in (kept[0], kept[i])), self.params.k, self.max_len)[0]
+                states += pair.states
+                witness = pair.difference
+            if witness is not None:
+                counter = f"{names[0]} vs {names[i]}: {format_string(witness)}"
                 break
         k, m = self.params.k, self.params.m
+        details = {"constructions": names, "epsilon": self.eps,
+                   "agree_with_language": [graph.agree for graph in graphs],
+                   "states": states}
+        if left_out:
+            details["left_out"] = dict(left_out)
         return VerificationReport(
             suite="cross_construction_agreement",
             instance={"k": k, "m": m, "max_len": self.max_len},
             checked=total_string_count(k, self.max_len) * len(names),
-            passed=counter is None, counterexample=counter,
-            details={"constructions": names, "epsilon": self.eps,
-                     "agree_with_language": [s == lang for s in supports]})
+            passed=counter is None, counterexample=counter, details=details)
 
 
 def check_generation_equivalence(paramset, max_len: int = 8,
@@ -484,7 +403,7 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         if "margins" in first:
             sel = np.flatnonzero(t < counts["margins"][s])
             dist = readout(paramset, h)[sel]
-            allowed = _allowed_rows(params, stack[sel], depth[sel])
+            allowed = allowed_rows(params, stack[sel], depth[sel])
             lo = np.where(allowed, dist, np.inf).min(axis=1)
             hi = np.where(allowed, 0.0, dist).max(axis=1)
             faults["margins"] = np.zeros(size, dtype=bool)
@@ -860,13 +779,26 @@ def applicable_constructions(k: int) -> list[tuple[str, str | None]]:
     return pairs
 
 
+def cross_constructions(k: int, construct) -> tuple[list, dict[str, str]]:
+    """The applicable constructions at k, each built by construct(arch, enc),
+    and the name and refusal of each the parameter budget refuses."""
+    built, left_out = [], {}
+    for arch, enc in applicable_constructions(k):
+        try:
+            built.append(construct(arch, enc))
+        except ParameterBudgetError as exc:
+            left_out[_construction_name(arch, enc)] = str(exc)
+    return built, left_out
+
+
 def check_cross_construction_agreement(params: DyckParams, max_len: int = 8,
                                        epsilon: float | None = None,
                                        numeric: NumericConfig | None = None,
                                        parameter_budget: int = DEFAULT_PARAMETER_BUDGET
                                        ) -> VerificationReport:
     """All defined constructions carve out the same epsilon-truncated support;
-    the naive network is built under `parameter_budget`."""
-    return Enumeration(params, max_len, epsilon).cross(
-        build(arch, params, enc, numeric, parameter_budget=parameter_budget)
-        for arch, enc in applicable_constructions(params.k))
+    the naive network is built under `parameter_budget`, and left out when
+    it is over it."""
+    return Enumeration(params, max_len, epsilon).cross(*cross_constructions(
+        params.k, lambda arch, enc: build(arch, params, enc, numeric,
+                                          parameter_budget=parameter_budget)))

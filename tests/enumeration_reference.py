@@ -1,20 +1,22 @@
 """Reference oracle for the block-stepped walks: the language and the
 epsilon-truncated support enumerated one prefix at a time, recursively,
-with the scalar helpers (transition, step, next_distribution), and the
+with the scalar helpers (transition, step, next_distribution); the
+equivalence and cross reports compared as sets of strings; and the
 full-depth distinctness check as a recursive search over step.  The tests
-require dfa_membership_set, net_membership_set and
-check_full_depth_distinctness to return what these return, and to refuse a
-node budget exactly where net_membership_set does."""
+require dfa_membership_set, net_membership_set, the equivalence and cross
+reports (but for their `states` count) and check_full_depth_distinctness
+to return what these return, and to refuse a node budget exactly where
+net_membership_set does."""
 
 from __future__ import annotations
 
-from dyckrnn.automaton import (ACCEPT, EMPTY, REJECT, Token, is_member,
-                               symbol_row, transition, vocabulary)
+from dyckrnn.automaton import (ACCEPT, EMPTY, REJECT, Token, format_string,
+                               is_member, symbol_row, transition, vocabulary)
 from dyckrnn.encodings import ARCH_LSTM
 from dyckrnn.numerics import epsilon_for
 from dyckrnn.runtime import initial_state, next_distribution, step
 from dyckrnn.verify import (DEFAULT_ENUMERATION_BUDGET, Collision,
-                            VerificationReport, _instance)
+                            VerificationReport, _instance, total_string_count)
 
 
 def dfa_membership_set(params, max_len: int) -> set[tuple[Token, ...]]:
@@ -76,6 +78,58 @@ def _net_walk(paramset, max_len, epsilon, node_budget):
 
     rec(initial_state(paramset), ())
     return members, visited
+
+
+def first_difference(a: set, b: set) -> tuple[Token, ...]:
+    """The first string in one set but not the other, in
+    length-then-lexicographic order over symbol rows."""
+    rank = {"open": 0, "close": 1, "end": 2}
+    return min(a ^ b, key=lambda s: (len(s), [(rank[t.kind], t.index) for t in s]))
+
+
+def equivalence_report(paramset, max_len: int,
+                       epsilon: float | None = None) -> VerificationReport:
+    """The generation_equivalence report, from the two listed sets."""
+    k = paramset.k
+    eps = epsilon_for(k) if epsilon is None else epsilon
+    lang = dfa_membership_set(paramset.dyck_params, max_len)
+    support = net_membership_set(paramset, max_len, eps)
+    counter = None
+    if lang != support:
+        witness = first_difference(lang, support)
+        side = "language-only" if witness in lang else "support-only"
+        counter = f"{format_string(witness)} ({side})"
+    return VerificationReport(
+        suite="generation_equivalence", instance=_instance(paramset),
+        checked=total_string_count(k, max_len), passed=lang == support,
+        counterexample=counter,
+        details={"epsilon": eps, "max_len": max_len,
+                 "language_size": len(lang), "support_size": len(support)})
+
+
+def cross_report(params, paramsets, max_len: int,
+                 epsilon: float | None = None) -> VerificationReport:
+    """The cross_construction_agreement report, from the listed sets: the
+    first support that differs from the first one's names their first
+    difference."""
+    eps = epsilon_for(params.k) if epsilon is None else epsilon
+    lang = dfa_membership_set(params, max_len)
+    names = [ps.architecture if ps.encoding is None
+             else f"{ps.architecture}/{ps.encoding.kind}" for ps in paramsets]
+    supports = [net_membership_set(ps, max_len, eps) for ps in paramsets]
+    counter = None
+    for name, support in zip(names[1:], supports[1:]):
+        if support != supports[0]:
+            witness = first_difference(supports[0], support)
+            counter = f"{names[0]} vs {name}: {format_string(witness)}"
+            break
+    return VerificationReport(
+        suite="cross_construction_agreement",
+        instance={"k": params.k, "m": params.m, "max_len": max_len},
+        checked=total_string_count(params.k, max_len) * len(names),
+        passed=counter is None, counterexample=counter,
+        details={"constructions": names, "epsilon": eps,
+                 "agree_with_language": [s == lang for s in supports]})
 
 
 def check_full_depth_distinctness(paramset,

@@ -6,12 +6,13 @@ import sys
 import pytest
 
 import dyckrnn
-from dyckrnn import cli, runtime, sampler, verify
+from dyckrnn import cli, product, runtime, sampler, verify
 from dyckrnn.automaton import Corpus, DyckParams, is_member
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
 from dyckrnn.verify import check_generation_equivalence
 from dyckrnn.weightio import load_weights
+from test_verify import spy_graph_walks
 
 
 def run_cli(*argv):
@@ -198,16 +199,9 @@ class TestVerify:
 
     def test_equivalence_and_cross_enumerate_each_set_once(self, monkeypatch,
                                                            capsys):
-        calls = {"dfa_membership_set": [], "net_membership_set": []}
-        for name, seen in calls.items():
-            def spy(first, *args, real=getattr(verify, name), seen=seen,
-                    **kwargs):
-                seen.append(first)
-                return real(first, *args, **kwargs)
-
-            monkeypatch.setattr(verify, name, spy)
+        calls = spy_graph_walks(monkeypatch)
         rows = []
-        for module in (verify, runtime):
+        for module in (product, runtime):
             def counting_step_rows(paramset, h, c, cols,
                                    real=module.step_rows):
                 rows.append(len(cols))
@@ -218,10 +212,10 @@ class TestVerify:
                        "equivalence", "--suite", "cross")
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 6
-        assert calls["dfa_membership_set"] == [DyckParams(2, 3)]
-        nets = calls["net_membership_set"]
-        assert len(nets) == 5 and len({id(ps) for ps in nets}) == 5
-        assert max(rows) == verify.TREE_BLOCK_ROWS
+        # one automaton by network walk per construction, read by both suites
+        assert [language for language, _ in calls] == [DyckParams(2, 3)] * 5
+        assert len({net for _, net in calls}) == 5
+        assert max(rows) <= product.TREE_BLOCK_ROWS
 
     def test_distinct_walks_without_scalar_steps(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -346,13 +340,75 @@ class TestVerify:
         (line,) = captured.err.splitlines()
         assert line.startswith("error:") and "n_strings" in line
 
-    def test_cross_honours_naive_budget(self, capsys):
+    def test_cross_honours_naive_budget(self, tmp_path, capsys):
+        """Over the budget, cross leaves the naive network out and names
+        it; under a larger one it compares it."""
+        js = tmp_path / "report.json"
         argv = ("verify", "-k", "4", "-m", "3", "--suite", "cross",
-                "--max-len", "4")
-        assert run_cli(*argv) == 2
-        assert "budget" in capsys.readouterr().err
+                "--max-len", "4", "--json-report", str(js))
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("PASS cross_construction_agreement")
+        (report,) = json.loads(js.read_text())
+        assert "naive" not in report["details"]["constructions"]
+        assert list(report["details"]["left_out"]) == ["naive"]
+        assert "over the budget of 100000" in report["details"]["left_out"]["naive"]
         assert run_cli(*argv, "--naive-budget", "500000") == 0
         assert capsys.readouterr().out.startswith("PASS cross_construction_agreement")
+        (report,) = json.loads(js.read_text())
+        assert report["details"]["constructions"][-1] == "naive"
+        assert "left_out" not in report["details"]
+
+    @pytest.mark.parametrize("arch", ["simple", "lstm"])
+    def test_every_suite_at_k8_m3_reports(self, tmp_path, capsys, arch):
+        """The naive network at (8, 3) is over the default budget: a
+        command that does not verify it ends with reports, cross leaving it
+        out."""
+        js = tmp_path / "report.json"
+        code = run_cli("verify", "-k", "8", "-m", "3", "--arch", arch,
+                       "--strings", "50", "--json-report", str(js))
+        assert code == 0
+        reports = json.loads(js.read_text())
+        assert capsys.readouterr().out.count("PASS") == len(reports) == 12
+        (cross,) = [r for r in reports
+                    if r["suite"] == "cross_construction_agreement"]
+        assert cross["details"]["constructions"] == [
+            "simple/onehot", "simple/binary", "lstm/onehot", "lstm/binary"]
+        assert list(cross["details"]["left_out"]) == ["naive"]
+        assert "9392 units" in cross["details"]["left_out"]["naive"]
+
+    def test_budget_refusal_before_any_suite(self, monkeypatch, capsys):
+        """A construction the suites verify is refused before the first
+        suite runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in ("walk_graph", "check_corpus_suites"):
+            monkeypatch.setattr(verify, name, refuse)
+        monkeypatch.setattr(cli, "check_corpus_suites", refuse)
+        monkeypatch.setattr(cli, "sample_strings", refuse)
+        assert run_cli("verify", "-k", "8", "-m", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: naive automaton network needs 9392 units")
+
+    def test_corpus_counted_once_per_command(self, monkeypatch, capsys):
+        """Every construction's corpus suites read one sampled Corpus, whose
+        counts are each taken once."""
+        counted = []
+        for name in ("_consumed", "_rejections", "_stacks"):
+            def spy(corpus, *args, real=getattr(Corpus, name), name=name):
+                counted.append((name, id(corpus)))
+                return real(corpus, *args)
+
+            monkeypatch.setattr(Corpus, name, spy)
+        assert run_cli("verify", "-k", "2", "-m", "3", "--suite", "stack",
+                       "--suite", "margins", "--suite", "saturation",
+                       "--strings", "40") == 0
+        assert capsys.readouterr().out.count("PASS") == 15
+        assert sorted(name for name, _ in counted) == [
+            "_consumed", "_rejections", "_stacks"]
+        assert len({corpus for _, corpus in counted}) == 1
 
     def test_empty_construction_selection_refused(self, capsys):
         code = run_cli("verify", "-k", "1", "-m", "2", "--arch", "simple",

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dyckrnn import runtime, verify
+from dyckrnn import product, runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
                                format_string, is_member, parse_string,
                                prefix_count, run, symbol_row, vocabulary)
@@ -594,20 +594,21 @@ ALL_CONSTRUCTIONS = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
 
 
 class TestTreeWalkParity:
-    """The block-stepped tree walk returns the sets the recursive per-prefix
-    reference returns, and refuses a node budget exactly where it does."""
+    """The sets listed from the block-stepped graph walk are those the
+    recursive per-prefix reference returns, and the walk refuses a node
+    budget exactly where the reference does."""
 
     @staticmethod
     def block_rows(monkeypatch):
         """Record the rows of every block the walk steps."""
         rows = []
-        real_step_rows = verify.step_rows
+        real_step_rows = product.step_rows
 
         def counting_step_rows(paramset, h, c, cols):
             rows.append(len(cols))
             return real_step_rows(paramset, h, c, cols)
 
-        monkeypatch.setattr(verify, "step_rows", counting_step_rows)
+        monkeypatch.setattr(product, "step_rows", counting_step_rows)
         return rows
 
     @pytest.mark.parametrize("k,m,max_len", [(1, 3, 9), (2, 2, 8), (2, 3, 9),
@@ -627,13 +628,13 @@ class TestTreeWalkParity:
         support = net_membership_set(net, max_len)
         assert support == enumeration_reference.net_membership_set(net, max_len)
         assert support == dfa_membership_set(net.dyck_params, max_len)
-        assert max(rows) <= verify.TREE_BLOCK_ROWS
-        if (k, m) == (2, 3):  # levels wide enough to span many blocks
-            assert rows.count(verify.TREE_BLOCK_ROWS) > 10
+        assert max(rows) <= product.TREE_BLOCK_ROWS
+        if (k, m) == (2, 3):  # merged states: far fewer steps than prefixes
+            assert 4 * sum(rows) < enumeration_reference.prefix_count(net, max_len)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_other_block_sizes(self, monkeypatch, block):
-        monkeypatch.setattr(verify, "TREE_BLOCK_ROWS", block)
+        monkeypatch.setattr(product, "TREE_BLOCK_ROWS", block)
         rows = self.block_rows(monkeypatch)
         p = DyckParams(2, 3)
         assert (dfa_membership_set(p, 8)
@@ -694,27 +695,33 @@ class TestTreeWalkParity:
             net_membership_set(net, max_len, node_budget=0)
 
 
+def spy_graph_walks(monkeypatch) -> list[tuple]:
+    """Record each product graph walk as its sides: the automaton's
+    DyckParams, or the id of a network's parameter set."""
+    calls = []
+    real = verify.walk_graph
+
+    def spy(sides, *args):
+        calls.append(tuple(side.params if isinstance(side, product.Language)
+                           else id(side.paramset) for side in sides))
+        return real(sides, *args)
+
+    monkeypatch.setattr(verify, "walk_graph", spy)
+    return calls
+
+
 class TestEnumeration:
     def test_sets_enumerated_once_per_parameter_object(self, monkeypatch):
-        calls = []
-        for name in ("dfa_membership_set", "net_membership_set"):
-            real = getattr(verify, name)
-
-            def spy(*args, real=real, name=name, **kwargs):
-                calls.append((name, id(args[0])))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(verify, name, spy)
+        calls = spy_graph_walks(monkeypatch)
         p = DyckParams(2, 2)
         first, twin = build_simple_rnn(p), build_simple_rnn(p)
         enumeration = verify.Enumeration(p, 6)
         assert enumeration.equivalence(first).passed
         report = enumeration.cross([first, twin])
         assert report.passed and report.checked == 2 * total_string_count(2, 6)
-        # the twin equals `first` but is another object: enumerated anew
-        assert calls == [("dfa_membership_set", id(p)),
-                         ("net_membership_set", id(first)),
-                         ("net_membership_set", id(twin))]
+        # the twin equals `first` but is another object: walked anew; both
+        # agree with the language, so they are not walked against each other
+        assert calls == [(p, id(first)), (p, id(twin))]
 
     def test_reports_match_the_separate_checks(self):
         p = DyckParams(2, 3)
@@ -740,6 +747,90 @@ class TestEnumeration:
         enumeration = verify.Enumeration(DyckParams(2, 3), 6)
         with pytest.raises(ValueError, match="k=2, m=2"):
             enumeration.equivalence(build_simple_rnn(DyckParams(2, 2)))
+
+
+class TestProductGraphParity:
+    """The equivalence and cross reports counted on the product graph are
+    those the reference builds from listed sets, for every intact and
+    sabotaged construction, at several epsilon values and block sizes; the
+    walk refuses a node budget exactly at the reference's prefix count."""
+
+    P, MAX_LEN = DyckParams(2, 3), 6
+    _reference: dict = {}
+
+    @classmethod
+    def nets(cls) -> dict:
+        """Every construction at (2, 3), intact and under each sabotage."""
+        nets = {}
+        for arch, enc in ALL_CONSTRUCTIONS:
+            net = build(arch, cls.P, enc)
+            name = arch if enc is None else f"{arch}/{enc}"
+            nets[name] = net
+            nets[f"{name} zero_close_rows"] = zero_close_rows(net)
+            nets[f"{name} softened"] = softened(net)
+            if arch == "simple":
+                nets[f"{name} flip_push_entry"] = flip_push_entry(net)
+        return nets
+
+    @classmethod
+    def reference(cls, eps):
+        """Per net, the reference report and prefix count, and the states
+        count at the default block size; found once per epsilon."""
+        if eps not in cls._reference:
+            cls._reference[eps] = {
+                name: (enumeration_reference.equivalence_report(
+                           net, cls.MAX_LEN, eps).as_dict(),
+                       enumeration_reference.prefix_count(net, cls.MAX_LEN, eps),
+                       verify.Enumeration(cls.P, cls.MAX_LEN, eps).equivalence(
+                           net).details["states"])
+                for name, net in cls.nets().items()}
+        return cls._reference[eps]
+
+    @staticmethod
+    def without_states(report):
+        out = report.as_dict()
+        out["details"] = dict(out["details"])
+        assert out["details"].pop("states") > 0
+        return out
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("eps", [None, 0.06, 0.3])
+    def test_equivalence(self, monkeypatch, eps, block):
+        expected = self.reference(eps)
+        monkeypatch.setattr(product, "TREE_BLOCK_ROWS", block)
+        for name, net in self.nets().items():
+            enumeration = verify.Enumeration(self.P, self.MAX_LEN, eps)
+            report = enumeration.equivalence(net)
+            want, count, states = expected[name]
+            assert self.without_states(report) == want, name
+            # saturated states are exact whatever rows share a block step;
+            # a softened net's last bits, and so its merges, may not be
+            if not name.endswith("softened"):
+                assert report.details["states"] == states, name
+            graph = enumeration._graph(net)
+            assert graph.agree == (graph.sizes[0] == graph.sizes[1]
+                                   == graph.common), name
+            enumeration._graph(net, count)
+            with pytest.raises(RuntimeError,
+                               match=f"exceeded {count - 1} prefixes"):
+                enumeration._graph(net, count - 1)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("eps", [None, 0.06, 0.3])
+    def test_cross(self, monkeypatch, eps, block):
+        monkeypatch.setattr(product, "TREE_BLOCK_ROWS", block)
+        nets = self.nets()
+        twin = zero_close_rows(build("simple", self.P, ONEHOT))
+        for names in (["simple/onehot", "lstm/binary", "lstm/onehot zero_close_rows",
+                       "simple/binary flip_push_entry"],
+                      ["simple/onehot zero_close_rows", "twin",
+                       "lstm/onehot softened", "naive"],
+                      ["naive softened", "simple/onehot softened",
+                       "lstm/binary zero_close_rows"]):
+            paramsets = [twin if name == "twin" else nets[name] for name in names]
+            report = verify.Enumeration(self.P, self.MAX_LEN, eps).cross(paramsets)
+            assert self.without_states(report) == enumeration_reference.cross_report(
+                self.P, paramsets, self.MAX_LEN, eps).as_dict(), names
 
 
 class TestThresholdsRefused:
@@ -1126,13 +1217,18 @@ class TestCrossConstruction:
                                                    "naive"]
 
     def test_naive_built_under_the_given_budget(self):
-        # the naive network at (4, 3) has 696 units, 484,416 recurrent weights
+        # the naive network at (4, 3) has 696 units, 484,416 recurrent
+        # weights: over the default budget it is left out, and named
         p = DyckParams(4, 3)
-        with pytest.raises(ValueError, match="budget"):
-            check_cross_construction_agreement(p, max_len=4)
+        report = check_cross_construction_agreement(p, max_len=4)
+        assert report.passed and "naive" not in report.details["constructions"]
+        (reason,) = report.details["left_out"].values()
+        assert list(report.details["left_out"]) == ["naive"]
+        assert "484416 dense recurrent weights" in reason and "budget" in reason
         report = check_cross_construction_agreement(p, max_len=4,
                                                     parameter_budget=500_000)
         assert report.passed and report.details["constructions"][-1] == "naive"
+        assert "left_out" not in report.details
 
 
 def test_reports_serialize_to_json():
