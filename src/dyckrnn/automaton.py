@@ -436,17 +436,3 @@ def allowed_tokens(params: DyckParams, state: DfaState) -> frozenset[Token]:
 def stack_state_count(params: DyckParams) -> int:
     """Number of stack states: sum over m' of k^m'."""
     return sum(params.k**i for i in range(params.m + 1))
-
-
-def prefix_count(params: DyckParams, max_len: int) -> int:
-    """Number of bracket prefixes of fewer than max_len tokens that the
-    automaton has not rejected, the empty one included: the prefixes a walk
-    of the language's prefix tree up to max_len visits.  Counted per depth,
-    one length at a time."""
-    k, m = params.k, params.m
-    counts, total = [1] + [0] * m, 0
-    for _ in range(max_len):
-        total += sum(counts)
-        counts = [(k * counts[d - 1] if d else 0) + (counts[d + 1] if d < m else 0)
-                  for d in range(m + 1)]
-    return total

@@ -213,9 +213,10 @@ def cmd_verify(args) -> int:
 
     # Each construction this command builds is built once, so the suites
     # that read it share one parameter object and the product graph walked
-    # for it.  Under --weights, only cross builds: the default constructions.
-    # Cross leaves out one the parameter budget refuses; a construction the
-    # other suites read is refused before any suite runs.
+    # for it.  Under --weights, only cross builds, and the file's network
+    # stands in for the default construction of its architecture and
+    # encoding.  Cross leaves out one the parameter budget refuses; a
+    # construction the other suites read is refused before any suite runs.
     # Numeric overrides are checked whether or not a suite builds, and
     # refused with --weights, whose file holds its own constants.
     built = {}
@@ -238,6 +239,9 @@ def cmd_verify(args) -> int:
     needs_nets = args.weights or any(
         s in suites for s in ("equivalence", "distinct", *CORPUS_SUITES))
     constructions = _verify_constructions(args, construction) if needs_nets else None
+    if args.weights:
+        (loaded,) = constructions
+        built[loaded.architecture, loaded.encoding and loaded.encoding.kind] = loaded
     enumeration = Enumeration(params, args.max_len, args.epsilon)
 
     # one walk per corpus string and construction serves every corpus
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
     try:
         with serial_blas():
             return handlers[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

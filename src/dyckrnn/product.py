@@ -49,7 +49,7 @@ class Language:
     its stack, bracket indices bottom first, 0 above the top, then its
     depth."""
 
-    dtype, budget = np.dtype(np.intp), None
+    dtype = np.dtype(np.intp)
 
     def __init__(self, params: DyckParams):
         self.params, self.width = params, params.m + 1
@@ -68,12 +68,12 @@ class Language:
 class Support:
     """A network as a side of the product graph: a state is a row of h,
     then c for the LSTM, and a symbol is allowed at probability at least
-    eps.  The prefixes alive on it count against `budget`."""
+    eps."""
 
     dtype = np.dtype(np.float64)
 
-    def __init__(self, paramset, eps: float, budget: int):
-        self.paramset, self.eps, self.budget = paramset, eps, budget
+    def __init__(self, paramset, eps: float):
+        self.paramset, self.eps = paramset, eps
         self.d = paramset.hidden_size
         self.lstm = paramset.architecture == ARCH_LSTM
         self.width = 2 * self.d if self.lstm else self.d
@@ -120,7 +120,7 @@ class Graph:
         return all(size == self.common for size in self.sizes)
 
 
-def walk_graph(sides, k: int, max_len: int):
+def walk_graph(sides, k: int, max_len: int, node_budget: int):
     """Walk the product graph of `sides` breadth first up to max_len.
 
     A node holds each side's state and an alive flag: a side is alive while
@@ -134,9 +134,9 @@ def walk_graph(sides, k: int, max_len: int):
     step_rows at most TREE_BLOCK_ROWS at a time, in (node, symbol row)
     order, and numbered by first arrival, so each node's first prefix is
     its least: the first node of the shallowest depth where the sides' end
-    marks differ names the first differing string.  A side with a budget
-    refuses once more prefixes than that are alive on it, the empty one
-    included.
+    marks differ names the first differing string.  The walk refuses as
+    soon as it has created more than node_budget nodes, the root included:
+    the nodes and their edges are what it holds.
 
     Returns the Graph and, per depth, its (nodes, sides) mask of member
     ends and its (parents, symbol rows, children) edges to the next depth.
@@ -148,13 +148,11 @@ def walk_graph(sides, k: int, max_len: int):
         spans.append((at, slice(at + 1, at + 1 + size)))
         at += 1 + size
     row_key = np.dtype((np.void, at))
-    visited = [1] * n_sides  # the empty prefix, alive on every side
 
-    def count(s, prefixes):
-        visited[s] += prefixes
-        if visited[s] > sides[s].budget:
-            raise RuntimeError(f"support enumeration exceeded {sides[s].budget} "
-                               f"prefixes")
+    def refuse_over_budget(created):
+        if created > node_budget:
+            raise RuntimeError(f"the product graph walk up to max_len={max_len} "
+                               f"exceeded the node budget of {node_budget}")
 
     def state_of(s, block, rows):
         return np.ascontiguousarray(block[rows, spans[s][1]]).view(sides[s].dtype)
@@ -177,9 +175,7 @@ def walk_graph(sides, k: int, max_len: int):
                 masks[s, live] = sides[s].allowed(state_of(s, rows, live))
         return masks
 
-    budgeted = [s for s, side in enumerate(sides) if side.budget is not None]
-    for s in budgeted:
-        count(s, 0)
+    refuse_over_budget(1)  # the root
     level = nodes([np.ones(1, dtype=bool)] * n_sides,
                   [side.root() for side in sides])
     allowed = allowed_of(level)
@@ -202,14 +198,10 @@ def walk_graph(sides, k: int, max_len: int):
         parents, cols = np.nonzero(allowed[:, :, :2 * k].any(axis=0))
         children = np.empty(parents.size, dtype=np.intp)
         index: dict[bytes, int] = {}
-        keys, masks = [], []
+        masks = []
         for lo in range(0, parents.size, TREE_BLOCK_ROWS):
             p, c = parents[lo:lo + TREE_BLOCK_ROWS], cols[lo:lo + TREE_BLOCK_ROWS]
             alive = allowed[:, p, c]
-            if budgeted:
-                reaching = [counts[i] for i in p.tolist()]
-                for s in budgeted:
-                    count(s, sum(itertools.compress(reaching, alive[s].tolist())))
             states = [side.step(state_of(s, level, p[live]), c[live])
                       if live.any() else None
                       for s, (side, live) in enumerate(zip(sides, alive))]
@@ -219,14 +211,16 @@ def walk_graph(sides, k: int, max_len: int):
                             for row in key.view(row_key).ravel().tolist()])
             children[lo:lo + ids.size] = ids
             if len(index) > known:  # new ids arrive in order: take each first
+                refuse_over_budget(graph.states + len(index))
                 fresh = np.flatnonzero(
                     ids > np.maximum.accumulate(np.append(known - 1, ids[:-1])))
-                keys.append(key[fresh])
                 masks.append(allowed_of(key[fresh]))
         if not index:
             return graph, depths
         depths[-1][1] = (parents, cols, children)
-        level, allowed = np.concatenate(keys), np.concatenate(masks, axis=1)
+        # the index keeps each node's bytes in id order: the next level
+        level = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(-1, at)
+        allowed = np.concatenate(masks, axis=1)
         reached = [0] * len(index)
         for parent, child in zip(parents.tolist(), children.tolist()):
             reached[child] += counts[parent]
@@ -244,12 +238,18 @@ def _first_prefix(vocab, depths, node: int) -> tuple[Token, ...]:
     return tuple(vocab[row] for row in reversed(rows))
 
 
-def members(side, k: int, max_len: int) -> set[tuple[Token, ...]]:
+def members(side, k: int, max_len: int,
+            node_budget: int) -> set[tuple[Token, ...]]:
     """One side's member strings up to max_len, listed by expanding every
-    path of its graph."""
+    path of its graph; refused when its walk, or the listing its size
+    foretells, is over node_budget."""
+    graph, depths = walk_graph((side,), k, max_len, node_budget)
+    if graph.sizes[0] > node_budget:
+        raise RuntimeError(f"listing {graph.sizes[0]} strings up to max_len="
+                           f"{max_len} exceeds the node budget of {node_budget}")
     vocab = vocabulary(k)
     prefixes, listed = [[()]], set()
-    for ends, edges in walk_graph((side,), k, max_len)[1]:
+    for ends, edges in depths:
         listed.update(prefix + (vocab[2 * k],)
                        for node in np.flatnonzero(ends[:, 0]).tolist()
                        for prefix in prefixes[node])

@@ -35,6 +35,7 @@ configuration.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,8 +43,8 @@ from typing import Callable
 import numpy as np
 
 from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
-                        format_string, input_column, is_member, prefix_count,
-                        run, vocabulary)
+                        format_string, input_column, is_member, run,
+                        vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
@@ -52,6 +53,7 @@ from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+REPORT_DIGITS = 4300  # CPython's default int_max_str_digits: `checked` must print
 
 
 @dataclass
@@ -115,7 +117,8 @@ def total_string_count(k: int, max_len: int) -> int:
 def dfa_membership_set(params: DyckParams, max_len: int) -> set[tuple[Token, ...]]:
     """All member strings of total length <= max_len (end mark included),
     listed from the automaton's graph."""
-    return members(Language(params), params.k, max_len)
+    return members(Language(params), params.k, max_len,
+                   DEFAULT_ENUMERATION_BUDGET)
 
 
 def net_membership_set(paramset, max_len: int, epsilon: float | None = None,
@@ -125,11 +128,11 @@ def net_membership_set(paramset, max_len: int, epsilon: float | None = None,
     network's state graph.
 
     A string is in the support when every conditional token probability is
-    at least epsilon; only above-threshold prefixes are stepped, and each
-    counts against node_budget.
+    at least epsilon; only above-threshold prefixes are stepped.  The graph
+    walked, and the strings listed, must each fit node_budget.
     """
     eps = _epsilon(paramset.k, epsilon)
-    return members(Support(paramset, eps, node_budget), paramset.k, max_len)
+    return members(Support(paramset, eps), paramset.k, max_len, node_budget)
 
 
 def _construction_name(arch: str, enc: str | None) -> str:
@@ -147,6 +150,13 @@ class Enumeration:
         if max_len < 1:
             raise ValueError(f"max_len must be at least 1 (the end mark), "
                              f"got {max_len}")
+        # cross over all n constructions checks n((2k)^max_len - 1)/(2k - 1)
+        base, n = 2 * params.k, len(applicable_constructions(params.k))
+        digits = int(max_len * math.log10(base) + math.log10(n / (base - 1))) + 1
+        if digits > REPORT_DIGITS:
+            raise ValueError(f"max_len={max_len} is too large: the count of strings "
+                             f"checked takes {digits} digits, over the "
+                             f"{REPORT_DIGITS} a report can print")
         self.params, self.max_len = params, max_len
         self.eps = _epsilon(params.k, epsilon)
         # parameter sets compare and hash by identity
@@ -161,21 +171,15 @@ class Enumeration:
                              f"m={self.params.m}")
         key = (paramset, node_budget)
         if key not in self._graphs:
-            sides = (Language(self.params),
-                     Support(paramset, self.eps, node_budget))
-            self._graphs[key] = walk_graph(sides, self.params.k, self.max_len)[0]
+            sides = (Language(self.params), Support(paramset, self.eps))
+            self._graphs[key] = walk_graph(sides, self.params.k, self.max_len,
+                                           node_budget)[0]
         return self._graphs[key]
 
     def equivalence(self, paramset,
                     node_budget: int = DEFAULT_ENUMERATION_BUDGET
                     ) -> VerificationReport:
         """The generation_equivalence report of one construction."""
-        k, m, max_len = self.params.k, self.params.m, self.max_len
-        visited = prefix_count(self.params, max_len)
-        if visited > node_budget:
-            raise RuntimeError(
-                f"the language walk for k={k}, m={m}, max_len={max_len} "
-                f"visits {visited} prefixes, over the budget {node_budget}")
         graph = self._graph(paramset, node_budget)
         counter = None
         if not graph.agree:
@@ -183,9 +187,9 @@ class Enumeration:
             counter = f"{format_string(graph.difference)} ({side})"
         return VerificationReport(
             suite="generation_equivalence", instance=_instance(paramset),
-            checked=total_string_count(k, max_len), passed=graph.agree,
-            counterexample=counter,
-            details={"epsilon": self.eps, "max_len": max_len,
+            checked=total_string_count(self.params.k, self.max_len),
+            passed=graph.agree, counterexample=counter,
+            details={"epsilon": self.eps, "max_len": self.max_len,
                      "language_size": graph.sizes[0],
                      "support_size": graph.sizes[1], "states": graph.states})
 
@@ -215,9 +219,9 @@ class Enumeration:
             elif first.agree:
                 continue
             else:
-                pair = walk_graph(tuple(
-                    Support(ps, self.eps, DEFAULT_ENUMERATION_BUDGET)
-                    for ps in (kept[0], kept[i])), self.params.k, self.max_len)[0]
+                sides = (Support(kept[0], self.eps), Support(kept[i], self.eps))
+                pair = walk_graph(sides, self.params.k, self.max_len,
+                                  DEFAULT_ENUMERATION_BUDGET)[0]
                 states += pair.states
                 witness = pair.difference
             if witness is not None:

@@ -5,8 +5,8 @@ equivalence and cross reports compared as sets of strings; and the
 full-depth distinctness check as a recursive search over step.  The tests
 require dfa_membership_set, net_membership_set, the equivalence and cross
 reports (but for their `states` count) and check_full_depth_distinctness
-to return what these return, and to refuse a node budget exactly where
-net_membership_set does."""
+to return what these return.  prefix_count counts the prefixes the
+recursion visits, which the merged graph walk steps far fewer of."""
 
 from __future__ import annotations
 
@@ -39,21 +39,18 @@ def dfa_membership_set(params, max_len: int) -> set[tuple[Token, ...]]:
     return members
 
 
-def net_membership_set(paramset, max_len: int, epsilon: float | None = None,
-                       node_budget: int = DEFAULT_ENUMERATION_BUDGET
+def net_membership_set(paramset, max_len: int, epsilon: float | None = None
                        ) -> set[tuple[Token, ...]]:
-    """The epsilon-truncated support up to max_len; every prefix visited
-    counts against node_budget."""
-    return _net_walk(paramset, max_len, epsilon, node_budget)[0]
+    """The epsilon-truncated support up to max_len."""
+    return _net_walk(paramset, max_len, epsilon)[0]
 
 
 def prefix_count(paramset, max_len: int, epsilon: float | None = None) -> int:
-    """How many prefixes net_membership_set visits: the smallest node budget
-    it accepts."""
-    return _net_walk(paramset, max_len, epsilon, float("inf"))[1]
+    """How many prefixes net_membership_set visits, the empty one included."""
+    return _net_walk(paramset, max_len, epsilon)[1]
 
 
-def _net_walk(paramset, max_len, epsilon, node_budget):
+def _net_walk(paramset, max_len, epsilon):
     k = paramset.k
     eps = epsilon_for(k) if epsilon is None else epsilon
     members: set[tuple[Token, ...]] = set()
@@ -63,8 +60,6 @@ def _net_walk(paramset, max_len, epsilon, node_budget):
     def rec(state, prefix):
         nonlocal visited
         visited += 1
-        if visited > node_budget:
-            raise RuntimeError(f"support enumeration exceeded {node_budget} prefixes")
         t = len(prefix)
         dist = next_distribution(paramset, state)
         if t + 1 <= max_len and dist[2 * k] >= eps:

@@ -8,10 +8,12 @@ import pytest
 import dyckrnn
 from dyckrnn import cli, product, runtime, sampler, verify
 from dyckrnn.automaton import Corpus, DyckParams, is_member
+from dyckrnn.builders import build_lstm
 from dyckrnn.cli import main
 from dyckrnn.sampler import parse_corpus
-from dyckrnn.verify import check_generation_equivalence
-from dyckrnn.weightio import load_weights
+from dyckrnn.verify import check_generation_equivalence, total_string_count
+from dyckrnn.weightio import load_weights, save_weights
+from conftest import zero_close_rows
 from test_verify import spy_graph_walks
 
 
@@ -61,6 +63,18 @@ class TestBuild:
                        "-o", str(tmp_path / "w.json"))
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_allocation_too_large_refused(self, tmp_path, capsys):
+        """numpy refuses the 6.94 EiB recurrent matrix at once: one error
+        line, no traceback."""
+        path = tmp_path / "x.json"
+        code = run_cli("build", "-k", "1000000000", "-m", "2", "--arch",
+                       "simple", "-o", str(path))
+        assert code == 2 and not path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: Unable to allocate 6.94 EiB")
 
     def test_naive_with_encoding_refused(self, tmp_path, capsys):
         code = run_cli("build", "--arch", "naive", "--enc", "binary",
@@ -305,6 +319,77 @@ class TestVerify:
             assert captured.out == ""
             (line,) = captured.err.splitlines()
             assert line.startswith("error:") and message in line
+
+    def test_cross_compares_the_weight_file(self, tmp_path, capsys):
+        """Under --weights, cross compares the file's network in place of
+        the default construction of its architecture and encoding."""
+        path = tmp_path / "w.json"
+        save_weights(str(path), zero_close_rows(build_lstm(DyckParams(2, 2),
+                                                           "binary")))
+        argv = ("verify", "-k", "2", "-m", "2", "--weights", str(path))
+        assert run_cli(*argv, "--suite", "equivalence") == 1
+        assert ("counterexample='(1 (1 $ (support-only)'"
+                in capsys.readouterr().out)
+        assert run_cli(*argv, "--suite", "cross") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL cross_construction_agreement")
+        assert "counterexample='simple/onehot vs lstm/binary: (1 (1 $'" in out
+
+    def test_cross_with_a_default_weight_file_unchanged(self, tmp_path, capsys):
+        """A file saved from the default construction gives the cross
+        report of the command without --weights, byte for byte."""
+        path = tmp_path / "w.json"
+        assert run_cli("build", "-k", "2", "-m", "3", "--arch", "lstm",
+                       "--enc", "binary", "-o", str(path)) == 0
+        capsys.readouterr()
+        outputs = []
+        for weights in ((), ("--weights", str(path))):
+            js = tmp_path / f"report{len(outputs)}.json"
+            assert run_cli("verify", "-k", "2", "-m", "3", "--suite", "cross",
+                           "--max-len", "7", "--json-report", str(js),
+                           *weights) == 0
+            outputs.append((capsys.readouterr(), js.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("json_report", [False, True])
+    @pytest.mark.parametrize("suite", ["equivalence", "cross"])
+    @pytest.mark.parametrize("k,m,max_len", [(8, 1, 3572), (2, 2, 100000),
+                                             (2, 2, 10000000)])
+    def test_max_len_too_large_to_report_refused(self, tmp_path, capsys, suite,
+                                                 json_report, k, m, max_len):
+        """A max_len whose reports would count the strings checked in more
+        digits than an int prints (4,300) is refused before any walk: at
+        k=8, 3572 is the first such length, as cross over the five
+        constructions would check 5 * total_string_count(8, 3572) >=
+        10^4300 strings."""
+        js = tmp_path / "report.json"
+        report = ("--json-report", str(js)) if json_report else ()
+        code = run_cli("verify", "-k", str(k), "-m", str(m), "--suite", suite,
+                       "--arch", "simple", "--enc", "onehot",
+                       "--max-len", str(max_len), *report)
+        assert code == 2 and not js.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: max_len={max_len} is too large")
+        if max_len == 3572:
+            assert 5 * total_string_count(8, 3572) >= 10**4300
+
+    def test_last_reportable_max_len(self, tmp_path, capsys):
+        """At k=8 the longest max_len accepted, 3571, prints every report,
+        summary line and JSON, whose `checked` has up to 4,300 digits (the
+        JSON report writes each count the summary prints)."""
+        js = tmp_path / "report.json"
+        for suite, constructions, digits in (("equivalence", 1, 4299),
+                                             ("cross", 5, 4300)):
+            assert run_cli("verify", "-k", "8", "-m", "1", "--suite", suite,
+                           "--arch", "simple", "--enc", "onehot",
+                           "--max-len", "3571", "--json-report", str(js)) == 0
+            checked = constructions * total_string_count(8, 3571)
+            (report,) = json.loads(js.read_text())
+            assert report["checked"] == checked and report["passed"]
+            assert len(str(checked)) == digits
+            assert f"checked={checked}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("overrides,named", [
         (("--beta", "0.5"), "--beta"),

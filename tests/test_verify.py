@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from dyckrnn import product, runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
                                format_string, is_member, parse_string,
-                               prefix_count, run, symbol_row, vocabulary)
+                               symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
 from dyckrnn.numerics import NumericConfig, epsilon_for
@@ -56,35 +55,53 @@ class TestGenerationEquivalence:
                                                 epsilon=eps).passed
 
     def test_budget_guard(self):
+        """The walk is refused once it holds more nodes than node_budget."""
         net = build_simple_rnn(DyckParams(2, 2))
-        with pytest.raises(RuntimeError, match="budget"):
-            check_generation_equivalence(net, max_len=30)
+        states = check_generation_equivalence(net, max_len=30).details["states"]
+        assert check_generation_equivalence(net, max_len=30,
+                                            node_budget=states).passed
+        with pytest.raises(RuntimeError,
+                           match=f"max_len=30 exceeded the node budget of "
+                                 f"{states - 1}$"):
+            check_generation_equivalence(net, max_len=30, node_budget=states - 1)
 
     @pytest.mark.parametrize("arch", ["simple", "lstm"])
     def test_past_depth_two(self, arch):
         """At (8, 3) there are over a million strings below length 6, but
-        the language walk visits 17,233 prefixes: within the budget."""
+        the product graph walk holds 1,259 nodes for the simple RNN and
+        1,179 for the LSTM: within the budget."""
         p = DyckParams(8, 3)
         assert total_string_count(8, 6) > verify.DEFAULT_ENUMERATION_BUDGET
         report = check_generation_equivalence(build(arch, p, BINARY), max_len=6)
         assert report.passed and report.checked == total_string_count(8, 6)
 
 
-def test_language_prefix_count():
-    """The per-depth count equals the bracket strings the automaton has not
-    rejected, counted one by one, and the prefixes an exact network's walk
-    counts against its node budget."""
-    p = DyckParams(2, 2)
-    net = build_simple_rnn(DyckParams(2, 3))
-    assert (prefix_count(net.dyck_params, 8)
-            == enumeration_reference.prefix_count(net, 8, None))
-    brackets = vocabulary(p.k)[:2 * p.k]
-    assert prefix_count(p, 7) == sum(
-        run(p, s).is_stack for t in range(7)
-        for s in itertools.product(brackets, repeat=t))
-    assert prefix_count(DyckParams(8, 3), 6) == 17_233
-    assert prefix_count(DyckParams(8, 3), 8) == 367_953
-    assert prefix_count(p, 30) == 1_252_698_793
+def test_language_walk_states():
+    """The language-only walk holds one node per stack reachable at each
+    depth t < max_len: the k^d stacks of every height d <= min(t, m) of
+    t's parity."""
+    for (k, m, max_len), states in {(2, 2, 7): 22, (3, 3, 9): 134,
+                                    (8, 3, 8): 1_764, (1, 4, 10): 21}.items():
+        sides = (product.Language(DyckParams(k, m)),)
+        graph, _ = product.walk_graph(sides, k, max_len,
+                                      verify.DEFAULT_ENUMERATION_BUDGET)
+        assert graph.states == states == sum(
+            k**d for t in range(max_len) for d in range(min(t, m) + 1)
+            if d % 2 == t % 2), (k, m, max_len)
+
+
+def test_listing_over_the_node_budget_refused():
+    """A listing whose walk fits node_budget is still refused when it would
+    list more strings than that: the LSTM's (2, 3) graph up to length 8
+    holds 48 nodes, and its support 51 strings."""
+    net = build_lstm(DyckParams(2, 3))
+    graph, _ = product.walk_graph((product.Support(net, epsilon_for(2)),), 2, 8,
+                                  verify.DEFAULT_ENUMERATION_BUDGET)
+    assert (graph.states, graph.sizes) == (48, [51])
+    assert len(net_membership_set(net, 8, node_budget=51)) == 51
+    with pytest.raises(RuntimeError, match="listing 51 strings up to max_len=8 "
+                                           "exceeds the node budget of 50$"):
+        net_membership_set(net, 8, node_budget=50)
 
 
 def test_membership_sets_agree_with_oracle():
@@ -595,8 +612,9 @@ ALL_CONSTRUCTIONS = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
 
 class TestTreeWalkParity:
     """The sets listed from the block-stepped graph walk are those the
-    recursive per-prefix reference returns, and the walk refuses a node
-    budget exactly where the reference does."""
+    recursive per-prefix reference returns, and a listing is refused
+    exactly when its graph's nodes or its strings exceed the node
+    budget."""
 
     @staticmethod
     def block_rows(monkeypatch):
@@ -675,15 +693,16 @@ class TestTreeWalkParity:
     @pytest.mark.parametrize("arch,enc,eps", [("simple", ONEHOT, None),
                                               ("lstm", BINARY, None),
                                               ("naive", None, 0.3)])
-    def test_node_budget_at_the_prefix_count(self, arch, enc, eps):
+    def test_node_budget_at_the_listing_size(self, arch, enc, eps):
         net = build(arch, DyckParams(2, 3), enc)
-        count = enumeration_reference.prefix_count(net, 8, eps)
-        assert (net_membership_set(net, 8, eps, node_budget=count)
-                == enumeration_reference.net_membership_set(net, 8, eps, count))
-        for walk in (net_membership_set, enumeration_reference.net_membership_set):
-            with pytest.raises(RuntimeError,
-                               match=f"exceeded {count - 1} prefixes"):
-                walk(net, 8, eps, node_budget=count - 1)
+        support = enumeration_reference.net_membership_set(net, 8, eps)
+        side = product.Support(net, epsilon_for(2) if eps is None else eps)
+        states = product.walk_graph((side,), 2, 8,
+                                    verify.DEFAULT_ENUMERATION_BUDGET)[0].states
+        need = max(states, len(support))
+        assert net_membership_set(net, 8, eps, node_budget=need) == support
+        with pytest.raises(RuntimeError, match=f"budget of {need - 1}$"):
+            net_membership_set(net, 8, eps, node_budget=need - 1)
 
     @pytest.mark.parametrize("max_len", [0, 1, 2])
     def test_shortest_trees(self, max_len):
@@ -691,7 +710,7 @@ class TestTreeWalkParity:
         assert (net_membership_set(net, max_len)
                 == enumeration_reference.net_membership_set(net, max_len)
                 == dfa_membership_set(net.dyck_params, max_len))
-        with pytest.raises(RuntimeError, match="exceeded 0 prefixes"):
+        with pytest.raises(RuntimeError, match="exceeded the node budget of 0$"):
             net_membership_set(net, max_len, node_budget=0)
 
 
@@ -753,7 +772,7 @@ class TestProductGraphParity:
     """The equivalence and cross reports counted on the product graph are
     those the reference builds from listed sets, for every intact and
     sabotaged construction, at several epsilon values and block sizes; the
-    walk refuses a node budget exactly at the reference's prefix count."""
+    walk refuses a node budget exactly below the nodes it holds."""
 
     P, MAX_LEN = DyckParams(2, 3), 6
     _reference: dict = {}
@@ -774,13 +793,12 @@ class TestProductGraphParity:
 
     @classmethod
     def reference(cls, eps):
-        """Per net, the reference report and prefix count, and the states
-        count at the default block size; found once per epsilon."""
+        """Per net, the reference report and the states count at the
+        default block size; found once per epsilon."""
         if eps not in cls._reference:
             cls._reference[eps] = {
                 name: (enumeration_reference.equivalence_report(
                            net, cls.MAX_LEN, eps).as_dict(),
-                       enumeration_reference.prefix_count(net, cls.MAX_LEN, eps),
                        verify.Enumeration(cls.P, cls.MAX_LEN, eps).equivalence(
                            net).details["states"])
                 for name, net in cls.nets().items()}
@@ -801,7 +819,7 @@ class TestProductGraphParity:
         for name, net in self.nets().items():
             enumeration = verify.Enumeration(self.P, self.MAX_LEN, eps)
             report = enumeration.equivalence(net)
-            want, count, states = expected[name]
+            want, states = expected[name]
             assert self.without_states(report) == want, name
             # saturated states are exact whatever rows share a block step;
             # a softened net's last bits, and so its merges, may not be
@@ -810,10 +828,11 @@ class TestProductGraphParity:
             graph = enumeration._graph(net)
             assert graph.agree == (graph.sizes[0] == graph.sizes[1]
                                    == graph.common), name
-            enumeration._graph(net, count)
+            held = report.details["states"]
+            enumeration._graph(net, held)
             with pytest.raises(RuntimeError,
-                               match=f"exceeded {count - 1} prefixes"):
-                enumeration._graph(net, count - 1)
+                               match=f"node budget of {held - 1}$"):
+                enumeration._graph(net, held - 1)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     @pytest.mark.parametrize("eps", [None, 0.06, 0.3])
