@@ -7,6 +7,12 @@ merged, and each carries how many prefixes reach it.  One walk thus counts
 every side's member strings up to a length, the strings all sides have,
 and names the first string, in length-then-lexicographic order over symbol
 rows (opens 1..k, closes 1..k, end), on which two sides differ.
+
+walk_corpus walks a given corpus instead of every string: its nodes pair a
+network's state with the automaton stack after the same tokens, its edges
+are the tokens the corpus strings consume, and each distinct node and edge
+is stepped and checked once for the corpus suites, in a node table of
+bounded bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import DyckParams, Token, vocabulary
+from .automaton import Corpus, DyckParams, Token, vocabulary
 from .encodings import ARCH_LSTM
-from .runtime import initial_state, readout, step_rows
+from .runtime import BLOCK_ROWS, initial_state, readout, step_rows
 
 
 def push_pop(k: int, stack: np.ndarray, depth: np.ndarray, cols: np.ndarray):
@@ -262,3 +268,203 @@ def members(side, k: int, max_len: int,
                                   for prefix in prefixes[parent])
         prefixes = reached
     return listed
+
+
+# The bytes walk_corpus may keep in its node table: per node its row (state
+# and automaton stack, held once, as its dict key, with about 100 bytes of
+# Python objects), half a row for the level it is made in, its verdicts and
+# its row of the edge table.  A full table is emptied but for the root and
+# the nodes the walked strings stand on.  Over the corpus suites of the
+# (128, 5) CI instance, 300 strings (2-core Xeon, in process, against the
+# slab walk it replaced), tables of 4, 8 and 16 MB took 1.00-1.05,
+# 0.95-1.01 and 0.97-1.01 times as long; at (8, 3) over 1000 strings the
+# table never fills.
+CORPUS_TABLE_BYTES = 1 << 23
+
+# The readout values walk_corpus's node checks hold at once.  At (8, 3) one
+# check of a batch's nodes took 0.47-0.48 of the slab walk's time against
+# 0.55 in checks of 128 nodes; at (128, 5) a check of 2,000 nodes raised the
+# peak RSS of the suites by about 14 MB.
+CHECK_BYTES = 1 << 18
+
+
+def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
+    """Walk a corpus over the product graph of a network and the automaton,
+    checking each distinct node once and each distinct edge once.
+
+    A node is the bytes of a network state (h, then c for the LSTM) and of
+    the automaton stack after the same tokens (Corpus.stacks); an edge is a
+    node and the symbol row of a consumed token.  The strings are taken as
+    runtime.walk orders them, most consumed tokens first, and walked level
+    by level: at level t every string with at least t consumed tokens moves
+    along the edge of its t-th token.  An edge is stepped through step_rows
+    only the first time a string reaches it, at most BLOCK_ROWS at a time,
+    and its child is looked up by the child's bytes, so strings that reach
+    equal bytes share one node from there on.  check_nodes(h, c, stack)
+    returns one verdict record per new node, check_edges(acts) one verdict
+    per new edge from the step's activations.
+
+    The table holds as many nodes as fit CORPUS_TABLE_BYTES, but never
+    fewer than 2 * BLOCK_ROWS + 1, and grows to that as nodes are made.
+    The strings are walked in chunks of half that many, so the nodes a
+    chunk stands on and the new nodes of its next level always fit beside
+    the root: when they would not, the table is emptied but for those.
+    New nodes are checked when their verdicts are next read, in pieces
+    whose readout holds at most CHECK_BYTES.
+
+    Yields, in batches, every position (string s after t tokens, t = 0 to
+    its consumed count) as arrays (strings, t, node verdicts, edge
+    verdicts); edge verdicts are None without check_edges, and False at
+    t = 0, where no edge leads in.  Each string's positions come in order
+    of t.  A batch is yielded before the table is emptied and once it holds
+    as many positions as the table holds nodes.  A position's verdicts do
+    not depend on the table's size, but for the last bits of readout sums,
+    which may round with the nodes checked together.
+    """
+    k, d = paramset.k, paramset.hidden_size
+    lstm = paramset.architecture == ARCH_LSTM
+    width, cols = (2 * d if lstm else d), 2 * k  # an end mark is never consumed
+    stacks = corpus.stacks(paramset.m)
+    # a node is a row of `width` state values, then its stack's bytes padded
+    # to a whole value; the row's bytes are its key, and the only copy kept
+    stack_bytes = stacks.dtype.itemsize * paramset.m
+    row = width + -(-stack_bytes // 8)
+    row_key = np.dtype((np.void, 8 * row))
+
+    def stack_of(block):
+        return block.view(np.uint8)[:, 8 * width:8 * width + stack_bytes].view(
+            stacks.dtype)
+
+    def check(block):
+        return check_nodes(block[:, :d], block[:, d:width] if lstm else None,
+                           stack_of(block))
+
+    def rows_of(ids):
+        return np.frombuffer(b"".join(map(keys.__getitem__, ids)),
+                             dtype=np.float64).reshape(-1, row)
+
+    root = np.zeros((1, row))
+    verdict = check(root)
+    per_node = (3 * row_key.itemsize // 2 + 100 + verdict.itemsize
+                + cols * (4 + (check_edges is not None)))
+    capacity = max(CORPUS_TABLE_BYTES // per_node, 2 * BLOCK_ROWS + 1)
+    chunk = (capacity - 1) // 2
+    # per node: its verdicts, and per symbol row the child's id + 1 (0 not
+    # yet stepped) and the edge's verdict; grown as nodes are made
+    verdicts, child = verdict, np.zeros(cols, dtype=np.int32)
+    gate = np.zeros(cols, dtype=bool) if check_edges else None
+    keys = [root.tobytes()]  # by node id
+    index = {keys[0]: 0}  # a node's key: its id
+    checked = 1  # nodes with their verdicts
+
+    def room(nodes):
+        """Grow the tables to hold `nodes` nodes, at least doubling them."""
+        nonlocal verdicts, child, gate
+        if nodes > len(verdicts):
+            grown = min(max(nodes, 2 * len(verdicts)), capacity) - len(verdicts)
+            verdicts = np.concatenate([verdicts, np.empty(grown, verdicts.dtype)])
+            child = np.concatenate([child, np.zeros(grown * cols, child.dtype)])
+            if check_edges:
+                gate = np.concatenate([gate, np.zeros(grown * cols, bool)])
+
+    def check_made():
+        """Check the nodes made since the last check, in pieces whose
+        readout holds at most CHECK_BYTES, or BLOCK_ROWS rows."""
+        nonlocal checked
+        piece = max(CHECK_BYTES // (8 * (cols + 1)), BLOCK_ROWS)
+        for lo in range(checked, len(keys), piece):
+            hi = min(lo + piece, len(keys))
+            verdicts[lo:hi] = check(rows_of(range(lo, hi)))
+        checked = len(keys)
+
+    def empty(keep):
+        """Keep only the nodes `keep` (sorted, the root first, checked),
+        renumbered 0, 1, ...; forget every edge."""
+        nonlocal keys, checked
+        child[:len(keys) * cols] = 0
+        keys = list(map(keys.__getitem__, keep.tolist()))
+        checked = len(keys)
+        verdicts[:checked] = verdicts[keep]
+        index.clear()
+        index.update(zip(keys, range(checked)))
+
+    pending, held = [], 0  # per level: (strings, t, nodes, edge verdicts)
+
+    def batch():
+        """The pending positions' verdicts, checking the nodes made since
+        the last batch first."""
+        nonlocal pending, held
+        check_made()
+        strings, ts, ids, gates = zip(*pending)
+        out = (np.concatenate(strings),
+               np.repeat(ts, [part.size for part in strings]),
+               verdicts[np.concatenate(ids)],
+               np.concatenate(gates) if check_edges else None)
+        pending, held = [], 0
+        return out
+
+    consumed = corpus.consumed()
+    order = np.argsort(-consumed, kind="stable")
+    for lo in range(0, order.size, chunk):
+        strings = order[lo:lo + chunk]
+        starts, live_at = corpus.offsets[strings], consumed[strings]
+        # strings still consuming at t = 1, 2, ... (they come most first)
+        lives = np.searchsorted(-live_at, -np.arange(1, live_at[0] + 1),
+                                side="right").tolist()
+        node = np.zeros(strings.size, dtype=np.intp)  # all at the root
+        pending.append((strings, 0, node,
+                        np.zeros(node.size, dtype=bool) if check_edges else None))
+        held += node.size
+        for t, live in enumerate(lives, start=1):
+            at = starts[:live] + (t - 1)  # the token consumed, in the corpus
+            parent, col = node[:live], corpus.codes[at]
+            edge = parent * cols + col
+            node = child[edge]
+            if not node.all():
+                new = np.flatnonzero(node == 0)
+                if len(keys) + new.size > capacity:
+                    if pending:  # else a batch has just checked every node
+                        yield batch()
+                    kept = np.zeros(len(keys), dtype=bool)
+                    kept[parent] = kept[0] = True
+                    keep = np.flatnonzero(kept)
+                    empty(keep)
+                    parent = np.searchsorted(keep, parent)
+                    edge = parent * cols + col
+                    node, new = np.zeros(live, dtype=np.int32), np.arange(live)
+                # each new edge is claimed in the edge table by the last row
+                # on it, which steps it for all of them
+                on = edge[new]
+                child[on] = ~new
+                lead = np.flatnonzero(~child[on] == new)
+                fresh = on[lead]
+                parent_of, sym = np.divmod(fresh, cols)
+                room(len(keys) + lead.size)
+                block = np.zeros((lead.size, row))  # zero padded
+                for b in range(0, lead.size, BLOCK_ROWS):
+                    rows = rows_of(parent_of[b:b + BLOCK_ROWS].tolist())
+                    h, c, acts = step_rows(
+                        paramset, rows[:, :d],
+                        np.ascontiguousarray(rows[:, d:width].T).T if lstm else None,
+                        sym[b:b + BLOCK_ROWS])
+                    block[b:b + len(rows), :d] = h
+                    if lstm:
+                        block[b:b + len(rows), d:width] = c
+                    if check_edges:
+                        gate[fresh[b:b + len(rows)]] = check_edges(acts)
+                stack_of(block)[:] = stacks[at[new[lead]]]
+                found = block.view(row_key).ravel().tolist()
+                ids = [index.setdefault(key, len(index)) for key in found]
+                # a new node's id is the count of nodes before it
+                keys += dict.fromkeys(itertools.compress(
+                    found, [i >= len(keys) for i in ids]))
+                child[fresh] = np.add(ids, 1)
+                node[new] = child[on]
+            node = np.subtract(node, 1, dtype=np.intp)
+            pending.append((strings[:live], t, node,
+                            gate[edge] if check_edges else None))
+            held += live
+            if held >= capacity:
+                yield batch()
+    if pending:
+        yield batch()

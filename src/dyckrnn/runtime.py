@@ -16,8 +16,8 @@ and (rows, 4d) transposed views of such blocks.  The saturating functions
 write clamped entries directly and run exp or tanh only on the entries
 inside (-beta, beta).  The one-row case of step_rows is step, which serves
 only run_prefix, format_trace and the text of
-counterexamples.  walk steps a whole corpus for the corpus suites, the
-distinctness suite and the closing metric: it reads the symbol-row codes
+counterexamples.  walk steps a whole corpus for the distinctness suite and
+the closing metric: it reads the symbol-row codes
 of an automaton.Corpus (a list of Token strings is encoded once), sorts
 the strings by length and steps them BLOCK_ROWS at a time, so one matrix
 product advances every live string of a block.  runtime calls sat_sigmoid,
@@ -204,7 +204,9 @@ def serial_blas():
 
 def walk(paramset, corpus):
     """Step every corpus string from the initial state, BLOCK_ROWS strings
-    at a time.
+    at a time: every consumed token once, for the closing metric and the
+    distinctness suite (the corpus suites step each distinct edge once,
+    product.walk_corpus).
 
     The corpus is a Corpus or a list of Token strings, which is encoded
     once (Corpus.of).  The strings are sorted by how many tokens they

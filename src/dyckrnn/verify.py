@@ -20,8 +20,9 @@ through runtime.walk; it and the collision search share one pigeonhole pass
 over their full-depth state keys, which turns only the colliding pair into
 Tokens.  The corpus suites and the closing metrics read a corpus as an
 automaton.Corpus: the suites refuse a string that leaves the language from
-its rejections array, read the automaton stack after every token from its
-stacks array, and check the walked rows a bounded slab at a time; the
+its rejections array and walk the corpus over the product graph of the
+network and the automaton stacks of its stacks array (product.walk_corpus),
+checking each distinct (state, stack) node and each distinct edge once; the
 metrics find each close bracket's open from its depth arrays, and the
 closing metric reads out each distinct hidden row before a close once,
 finding repeats by the row's bytes.
@@ -48,7 +49,8 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import Graph, Language, Support, allowed_rows, members, walk_graph
+from .product import (Graph, Language, Support, allowed_rows, members,
+                      walk_corpus, walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
 
@@ -110,8 +112,9 @@ def _epsilon(k: int, epsilon: float | None) -> float:
 
 
 def total_string_count(k: int, max_len: int) -> int:
-    """Strings over the vocabulary ending in the end mark, length <= max_len."""
-    return sum((2 * k) ** t for t in range(max_len))
+    """Strings over the vocabulary ending in the end mark, length <= max_len:
+    the geometric sum of (2k)^t over t < max_len."""
+    return ((2 * k) ** max_len - 1) // (2 * k - 1)
 
 
 def dfa_membership_set(params: DyckParams, max_len: int) -> set[tuple[Token, ...]]:
@@ -321,18 +324,17 @@ CORPUS_SUITES = {"stack": "stack_correspondence",
                  "margins": "probability_margins",
                  "saturation": "saturation_exactness"}
 
-# The bytes of walked rows check_corpus_suites keeps between checks.  At
-# (8, 3) over 1000 strings (2-core Xeon), slabs of 64 KB, 128 KB, 256 KB and
-# 1 MB checked the four constructions 1.10, 1.35, 1.62 and 1.79 times as
-# fast as one check per walk step, and raised the traced peak of one call
-# from 0.45-0.57 MB to 0.51-0.63, 0.62-0.70, 0.89-0.91 and 2.4-2.6 MB.
-_SLAB_BYTES = 1 << 18
+# A node's verdicts in the corpus suites: a fault per suite, and the margins
+# extremes of its readout.
+_NODE_VERDICT = np.dtype([("stack", bool), ("saturation", bool),
+                          ("margins", bool), ("lo", float), ("hi", float)])
 
 
 def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
                         epsilon: float | None = None) -> list[VerificationReport]:
     """Any of the corpus suites, one report each in `suites` order, over one
-    block walk of the corpus.
+    walk of the corpus on the product graph of the network and the
+    automaton (product.walk_corpus).
 
     The first string, in corpus order, that leaves the language before its
     first end mark is refused before any is walked.  The stack and
@@ -342,14 +344,14 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     its first counterexample: the checks up to that one, whose text is
     rebuilt from its prefix with the scalar helpers.
 
-    Each walk step copies its rows into one slab of at most _SLAB_BYTES
-    (floored at BLOCK_ROWS rows, so a step always fits), with their strings
-    and positions: h, and for the LSTM one column per distinct gate unit
-    (every gate unit is a byte-equal copy of one) and c.  When the next
-    step would not fit, and after the last, each suite checks the slab in
-    one pass against the automaton stacks of Corpus.stacks.  The margins
-    readout thus runs once per slab, and min_allowed and max_disallowed
-    may differ in their last bits with the rows that share it.
+    A position's checks depend only on its node (the network state and the
+    automaton stack) and, for the LSTM's gates, on the edge into it, so
+    each distinct node is checked once: the stack against the automaton
+    stack, h (c for the LSTM) for exact values, the readout against the
+    allowed mask; each distinct LSTM edge has its gates checked once.  The
+    walk gathers the verdicts back per position.  The readout runs once
+    per batch of new nodes, so min_allowed and max_disallowed may differ in
+    their last bits with the rows that share its product.
     """
     params = paramset.dyck_params
     k, d = params.k, paramset.hidden_size
@@ -369,51 +371,53 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
                          f"{rejected[bad[0]] + 1}: {format_string(corpus[bad[0]])}")
     if not suites:
         return []
-    # the automaton stack after t tokens of string s is at row
-    # offsets[s] + t, and the empty stack at row 0
-    stacks = corpus.stacks(params.m)
-    stacks = np.vstack([np.zeros((1, params.m), dtype=stacks.dtype), stacks])
     first = {s: np.full(n, -1) for s in suites}  # first failing position
     lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
     stack_ok = _stack_predicate(paramset) if "stack" in first else None
-    # slab columns: h, and for the LSTM one column per distinct gate unit
-    # (the sigmoids first) and c, the values its saturation suite checks
     lstm = paramset.architecture == ARCH_LSTM
-    width = d
-    if lstm:
+
+    def check_nodes(h, c, stack):
+        verdict = np.zeros(len(h), dtype=_NODE_VERDICT)
+        stack = stack.astype(np.intp)  # holds symbol rows k + top - 1
+        depth = np.count_nonzero(stack, axis=1)
+        if stack_ok:
+            verdict["stack"] = ~stack_ok(h, c, stack, depth)
+        if "saturation" in first:
+            verdict["saturation"] = ~(_saturated(c, 0) if lstm else _saturated(h, d))
+        if "margins" in first:
+            dist = readout(paramset, h)
+            allowed = allowed_rows(params, stack, depth)
+            verdict["lo"] = np.where(allowed, dist, np.inf).min(axis=1)
+            verdict["hi"] = np.where(allowed, 0.0, dist).max(axis=1)
+            # NaN fails: it is neither at least eps nor at most the bound
+            verdict["margins"] = ~((verdict["lo"] >= eps)
+                                   & (verdict["hi"] <= dis_bound))
+        return verdict
+
+    check_edges = None
+    if lstm and "saturation" in first:
+        # every gate unit is a byte-equal copy of one distinct unit
         sigmoids, inverse = paramset.packed[3:]
         gates = np.unique(inverse, return_index=True)[1]
-        width += gates.size + d
-    capacity = max(_SLAB_BYTES // (8 * width + 16), BLOCK_ROWS)
-    slab = np.zeros((capacity, width))
-    owner = np.empty(capacity, dtype=np.intp)
-    at = np.empty(capacity, dtype=np.intp)
 
-    def check(size):
-        s, t = owner[:size], at[:size]
+        def check_edges(acts):
+            return ~_saturated(acts[:, gates], sigmoids)
+
+    for s, t, verdict, gate in walk_corpus(paramset, corpus, check_nodes,
+                                           check_edges):
         stepped = t > 0
-        state = np.where(stepped, corpus.offsets[s] + t, 0)
-        stack = stacks[state].astype(np.intp)  # holds symbol rows k + top - 1
-        depth = np.count_nonzero(stack, axis=1)
-        h = slab[:size, :d]
         faults = {}
         if "stack" in first:
-            c = slab[:size, -d:] if lstm else None
-            faults["stack"] = stepped & ~stack_ok(h, c, stack, depth)
-        if "saturation" in first:
-            exact = (_saturated(slab[:size, d:], sigmoids) if lstm
-                     else _saturated(h, d))
-            faults["saturation"] = stepped & ~exact
+            faults["stack"] = stepped & verdict["stack"]
+        if "saturation" in first:  # the node, and the LSTM's gates on the way
+            fault = verdict["saturation"]
+            faults["saturation"] = stepped & (fault if gate is None else fault | gate)
         if "margins" in first:
             sel = np.flatnonzero(t < counts["margins"][s])
-            dist = readout(paramset, h)[sel]
-            allowed = allowed_rows(params, stack[sel], depth[sel])
-            lo = np.where(allowed, dist, np.inf).min(axis=1)
-            hi = np.where(allowed, 0.0, dist).max(axis=1)
-            faults["margins"] = np.zeros(size, dtype=bool)
-            # NaN fails: it is neither at least eps nor at most the bound
-            faults["margins"][sel] = ~((lo >= eps) & (hi <= dis_bound))
-        # rows are in step order, so each string's first fault comes first
+            lo, hi = verdict["lo"][sel], verdict["hi"][sel]
+            faults["margins"] = np.zeros(s.size, dtype=bool)
+            faults["margins"][sel] = verdict["margins"][sel]
+        # each string's positions come in order, so its first fault first
         for suite, fault in faults.items():
             failed, row = np.unique(s[fault], return_index=True)
             fresh = first[suite][failed] < 0
@@ -424,23 +428,6 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
             with np.errstate(invalid="ignore"):  # a NaN is kept, unflagged
                 np.minimum.at(lo_min, s[sel][keep], lo[keep])
                 np.maximum.at(hi_max, s[sel][keep], hi[keep])
-
-    filled = 0
-    for rows, _, t, h, c, acts in walk(paramset, corpus):
-        live = len(h)
-        if filled + live > capacity:
-            check(filled)
-            filled = 0
-        end = filled + live
-        slab[filled:end, :d] = h
-        if lstm:
-            if t:  # no step into t = 0, whose gates are not checked
-                slab[filled:end, d:-d] = acts[:, gates]
-            slab[filled:end, -d:] = c
-        owner[filled:end], at[filled:end] = rows[:live], t
-        filled = end
-    if filled:
-        check(filled)
 
     details = {"stack": {"strings": n}, "saturation": {},
                "margins": {"epsilon": eps, "disallowed_bound": dis_bound}}

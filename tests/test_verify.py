@@ -5,7 +5,7 @@ import pytest
 
 from dyckrnn import product, runtime, verify
 from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
-                               format_string, is_member, parse_string,
+                               format_string, is_member, parse_string, run,
                                symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
 from dyckrnn.encodings import BINARY, ONEHOT
@@ -74,6 +74,15 @@ class TestGenerationEquivalence:
         assert total_string_count(8, 6) > verify.DEFAULT_ENUMERATION_BUDGET
         report = check_generation_equivalence(build(arch, p, BINARY), max_len=6)
         assert report.passed and report.checked == total_string_count(8, 6)
+
+
+def test_total_string_count_closed_form():
+    """The closed form (2k)^L - 1 over 2k - 1 against the sum it replaces."""
+    for k in range(1, 5):
+        for max_len in range(1, 41):
+            assert total_string_count(k, max_len) == sum(
+                (2 * k) ** t for t in range(max_len))
+    assert total_string_count(2, 7141) == sum(4**t for t in range(7141))
 
 
 def test_language_walk_states():
@@ -251,30 +260,62 @@ class TestCorpusWalk:
                                               "stack_correspondence"]
 
     def test_no_suites_walk_nothing(self, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("walked a corpus for no suite")
+        def no_step(*args):
+            raise AssertionError("stepped a corpus for no suite")
 
         p = DyckParams(2, 2)
         corpus = sample_strings(SamplerConfig(p, seed=1), 20)
-        monkeypatch.setattr(verify, "walk", no_walk)
+        for module in (product, runtime):
+            monkeypatch.setattr(module, "step_rows", no_step)
+        with pytest.raises(AssertionError, match="stepped a corpus"):
+            check_corpus_suites(build_lstm(p), corpus, ("stack",))
         assert check_corpus_suites(build_lstm(p), corpus, ()) == []
 
-    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("lstm", BINARY)])
-    def test_one_step_per_token(self, monkeypatch, arch, enc):
-        p = DyckParams(4, 3)
-        net = build(arch, p, enc)
-        corpus = sample_strings(SamplerConfig(p, seed=7), 50)
+    @staticmethod
+    def count_stepped_rows(monkeypatch):
         stepped = []
-        real_step_rows = runtime.step_rows
+        real_step_rows = product.step_rows
 
         def counting_step_rows(paramset, h, c, cols):
             stepped.append(len(cols))
             return real_step_rows(paramset, h, c, cols)
 
-        monkeypatch.setattr(runtime, "step_rows", counting_step_rows)
+        monkeypatch.setattr(product, "step_rows", counting_step_rows)
+        return stepped
+
+    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("lstm", BINARY)])
+    def test_one_step_per_edge(self, monkeypatch, arch, enc):
+        """Each distinct edge, a (network state, automaton stack) node and
+        the token leaving it, is stepped once, in blocks of at most
+        BLOCK_ROWS; the edges are counted here prefix by prefix."""
+        p = DyckParams(4, 3)
+        net = build(arch, p, enc)
+        corpus = sample_strings(SamplerConfig(p, seed=7), 50)
+        edges = set()
+        for string in corpus:
+            state = initial_state(net)
+            for i, token in enumerate(string[:-1]):
+                node = (state.h.tobytes(), state.c is not None and state.c.tobytes(),
+                        run(p, string[:i]))
+                edges.add((node, token))
+                state, _ = step(net, state, token)
+        stepped = self.count_stepped_rows(monkeypatch)
         reports = check_corpus_suites(net, corpus)
         assert all(r.passed for r in reports)
-        assert sum(stepped) == sum(len(s) - 1 for s in corpus)
+        assert max(stepped) <= runtime.BLOCK_ROWS
+        assert sum(stepped) == len(edges) < sum(len(s) - 1 for s in corpus)
+
+    @pytest.mark.parametrize("arch", ["simple", "lstm"])
+    def test_distinct_edges_at_scale(self, monkeypatch, arch):
+        """At (8, 3), 10,000 strings consume 59,594 tokens, but their walk
+        has fewer than 2,000 distinct edges."""
+        p = DyckParams(8, 3)
+        corpus = sample_strings(SamplerConfig(p, seed=1), 10_000)
+        stepped = self.count_stepped_rows(monkeypatch)
+        reports = check_corpus_suites(build(arch, p, BINARY), corpus)
+        assert all(r.passed for r in reports)
+        assert reports[0].checked == 59_594
+        assert sum(stepped) < 2_000
 
 
 def softened(net):
@@ -303,21 +344,31 @@ def relabeled(strings, index):
             for s in strings]
 
 
+ALL_CONSTRUCTIONS = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
+                     ("lstm", BINARY), ("naive", None)]
+
+
 class TestBlockWalkParity:
     """The block walk reports what the per-prefix reference loop reports;
     the margins extremes may differ by the order of the readout sums."""
 
     @staticmethod
-    def assert_matches_reference(net, corpus, suites=tuple(verify.CORPUS_SUITES)):
-        batched = [r.as_dict() for r in check_corpus_suites(net, corpus, suites)]
-        expected = [r.as_dict() for r in
-                    reference.check_corpus_suites(net, corpus, suites)]
+    def assert_same_reports(batched, expected):
+        """Equal report dicts, but for the margins extremes, whose readout
+        sums may round with the rows that share a block product."""
         for got, want in zip(batched, expected):
             if got["suite"] == "probability_margins":
                 for key in ("min_allowed", "max_disallowed"):
                     assert got["details"].pop(key) == pytest.approx(
                         want["details"].pop(key), abs=1e-12, rel=0)
         assert batched == expected
+
+    @classmethod
+    def assert_matches_reference(cls, net, corpus,
+                                 suites=tuple(verify.CORPUS_SUITES)):
+        batched = [r.as_dict() for r in check_corpus_suites(net, corpus, suites)]
+        cls.assert_same_reports(batched, [
+            r.as_dict() for r in reference.check_corpus_suites(net, corpus, suites)])
         return batched
 
     @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("simple", BINARY),
@@ -424,10 +475,11 @@ class TestBlockWalkParity:
 
     @pytest.fixture
     def floored_slab(self, monkeypatch):
-        """The corpus suites' slab at its floor of BLOCK_ROWS rows, so that
-        a block of BLOCK_ROWS live strings is checked once per step and a
-        string's steps span many checks."""
-        monkeypatch.setattr(verify, "_SLAB_BYTES", 0)
+        """The corpus walk's node table at its floor of 2 * BLOCK_ROWS + 1
+        nodes: the strings are walked BLOCK_ROWS at a time, the table is
+        emptied whenever a level's new nodes would not fit, and a string's
+        positions span many batches of verdicts."""
+        monkeypatch.setattr(product, "CORPUS_TABLE_BYTES", 0)
 
     @pytest.mark.parametrize("arch,enc,sabotage", [
         ("simple", ONEHOT, None), ("simple", BINARY, None), ("lstm", ONEHOT, None),
@@ -444,13 +496,16 @@ class TestBlockWalkParity:
         assert all(r["passed"] for r in reports) == (sabotage is None)
 
     def test_margins_failure_in_a_later_slab(self, floored_slab, monkeypatch):
-        """128 strings stay live together for 25 steps, so each of those
-        steps fills the floored slab and is checked on its own.  Softened
-        weights keep the margins for a while: the first failing string in
-        corpus order fails at prefix length 19, where a disallowed token
-        takes 0.054, and its smallest allowed probability, the smallest of
-        the strings up to it, comes at prefix length 17, two checks
-        earlier."""
+        """128 strings stay live together for 25 steps.  The 127 copies of
+        the passing string share their nodes, so each level makes two new
+        nodes (one after 24 steps) and the 51 nodes are read out once each.
+        The floored table yields its verdicts every 257 positions, after
+        every third level, and reads out the nodes made since the last
+        batch: the root, then 4, then 6 per batch.  Softened weights keep
+        the margins for a while: the first failing string in corpus order
+        fails at prefix length 19, where a disallowed token takes 0.054,
+        and its smallest allowed probability, the smallest of the strings
+        up to it, comes at prefix length 17, one batch earlier."""
         p = DyckParams(3, 3)
         net = build_lstm(p)
         net = clone_with(net, **{name: getattr(net, name) * 0.2
@@ -470,7 +525,7 @@ class TestBlockWalkParity:
 
         monkeypatch.setattr(verify, "readout", counting_readout)
         got = check_probability_margins(net, corpus)
-        assert readouts == [runtime.BLOCK_ROWS] * 25 + [2]
+        assert readouts == [1, 4] + [6] * 7 + [4]
         assert got.counterexample.startswith(
             format_string(late) + " @ prefix length 19: min allowed 0.718")
         assert got.checked == 60 * 25 + 20
@@ -497,15 +552,59 @@ class TestBlockWalkParity:
         assert all(r["passed"] for r in reports) == (sabotage is None)
 
     @pytest.mark.parametrize("arch,k", [("simple", 48), ("lstm", 96)])
-    def test_slab_floored_by_its_hidden_size(self, arch, k):
-        """With 288 hidden units h alone takes over 2 KB a row, so the slab
-        budget holds fewer rows than a block: the slab keeps BLOCK_ROWS."""
+    def test_slab_floored_by_its_hidden_size(self, monkeypatch, arch, k):
+        """With 288 hidden units h alone takes over 2 KB a node, so a node
+        table of 512 KB holds fewer nodes than its floor of
+        2 * BLOCK_ROWS + 1, which it keeps."""
         p = DyckParams(k, 3)
         net = build(arch, p, ONEHOT)
-        assert verify._SLAB_BYTES // (8 * net.hidden_size) < runtime.BLOCK_ROWS
+        monkeypatch.setattr(product, "CORPUS_TABLE_BYTES", 1 << 19)
+        assert (1 << 19) // (8 * net.hidden_size) < 2 * runtime.BLOCK_ROWS + 1
         corpus = sample_strings(SamplerConfig(p, seed=5), 150)
         self.assert_matches_reference(net, corpus)
         self.assert_matches_reference(zero_close_rows(net), corpus)
+
+    @pytest.mark.parametrize("k,arch,enc,sabotage", [
+        (k, arch, enc, sabotage)
+        for k in (2, 8) for arch, enc in ALL_CONSTRUCTIONS
+        if k == 2 or arch != "naive"
+        for sabotage in [None, zero_close_rows, softened]
+        + {"simple": [flip_push_entry], "lstm": [expose_all_slots]}.get(arch, [])])
+    def test_floored_table_every_sabotage(self, floored_slab, k, arch, enc,
+                                          sabotage):
+        p = DyckParams(k, 3)
+        net = build(arch, p, enc)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=17), 150)
+        reports = self.assert_matches_reference(net, corpus)
+        assert all(r["passed"] for r in reports) == (sabotage is None)
+
+    @pytest.mark.parametrize("arch", ["simple", "lstm"])
+    def test_emptied_table_reports_as_floored(self, monkeypatch, arch):
+        """Long (128, 5) strings make more nodes than the default table
+        holds, so it is emptied and some edges are stepped again; the
+        reports equal those of an unbounded table and of the floored one,
+        but for the last bits of the margins extremes: the LSTM's exposed
+        slot holds tanh(1), whose readout sums round with the block."""
+        p = DyckParams(128, 5)
+        net = build(arch, p, BINARY)
+        corpus = sample_strings(
+            SamplerConfig(p, seed=2027, min_len=181, max_len=360), 24)
+        stepped = TestCorpusWalk.count_stepped_rows(monkeypatch)
+
+        def walked(budget):
+            monkeypatch.setattr(product, "CORPUS_TABLE_BYTES", budget)
+            stepped.clear()
+            reports = [r.as_dict() for r in check_corpus_suites(net, corpus)]
+            return reports, sum(stepped)
+
+        default, default_rows = walked(product.CORPUS_TABLE_BYTES)
+        unbounded, unbounded_rows = walked(1 << 40)
+        assert default_rows > unbounded_rows
+        assert all(r["passed"] for r in default)
+        for other in (unbounded, walked(0)[0]):
+            self.assert_same_reports(other, [dict(r, details=dict(r["details"]))
+                                             for r in default])
 
     def test_bracket_indices_past_a_byte(self):
         """Corpus stacks keep bracket indices in a byte up to k = 255, but
@@ -604,10 +703,6 @@ class TestBlockWalkParity:
             closing_metric(net, [parse_string("(1 )1 $"), parse_string(")1 $")])
         with pytest.raises(ValueError, match="out of range"):
             closing_metric(net, [parse_string("(3 )3 $")])
-
-
-ALL_CONSTRUCTIONS = [("simple", ONEHOT), ("simple", BINARY), ("lstm", ONEHOT),
-                     ("lstm", BINARY), ("naive", None)]
 
 
 class TestTreeWalkParity:
