@@ -255,7 +255,15 @@ def cmd_verify(args) -> int:
             ps, corpus, corpus_suites, epsilon=args.epsilon)))
             for ps in constructions]
 
+    # the equivalence and cross suites read one walk of the language beside
+    # every construction either compares, walked when the first of them runs
+    crossed = (cross_constructions(args.k, construction) if "cross" in suites
+               else ([], None))
+    enumerated = [*(constructions if "equivalence" in suites else ()),
+                  *crossed[0]]
     for suite in suites:
+        if suite in ("equivalence", "cross"):
+            enumeration.walk(enumerated)
         if suite == "equivalence":
             reports.extend(enumeration.equivalence(ps) for ps in constructions)
         elif suite in CORPUS_SUITES:
@@ -266,8 +274,7 @@ def cmd_verify(args) -> int:
         elif suite == "collide":
             reports.append(_collision_report(args, params))
         elif suite == "cross":
-            reports.append(enumeration.cross(
-                *cross_constructions(args.k, construction)))
+            reports.append(enumeration.cross(*crossed))
 
     for report in reports:
         print(report.summary_line())

@@ -2,11 +2,16 @@
 
 A side is the automaton (Language) or one network's epsilon-truncated
 support (Support).  A node of the product graph holds one state per side,
-each with an alive flag; nodes of one depth whose bytes are equal are
-merged, and each carries how many prefixes reach it.  One walk thus counts
-every side's member strings up to a length, the strings all sides have,
-and names the first string, in length-then-lexicographic order over symbol
-rows (opens 1..k, closes 1..k, end), on which two sides differ.
+each with an alive flag.  walk_graph keeps one table of nodes across
+depths: a node is stepped and read out the first time it is made, its
+edges are stored, and once a depth makes no new node the graph is closed
+and the remaining depths only carry each node's prefix count along stored
+edges.  From one walk of the automaton beside many networks, Walk.graph
+reads what a walk of any one or two sides alone would report: each side's
+member strings up to a length, the strings both have, the distinct pairs
+of their states per depth, and the first string, in
+length-then-lexicographic order over symbol rows (opens 1..k, closes 1..k,
+end), on which they differ.
 
 walk_corpus walks a given corpus instead of every string: its nodes pair a
 network's state with the automaton stack after the same tokens, its edges
@@ -17,6 +22,7 @@ bounded bytes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -70,6 +76,13 @@ class Language:
     def allowed(self, state: np.ndarray) -> np.ndarray:
         return allowed_rows(self.params, state[:, :-1], state[:, -1])
 
+    def least_level(self, t: int) -> int:
+        """The stacks reachable after t tokens, each its own node of any
+        walk with this side: the k^d stacks of each height d <= min(t, m)
+        of t's parity."""
+        k, m = self.params.k, self.params.m
+        return sum(k**d for d in range(t % 2, min(t, m) + 1, 2))
+
 
 class Support:
     """A network as a side of the product graph: a state is a row of h,
@@ -98,22 +111,29 @@ class Support:
         h = np.ascontiguousarray(state[:, :self.d])
         return readout(self.paramset, h) >= self.eps
 
+    def least_level(self, t: int) -> int:
+        """A network may die on any prefix: no depth holds a node for sure."""
+        return 0
 
-# Children stepped per block of the graph walk.  A walk keeps one depth of
-# nodes, so the block bounds only the transient step arrays, widest for the
-# naive network (252 units at (3, 3)).  Over the enumerate benchmark's
-# verify commands (2-core Xeon), blocks of 64, 128 and 256 rows took 49,
-# 44 and 60 ms in process (a noisy host) and read 38.2, 38.9-39.1 and
-# 39.3-39.4 MB one-pass peak RSS, against 38.4-38.6 MB for the tree walk.
+
+# Children stepped per block of the graph walk.  The block bounds only the
+# transient step arrays, widest for the naive network (252 units at (3, 3)).
+# Over the enumerate benchmark's verify commands (2-core Xeon, in process,
+# median CPU time of 40 passes, three rounds), blocks of 64, 128 and 256
+# rows took 53-63, 48-58 and 44-57 ms a pass, and read 38.9-39.0, 39.5 and
+# 39.5-39.7 MB one-pass peak RSS (perfbench/run.py --seconds 0): larger
+# blocks are faster, but their step transients raise the peak by over half
+# a megabyte.
 TREE_BLOCK_ROWS = 64
 
 
 @dataclass
 class Graph:
-    """What one product graph walk reads off: per side, its member strings
-    up to max_len; the strings every side has; the nodes walked; and the
-    first string, in length-then-lexicographic order, that some side has
-    and another lacks, with whether the first side has it."""
+    """What the walk of some sides reads off: per side, its member strings
+    up to max_len; the strings every side has; their distinct states at
+    each depth, summed; and the first string, in length-then-lexicographic
+    order, that some side has and another lacks, with whether the first
+    side has it."""
 
     sizes: list[int]
     common: int = 0
@@ -126,28 +146,103 @@ class Graph:
         return all(size == self.common for size in self.sizes)
 
 
-def walk_graph(sides, k: int, max_len: int, node_budget: int):
+class Walk:
+    """A product graph walked up to max_len, from which the walk of any of
+    its sides, alone or beside others, is read (graph).
+
+    Node ids number the nodes in order of creation: depth by depth, and
+    within a depth in order of each node's least prefix.  Per node, `sides`
+    holds each side's state number (0 where the side is dead), `ends` per
+    side whether the side is alive and allows the end mark, and `reached`
+    the prefixes that reach the node, summed over the depths where an end
+    mark fits.  `children` holds, per stepped node and bracket row, the
+    child's id or -1; `levels`, per depth, the ids of the nodes there in
+    order of their least prefix; `made`, the first id made at each depth up
+    to the last that made any.
+    """
+
+    def __init__(self, vocab, sides, ends, children, levels, made, reached):
+        self.vocab, self.sides, self.ends = vocab, sides, ends
+        self.children, self.levels = children, levels
+        self.made, self.reached = made, reached
+        self._graphs: dict[tuple[int, ...], Graph] = {}
+
+    def graph(self, *of: int) -> Graph:
+        """What a walk of the sides `of` (one or two) alone reports, the
+        first listed first: their sizes and common strings, the first
+        string on which they differ, and, per depth, the distinct states of
+        those sides among nodes where one of them is alive."""
+        if of not in self._graphs:
+            ends = self.ends[:, of]
+            every = ends.all(axis=1)
+            graph = Graph([int(self.reached[ends[:, i]].sum()) for i in range(len(of))],
+                          int(self.reached[every].sum()), self._states(of))
+            split = np.flatnonzero(ends.any(axis=1) & ~every)
+            if split.size:
+                node = int(split[0])
+                graph.difference = self._least_prefix(node) + (self.vocab[-1],)
+                graph.first_has_it = bool(ends[node, 0])
+            self._graphs[of] = graph
+        return self._graphs[of]
+
+    def _states(self, of) -> int:
+        """Per depth, the distinct states of the sides `of` at its nodes,
+        leaving out nodes where all of them are dead, summed."""
+        code = np.zeros(len(self.sides), dtype=np.int64)  # 0: all dead
+        for side in of:  # state numbers stay below 2^31: two sides fit
+            number = self.sides[:, side]
+            code = code * (int(number.max()) + 1) + number
+        counted: dict[int, int] = {}
+        for level in self.levels:  # after closure, levels recur
+            if id(level) not in counted:
+                counted[id(level)] = len(set(code[level].tolist()) - {0})
+        return sum(counted[id(level)] for level in self.levels)
+
+    def _least_prefix(self, node: int) -> tuple[Token, ...]:
+        """The least prefix reaching `node` at the depth it was made: its
+        first edge in from the depth before, back to the root."""
+        rows, width = [], self.children.shape[1]
+        depth = bisect.bisect_right(self.made, node) - 1
+        for level in reversed(self.levels[:depth]):
+            edge = int(np.argmax(self.children[level].ravel() == node))
+            row, col = divmod(edge, width)
+            rows.append(col)
+            node = level[row]
+        return tuple(self.vocab[col] for col in reversed(rows))
+
+
+def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
     """Walk the product graph of `sides` breadth first up to max_len.
 
     A node holds each side's state and an alive flag: a side is alive while
     it allows every token of the prefix.  A dead side's state is zero and is
-    never stepped.  Nodes of one depth are merged when all their bytes are
-    equal; step_rows is deterministic, so merged nodes have equal futures,
-    and each node counts, as a Python int, the prefixes that reach it.  A
-    node at depth t ends a member of each alive side that allows the end
-    mark, while t + 1 <= max_len, and has a child for each bracket an alive
-    side allows, while t + 2 <= max_len.  Children are stepped through
-    step_rows at most TREE_BLOCK_ROWS at a time, in (node, symbol row)
-    order, and numbered by first arrival, so each node's first prefix is
-    its least: the first node of the shallowest depth where the sides' end
-    marks differ names the first differing string.  The walk refuses as
-    soon as it has created more than node_budget nodes, the root included:
-    the nodes and their edges are what it holds.
+    never stepped.  Nodes whose bytes are equal are one node, at whatever
+    depth they are reached; step_rows is deterministic, so a node's
+    children do not depend on the prefix that reaches it.  A node at depth
+    t ends a member of each alive side that allows the end mark, while
+    t + 1 <= max_len, and has a child for each bracket an alive side
+    allows, while t + 2 <= max_len.
 
-    Returns the Graph and, per depth, its (nodes, sides) mask of member
-    ends and its (parents, symbol rows, children) edges to the next depth.
+    The walk keeps one table of nodes across depths, indexed by their
+    bytes.  A node is stepped and read out the first time it is made: its
+    children through step_rows at most TREE_BLOCK_ROWS at a time, in
+    (node, symbol row) order, stored as edges.  The next depth's nodes are
+    the children of this depth's, ordered by first arrival, so each node's
+    first prefix is its least.  Once a depth holds no node made there,
+    every node has been stepped and the graph is closed: the remaining
+    depths only move the prefix counts along stored edges, and since every
+    node was read out at its shallowest depth, no new difference can
+    appear.
+
+    The walk's states are its nodes at each depth, summed: for one side,
+    or two sides that are never both dead, those a walk of them alone
+    counts.  It refuses as soon as its states so far, with the nodes made
+    for the next depth or the fewest a side says that depth holds
+    (Language.least_level), exceed node_budget: the table and its edges
+    are what it holds.  Walk.graph reads each side's, or pair of sides',
+    own report off the table.
     """
-    vocab, n_sides = vocabulary(k), len(sides)
+    vocab, n_sides, width = vocabulary(k), len(sides), 2 * k
     spans, at = [], 0  # per side: its flag byte, its state bytes
     for side in sides:
         size = side.width * side.dtype.itemsize
@@ -174,74 +269,106 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int):
 
     def allowed_of(rows):
         """Per side, the symbols it allows at these nodes; none when dead."""
-        masks = np.zeros((n_sides, len(rows), 2 * k + 1), dtype=bool)
+        masks = np.zeros((n_sides, len(rows), width + 1), dtype=bool)
         for s, (flag, _) in enumerate(spans):
             live = rows[:, flag] != 0
             if live.any():
                 masks[s, live] = sides[s].allowed(state_of(s, rows, live))
         return masks
 
-    refuse_over_budget(1)  # the root
-    level = nodes([np.ones(1, dtype=bool)] * n_sides,
-                  [side.root() for side in sides])
-    allowed = allowed_of(level)
-    counts, depths = [1], []
-    graph = Graph([0] * n_sides)
-    for t in itertools.count():
-        graph.states += len(counts)
-        ends = allowed[:, :, 2 * k].T & (t + 1 <= max_len)
-        every = ends.all(axis=1)
-        for s in range(n_sides):
-            graph.sizes[s] += sum(itertools.compress(counts, ends[:, s].tolist()))
-        graph.common += sum(itertools.compress(counts, every.tolist()))
-        split = np.flatnonzero(ends.any(axis=1) & ~every)
-        if graph.difference is None and split.size:
-            graph.difference = _first_prefix(vocab, depths, split[0]) + (vocab[2 * k],)
-            graph.first_has_it = bool(ends[split[0], 0])
-        depths.append([ends, None])
-        if t + 2 > max_len:
-            return graph, depths
-        parents, cols = np.nonzero(allowed[:, :, :2 * k].any(axis=0))
-        children = np.empty(parents.size, dtype=np.intp)
-        index: dict[bytes, int] = {}
-        masks = []
+    def step(frontier, allowed):
+        """Step every edge of the frontier's nodes (their bytes), at most
+        TREE_BLOCK_ROWS at a time: the child ids per (node, bracket row),
+        and the bytes of the nodes made, with the symbols each side allows
+        there."""
+        parents, cols = np.nonzero(allowed[:, :, :width].any(axis=0))
+        kids = np.empty(parents.size, dtype=np.intp)
+        first, masks = len(index), []
         for lo in range(0, parents.size, TREE_BLOCK_ROWS):
             p, c = parents[lo:lo + TREE_BLOCK_ROWS], cols[lo:lo + TREE_BLOCK_ROWS]
             alive = allowed[:, p, c]
-            states = [side.step(state_of(s, level, p[live]), c[live])
-                      if live.any() else None
-                      for s, (side, live) in enumerate(zip(sides, alive))]
-            key = nodes(alive, states)
+            # the block's parents, a run of the frontier (edges come in node order)
+            rows = np.frombuffer(b"".join(frontier[p[0]:p[-1] + 1]),
+                                 dtype=np.uint8).reshape(-1, at)
+            block = [side.step(state_of(s, rows, p[live] - p[0]), c[live])
+                     if live.any() else None
+                     for s, (side, live) in enumerate(zip(sides, alive))]
+            key = nodes(alive, block)
             known = len(index)
             ids = np.array([index.setdefault(row, len(index))
                             for row in key.view(row_key).ravel().tolist()])
-            children[lo:lo + ids.size] = ids
+            kids[lo:lo + ids.size] = ids
             if len(index) > known:  # new ids arrive in order: take each first
-                refuse_over_budget(graph.states + len(index))
-                fresh = np.flatnonzero(
-                    ids > np.maximum.accumulate(np.append(known - 1, ids[:-1])))
-                masks.append(allowed_of(key[fresh]))
-        if not index:
-            return graph, depths
-        depths[-1][1] = (parents, cols, children)
-        # the index keeps each node's bytes in id order: the next level
-        level = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(-1, at)
-        allowed = np.concatenate(masks, axis=1)
-        reached = [0] * len(index)
-        for parent, child in zip(parents.tolist(), children.tolist()):
-            reached[child] += counts[parent]
-        counts = reached
+                refuse_over_budget(states + len(index) - first)
+                masks.append(allowed_of(key[
+                    ids > np.maximum.accumulate(np.append(known - 1, ids[:-1]))]))
+        stepped = np.full((len(frontier), width), -1, dtype=np.intp)
+        stepped[parents, cols] = kids
+        # the index keeps each node's bytes in id order: the nodes made
+        return (stepped, list(itertools.islice(index, first, None)),
+                np.concatenate(masks, axis=1) if masks else allowed[:, :0])
 
-
-def _first_prefix(vocab, depths, node: int) -> tuple[Token, ...]:
-    """The least prefix reaching `node` at the depth after `depths`: its
-    first edge in, back to the root."""
-    rows = []
-    for _, (parents, cols, children) in reversed(depths):
-        edge = int(np.argmax(children == node))
-        rows.append(int(cols[edge]))
-        node = parents[edge]
-    return tuple(vocab[row] for row in reversed(rows))
+    refuse_over_budget(1)  # the root
+    root = nodes([np.ones(1, dtype=bool)] * n_sides,
+                 [side.root() for side in sides])
+    frontier = [root.tobytes()]  # the nodes made, not yet stepped
+    index = {frontier[0]: 0}  # a node's bytes: its id
+    allowed = allowed_of(root)
+    ends = [allowed[:, :, width].T & (max_len >= 1)]
+    stored, made = np.empty((0, width), dtype=np.intp), [0]
+    # prefix counts are Python ints, in object arrays
+    level, counts = np.zeros(1, dtype=np.intp), np.ones(1, dtype=object)
+    levels, states = [level], 1
+    reached = np.zeros(1, dtype=object)
+    steps = {}  # after closure: a level's bytes, its next level and edges
+    for t in itertools.count():
+        if t + 1 <= max_len:
+            reached[level] += counts
+        if t + 2 > max_len:
+            break
+        refuse_over_budget(states + max(side.least_level(t + 1) for side in sides))
+        closed = not len(frontier)
+        if not closed:
+            made.append(len(index))
+            stepped, frontier, allowed = step(frontier, allowed)
+            stored = np.concatenate([stored, stepped])
+            ends.append(allowed[:, :, width].T)
+            reached = np.concatenate(
+                [reached, np.zeros(len(frontier), dtype=object)])
+        known = level.tobytes() if closed else None
+        if known in steps:
+            level, parent_of, into = steps[known]
+        else:
+            edges = stored[level].ravel()
+            edge = np.flatnonzero(edges >= 0)
+            if not edge.size:
+                break
+            # the children in order of their first edge in, and each edge's
+            # child by its place among them
+            kids, arrival = edges[edge], np.arange(edge.size)
+            first_in = np.full(len(index), edge.size)
+            np.minimum.at(first_in, kids, arrival)
+            level = kids[first_in[kids] == arrival]
+            first_in[level] = np.arange(level.size)  # now each child's place
+            parent_of, into = edge // width, first_in[kids]
+            if closed:
+                steps[known] = level, parent_of, into
+        states += level.size
+        refuse_over_budget(states)
+        carried = np.zeros(level.size, dtype=object)
+        np.add.at(carried, into, counts[parent_of])
+        counts = carried
+        levels.append(level)
+    # per side, number its distinct states from 1 (0 where it is dead)
+    keys = list(index)
+    del index
+    numbers = np.zeros((len(keys), n_sides), dtype=np.intp)
+    for s, (flag, span) in enumerate(spans):
+        seen: dict[bytes, int] = {}
+        numbers[:, s] = [seen.setdefault(key[span], len(seen) + 1) if key[flag]
+                         else 0 for key in keys]
+    return Walk(vocab, numbers, np.concatenate(ends), stored, levels, made,
+                reached)
 
 
 def members(side, k: int, max_len: int,
@@ -249,23 +376,25 @@ def members(side, k: int, max_len: int,
     """One side's member strings up to max_len, listed by expanding every
     path of its graph; refused when its walk, or the listing its size
     foretells, is over node_budget."""
-    graph, depths = walk_graph((side,), k, max_len, node_budget)
-    if graph.sizes[0] > node_budget:
-        raise RuntimeError(f"listing {graph.sizes[0]} strings up to max_len="
+    walk = walk_graph((side,), k, max_len, node_budget)
+    size = walk.graph(0).sizes[0]
+    if size > node_budget:
+        raise RuntimeError(f"listing {size} strings up to max_len="
                            f"{max_len} exceeds the node budget of {node_budget}")
-    vocab = vocabulary(k)
-    prefixes, listed = [[()]], set()
-    for ends, edges in depths:
+    vocab = walk.vocab
+    prefixes, listed = {0: [()]}, set()
+    for t in range(max_len):
         listed.update(prefix + (vocab[2 * k],)
-                       for node in np.flatnonzero(ends[:, 0]).tolist()
-                       for prefix in prefixes[node])
-        if edges is None:
+                      for node, some in prefixes.items() if walk.ends[node, 0]
+                      for prefix in some)
+        if t + 2 > max_len:
             break
-        parents, cols, children = (a.tolist() for a in edges)
-        reached = [[] for _ in range(max(children) + 1)]
-        for parent, col, child in zip(parents, cols, children):
-            reached[child].extend(prefix + (vocab[col],)
-                                  for prefix in prefixes[parent])
+        reached: dict[int, list] = {}
+        for node, some in prefixes.items():
+            for col, child in enumerate(walk.children[node].tolist()):
+                if child >= 0:
+                    reached.setdefault(child, []).extend(
+                        prefix + (vocab[col],) for prefix in some)
         prefixes = reached
     return listed
 

@@ -7,14 +7,15 @@ exactness, full-depth state distinctness, the pigeonhole collision search
 that witnesses the memory lower bound, and agreement across constructions.
 
 The exhaustive suites count strings on a product graph instead of listing
-them: one breadth-first walk pairs the automaton's stack with a network's
-state, merges the pairs of one depth whose bytes are equal, and carries
-per pair how many prefixes reach it, so the language, the support, their
-common strings and the first string they differ on are read off one walk.
-The walk lives in the product module.  An Enumeration keeps one walk per
-construction, so the equivalence and cross suites of one command read the
-same counts; cross walks two networks against each other only to name
-where two supports that both differ from the language differ.  The
+them: one breadth-first walk pairs the automaton's stack with the states
+of the networks, steps each distinct node once, and carries per node how
+many prefixes reach it, so the language, each support, their common
+strings and the first string they differ on are read off one walk.  The
+walk lives in the product module.  An Enumeration walks the language
+beside every construction a command hands it in one walk, so the
+equivalence and cross suites of one command read the same counts, and
+cross reads where two supports that both differ from the language differ
+off that walk too.  The
 distinctness suite walks the k^m all-open strings as one integer corpus
 through runtime.walk; it and the collision search share one pigeonhole pass
 over their full-depth state keys, which turns only the colliding pair into
@@ -49,7 +50,7 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import (Graph, Language, Support, allowed_rows, members,
+from .product import (Graph, Language, Support, Walk, allowed_rows, members,
                       walk_corpus, walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
@@ -143,10 +144,11 @@ def _construction_name(arch: str, enc: str | None) -> str:
 
 
 class Enumeration:
-    """The product graph of the automaton and each construction up to
-    max_len, each walked at most once: the equivalence and cross suites of
-    one command read the same counts.  A walk is kept for the parameter
-    object it was walked from, so two constructions never share one."""
+    """The product graph of the automaton and constructions up to max_len:
+    the language and every parameter set walked together in one walk, each
+    at most once, so the equivalence and cross suites of one command read
+    the same counts.  A walk is kept for the parameter objects it was
+    walked from, so two constructions never share one."""
 
     def __init__(self, params: DyckParams, max_len: int = 8,
                  epsilon: float | None = None):
@@ -162,22 +164,44 @@ class Enumeration:
                              f"{REPORT_DIGITS} a report can print")
         self.params, self.max_len = params, max_len
         self.eps = _epsilon(params.k, epsilon)
-        # parameter sets compare and hash by identity
-        self._graphs: dict[tuple[object, int], Graph] = {}
+        # per (parameter set, node budget), its walk and side there; parameter
+        # sets compare and hash by identity
+        self._walks: dict[tuple[object, int], tuple[Walk, int]] = {}
+
+    def walk(self, paramsets, node_budget: int = DEFAULT_ENUMERATION_BUDGET):
+        """Walk the language beside every given parameter set not yet walked
+        at node_budget, all in one product graph walk."""
+        new = [ps for ps in dict.fromkeys(paramsets)
+               if (ps, node_budget) not in self._walks]
+        for paramset in new:
+            if paramset.dyck_params != self.params:
+                raise ValueError(f"parameter set for k={paramset.k}, m={paramset.m} "
+                                 f"in an enumeration of k={self.params.k}, "
+                                 f"m={self.params.m}")
+        if new:
+            sides = (Language(self.params),
+                     *(Support(paramset, self.eps) for paramset in new))
+            walk = walk_graph(sides, self.params.k, self.max_len, node_budget)
+            for side, paramset in enumerate(new, start=1):
+                self._walks[paramset, node_budget] = walk, side
 
     def _graph(self, paramset,
                node_budget: int = DEFAULT_ENUMERATION_BUDGET) -> Graph:
         """The automaton by network walk of one construction."""
-        if paramset.dyck_params != self.params:
-            raise ValueError(f"parameter set for k={paramset.k}, m={paramset.m} "
-                             f"in an enumeration of k={self.params.k}, "
-                             f"m={self.params.m}")
-        key = (paramset, node_budget)
-        if key not in self._graphs:
-            sides = (Language(self.params), Support(paramset, self.eps))
-            self._graphs[key] = walk_graph(sides, self.params.k, self.max_len,
-                                           node_budget)[0]
-        return self._graphs[key]
+        self.walk([paramset], node_budget)
+        walk, side = self._walks[paramset, node_budget]
+        return walk.graph(0, side)
+
+    def _between(self, first, other) -> Graph:
+        """The walk of two networks against each other: read from their
+        walk when they were walked together, else walked for them."""
+        (walk, a), (same, b) = (self._walks[ps, DEFAULT_ENUMERATION_BUDGET]
+                                for ps in (first, other))
+        if walk is same:
+            return walk.graph(a, b)
+        sides = (Support(first, self.eps), Support(other, self.eps))
+        return walk_graph(sides, self.params.k, self.max_len,
+                          DEFAULT_ENUMERATION_BUDGET).graph(0, 1)
 
     def equivalence(self, paramset,
                     node_budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -200,19 +224,19 @@ class Enumeration:
               ) -> VerificationReport:
         """The cross_construction_agreement report over the given parameter
         sets, taken one at a time from an iterable; `left_out` names each
-        construction not compared, with the reason.
+        construction not compared, with the reason.  Those not walked yet
+        are walked together.
 
         Two supports that both agree with the language are equal, and when
         one agrees, their first difference is the other's from the
-        language.  Only two supports that both differ from it are walked
-        against each other, for their first difference."""
-        kept, names, graphs = [], [], []
-        for paramset in paramsets:
-            enc = paramset.encoding
-            kept.append(paramset)
-            names.append(_construction_name(paramset.architecture,
-                                            enc and enc.kind))
-            graphs.append(self._graph(paramset))
+        language.  Two supports that both differ from it are compared on
+        their walk's nodes, and their `states` are the distinct pairs of
+        their two states there, as if walked against each other alone."""
+        kept = list(paramsets)
+        self.walk(kept)
+        names = [_construction_name(ps.architecture, ps.encoding and ps.encoding.kind)
+                 for ps in kept]
+        graphs = [self._graph(paramset) for paramset in kept]
         states = sum(graph.states for graph in graphs)
         counter = None
         for i in range(1, len(graphs)):
@@ -222,9 +246,7 @@ class Enumeration:
             elif first.agree:
                 continue
             else:
-                sides = (Support(kept[0], self.eps), Support(kept[i], self.eps))
-                pair = walk_graph(sides, self.params.k, self.max_len,
-                                  DEFAULT_ENUMERATION_BUDGET)[0]
+                pair = self._between(kept[0], kept[i])
                 states += pair.states
                 witness = pair.difference
             if witness is not None:

@@ -6,14 +6,24 @@ full-depth distinctness check as a recursive search over step.  The tests
 require dfa_membership_set, net_membership_set, the equivalence and cross
 reports (but for their `states` count) and check_full_depth_distinctness
 to return what these return.  prefix_count counts the prefixes the
-recursion visits, which the merged graph walk steps far fewer of."""
+recursion visits, which the merged graph walk steps far fewer of.
+
+walk_graph is the product graph walk that merges nodes only within one
+depth and re-steps every node at every depth it is reached: the pair walk
+whose Graph each side of the closed joint walk (product.walk_graph) must
+report."""
 
 from __future__ import annotations
+
+import itertools
+
+import numpy as np
 
 from dyckrnn.automaton import (ACCEPT, EMPTY, REJECT, Token, format_string,
                                is_member, symbol_row, transition, vocabulary)
 from dyckrnn.encodings import ARCH_LSTM
 from dyckrnn.numerics import epsilon_for
+from dyckrnn.product import Graph
 from dyckrnn.runtime import initial_state, next_distribution, step
 from dyckrnn.verify import (DEFAULT_ENUMERATION_BUDGET, Collision,
                             VerificationReport, _instance, total_string_count)
@@ -166,3 +176,125 @@ def check_full_depth_distinctness(paramset,
     return VerificationReport(
         suite="full_depth_distinctness", instance=_instance(paramset),
         checked=k**m, passed=not hit, counterexample=counter)
+
+
+# Children stepped per block of the reference walk.
+BLOCK_ROWS = 64
+
+
+def walk_graph(sides, k: int, max_len: int, node_budget: int):
+    """Walk the product graph of `sides` breadth first up to max_len.
+
+    A node holds each side's state and an alive flag: a side is alive while
+    it allows every token of the prefix.  A dead side's state is zero and is
+    never stepped.  Nodes of one depth are merged when all their bytes are
+    equal; step_rows is deterministic, so merged nodes have equal futures,
+    and each node counts, as a Python int, the prefixes that reach it.  A
+    node at depth t ends a member of each alive side that allows the end
+    mark, while t + 1 <= max_len, and has a child for each bracket an alive
+    side allows, while t + 2 <= max_len.  Children are stepped through
+    step_rows at most BLOCK_ROWS at a time, in (node, symbol row)
+    order, and numbered by first arrival, so each node's first prefix is
+    its least: the first node of the shallowest depth where the sides' end
+    marks differ names the first differing string.  The walk refuses as
+    soon as it has created more than node_budget nodes, the root included:
+    the nodes and their edges are what it holds.
+
+    Returns the Graph and, per depth, its (nodes, sides) mask of member
+    ends and its (parents, symbol rows, children) edges to the next depth.
+    """
+    vocab, n_sides = vocabulary(k), len(sides)
+    spans, at = [], 0  # per side: its flag byte, its state bytes
+    for side in sides:
+        size = side.width * side.dtype.itemsize
+        spans.append((at, slice(at + 1, at + 1 + size)))
+        at += 1 + size
+    row_key = np.dtype((np.void, at))
+
+    def refuse_over_budget(created):
+        if created > node_budget:
+            raise RuntimeError(f"the product graph walk up to max_len={max_len} "
+                               f"exceeded the node budget of {node_budget}")
+
+    def state_of(s, block, rows):
+        return np.ascontiguousarray(block[rows, spans[s][1]]).view(sides[s].dtype)
+
+    def nodes(alive, states):
+        """The bytes of nodes with these alive flags and states."""
+        key = np.zeros((alive[0].size, at), dtype=np.uint8)
+        for (flag, span), live, state in zip(spans, alive, states):
+            key[:, flag] = live
+            if state is not None:
+                key[live, span] = np.ascontiguousarray(state).view(np.uint8)
+        return key
+
+    def allowed_of(rows):
+        """Per side, the symbols it allows at these nodes; none when dead."""
+        masks = np.zeros((n_sides, len(rows), 2 * k + 1), dtype=bool)
+        for s, (flag, _) in enumerate(spans):
+            live = rows[:, flag] != 0
+            if live.any():
+                masks[s, live] = sides[s].allowed(state_of(s, rows, live))
+        return masks
+
+    refuse_over_budget(1)  # the root
+    level = nodes([np.ones(1, dtype=bool)] * n_sides,
+                  [side.root() for side in sides])
+    allowed = allowed_of(level)
+    counts, depths = [1], []
+    graph = Graph([0] * n_sides)
+    for t in itertools.count():
+        graph.states += len(counts)
+        ends = allowed[:, :, 2 * k].T & (t + 1 <= max_len)
+        every = ends.all(axis=1)
+        for s in range(n_sides):
+            graph.sizes[s] += sum(itertools.compress(counts, ends[:, s].tolist()))
+        graph.common += sum(itertools.compress(counts, every.tolist()))
+        split = np.flatnonzero(ends.any(axis=1) & ~every)
+        if graph.difference is None and split.size:
+            graph.difference = _first_prefix(vocab, depths, split[0]) + (vocab[2 * k],)
+            graph.first_has_it = bool(ends[split[0], 0])
+        depths.append([ends, None])
+        if t + 2 > max_len:
+            return graph, depths
+        parents, cols = np.nonzero(allowed[:, :, :2 * k].any(axis=0))
+        children = np.empty(parents.size, dtype=np.intp)
+        index: dict[bytes, int] = {}
+        masks = []
+        for lo in range(0, parents.size, BLOCK_ROWS):
+            p, c = parents[lo:lo + BLOCK_ROWS], cols[lo:lo + BLOCK_ROWS]
+            alive = allowed[:, p, c]
+            states = [side.step(state_of(s, level, p[live]), c[live])
+                      if live.any() else None
+                      for s, (side, live) in enumerate(zip(sides, alive))]
+            key = nodes(alive, states)
+            known = len(index)
+            ids = np.array([index.setdefault(row, len(index))
+                            for row in key.view(row_key).ravel().tolist()])
+            children[lo:lo + ids.size] = ids
+            if len(index) > known:  # new ids arrive in order: take each first
+                refuse_over_budget(graph.states + len(index))
+                fresh = np.flatnonzero(
+                    ids > np.maximum.accumulate(np.append(known - 1, ids[:-1])))
+                masks.append(allowed_of(key[fresh]))
+        if not index:
+            return graph, depths
+        depths[-1][1] = (parents, cols, children)
+        # the index keeps each node's bytes in id order: the next level
+        level = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(-1, at)
+        allowed = np.concatenate(masks, axis=1)
+        reached = [0] * len(index)
+        for parent, child in zip(parents.tolist(), children.tolist()):
+            reached[child] += counts[parent]
+        counts = reached
+
+
+def _first_prefix(vocab, depths, node: int) -> tuple[Token, ...]:
+    """The least prefix reaching `node` at the depth after `depths`: its
+    first edge in, back to the root."""
+    rows = []
+    for _, (parents, cols, children) in reversed(depths):
+        edge = int(np.argmax(children == node))
+        rows.append(int(cols[edge]))
+        node = parents[edge]
+    return tuple(vocab[row] for row in reversed(rows))

@@ -17,6 +17,9 @@ from conftest import zero_close_rows
 from test_verify import spy_graph_walks
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -226,9 +229,10 @@ class TestVerify:
                        "equivalence", "--suite", "cross")
         assert code == 0
         assert capsys.readouterr().out.count("PASS") == 6
-        # one automaton by network walk per construction, read by both suites
-        assert [language for language, _ in calls] == [DyckParams(2, 3)] * 5
-        assert len({net for _, net in calls}) == 5
+        # one walk of the automaton beside every construction, read by both
+        # suites
+        ((language, *nets),) = calls
+        assert language == DyckParams(2, 3) and len(set(nets)) == len(nets) == 5
         assert max(rows) <= product.TREE_BLOCK_ROWS
 
     def test_distinct_walks_without_scalar_steps(self, monkeypatch, capsys):
@@ -460,6 +464,48 @@ class TestVerify:
             "simple/onehot", "simple/binary", "lstm/onehot", "lstm/binary"]
         assert list(cross["details"]["left_out"]) == ["naive"]
         assert "9392 units" in cross["details"]["left_out"]["naive"]
+
+    def test_walk_refused_from_the_language_count(self, monkeypatch, capsys):
+        """The LSTM/binary walk at (16, 5) up to length 8 is refused before
+        any node of depth 4 is stepped: depth 5 holds a node per stack, at
+        least 1,052,688, and with the 70,179 nodes of depths 0-4 that is
+        over the budget."""
+        rows = []
+
+        def counting_step_rows(paramset, h, c, cols, real=product.step_rows):
+            rows.append(len(cols))
+            return real(paramset, h, c, cols)
+
+        monkeypatch.setattr(product, "step_rows", counting_step_rows)
+        assert run_cli("verify", "-k", "16", "-m", "5", "--suite", "equivalence",
+                       "--max-len", "8", "--arch", "lstm", "--enc", "binary") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the product graph walk up to max_len=8 exceeded the node "
+            "budget of 1000000"]
+        # the edges out of depths 0-3, each stepped once: out of each stack
+        # of height d < 4, the k opens and, above 0, the close
+        k = 16
+        assert sum(rows) == sum(k**d * (k + (d > 0)) for d in range(4))
+
+    def test_enumerate_workload_walks_once_per_command(self, monkeypatch, capsys,
+                                                       tmp_path):
+        """Each verify command of the enumerate benchmark walks the language
+        and every construction it reads in one product graph walk."""
+        monkeypatch.syspath_prepend(PERFBENCH)
+        from workloads import ENUMERATE_COMMANDS
+        calls = spy_graph_walks(monkeypatch)
+        for label, args, expected in ENUMERATE_COMMANDS:
+            calls.clear()
+            report = tmp_path / f"{label}.json"
+            assert run_cli("verify", *args, "--json-report", str(report)) == 0
+            walked = {entry["architecture"] + "/" + str(entry["encoding"])
+                      for entry in expected if "architecture" in entry}
+            ((language, *nets),) = calls
+            assert language == DyckParams(*map(int, args[1:4:2]))
+            assert len(nets) == len(walked), label
+
 
     def test_budget_refusal_before_any_suite(self, monkeypatch, capsys):
         """A construction the suites verify is refused before the first

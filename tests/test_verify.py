@@ -92,8 +92,8 @@ def test_language_walk_states():
     for (k, m, max_len), states in {(2, 2, 7): 22, (3, 3, 9): 134,
                                     (8, 3, 8): 1_764, (1, 4, 10): 21}.items():
         sides = (product.Language(DyckParams(k, m)),)
-        graph, _ = product.walk_graph(sides, k, max_len,
-                                      verify.DEFAULT_ENUMERATION_BUDGET)
+        graph = product.walk_graph(sides, k, max_len,
+                                   verify.DEFAULT_ENUMERATION_BUDGET).graph(0)
         assert graph.states == states == sum(
             k**d for t in range(max_len) for d in range(min(t, m) + 1)
             if d % 2 == t % 2), (k, m, max_len)
@@ -104,8 +104,8 @@ def test_listing_over_the_node_budget_refused():
     list more strings than that: the LSTM's (2, 3) graph up to length 8
     holds 48 nodes, and its support 51 strings."""
     net = build_lstm(DyckParams(2, 3))
-    graph, _ = product.walk_graph((product.Support(net, epsilon_for(2)),), 2, 8,
-                                  verify.DEFAULT_ENUMERATION_BUDGET)
+    graph = product.walk_graph((product.Support(net, epsilon_for(2)),), 2, 8,
+                               verify.DEFAULT_ENUMERATION_BUDGET).graph(0)
     assert (graph.states, graph.sizes) == (48, [51])
     assert len(net_membership_set(net, 8, node_budget=51)) == 51
     with pytest.raises(RuntimeError, match="listing 51 strings up to max_len=8 "
@@ -793,7 +793,7 @@ class TestTreeWalkParity:
         support = enumeration_reference.net_membership_set(net, 8, eps)
         side = product.Support(net, epsilon_for(2) if eps is None else eps)
         states = product.walk_graph((side,), 2, 8,
-                                    verify.DEFAULT_ENUMERATION_BUDGET)[0].states
+                                    verify.DEFAULT_ENUMERATION_BUDGET).graph(0).states
         need = max(states, len(support))
         assert net_membership_set(net, 8, eps, node_budget=need) == support
         with pytest.raises(RuntimeError, match=f"budget of {need - 1}$"):
@@ -846,6 +846,23 @@ class TestEnumeration:
         assert (enumeration.cross(build(a, p, e) for a, e in
                                   verify.applicable_constructions(2)).as_dict()
                 == check_cross_construction_agreement(p, 7, 0.2).as_dict())
+
+    def test_cross_after_separate_walks(self, monkeypatch):
+        """Two networks that both differ from the language, walked apart,
+        are walked against each other for their first difference: the
+        report is the one they give walked together."""
+        calls = spy_graph_walks(monkeypatch)
+        p = DyckParams(2, 3)
+        first = zero_close_rows(build_lstm(p))
+        other = flip_push_entry(build_simple_rnn(p))
+        apart = verify.Enumeration(p, 7)
+        assert not apart.equivalence(first).passed
+        report = apart.cross([first, other])
+        together = verify.Enumeration(p, 7).cross([first, other])
+        assert calls == [(p, id(first)), (p, id(other)), (id(first), id(other)),
+                         (p, id(first), id(other))]
+        assert report.as_dict() == together.as_dict()
+        assert report.counterexample.startswith("lstm/onehot vs simple/onehot: ")
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_refused(self, max_len):
@@ -945,6 +962,94 @@ class TestProductGraphParity:
             report = verify.Enumeration(self.P, self.MAX_LEN, eps).cross(paramsets)
             assert self.without_states(report) == enumeration_reference.cross_report(
                 self.P, paramsets, self.MAX_LEN, eps).as_dict(), names
+
+
+class TestJointWalkParity:
+    """One walk of the language beside many networks gives, for each, the
+    Graph of the depth-by-depth pair walk of the language and that network
+    (enumeration_reference.walk_graph), past the depth where the joint
+    graph closes; and for two networks, the Graph of their pair walk."""
+
+    @staticmethod
+    def nets(p, sabotage=True):
+        """Every construction at p (the naive one where the default budget
+        allows it), with a zero_close_rows net beside each and a
+        flip_push_entry net beside each simple RNN."""
+        nets = []
+        for arch, enc in ALL_CONSTRUCTIONS:
+            if enc == BINARY and p.k == 1 or arch == "naive" and p.k > 3:
+                continue
+            net = build(arch, p, enc)
+            nets.append(net)
+            if sabotage:
+                nets.append(zero_close_rows(net))
+                if arch == "simple":
+                    nets.append(flip_push_entry(net))
+        return nets
+
+    @staticmethod
+    def check(p, nets, max_len, eps=None, soft=()):
+        """Every network's pair with the language, and a few pairs of
+        networks, against the reference pair walks; for a pair with a side
+        in `soft` (side s is nets[s - 1]), every field but states."""
+        eps = epsilon_for(p.k) if eps is None else eps
+        sides = (product.Language(p), *(product.Support(net, eps) for net in nets))
+        walk = product.walk_graph(sides, p.k, max_len,
+                                  verify.DEFAULT_ENUMERATION_BUDGET)
+        pairs = [(0, s) for s in range(1, len(sides))]
+        pairs += [(1, 2), (2, len(nets)), (len(nets) - 1, 1)]
+        for a, b in pairs:
+            got = walk.graph(a, b)
+            want = enumeration_reference.walk_graph(
+                (sides[a], sides[b]), p.k, max_len,
+                verify.DEFAULT_ENUMERATION_BUDGET)[0]
+            if {a, b} & set(soft):
+                got, want = (dict(vars(graph), states=None) for graph in (got, want))
+            assert got == want, (a, b)
+        assert walk.graph(0) == enumeration_reference.walk_graph(
+            sides[:1], p.k, max_len, verify.DEFAULT_ENUMERATION_BUDGET)[0]
+        return walk
+
+    @pytest.mark.parametrize("k,m,max_len", [(2, 2, 40), (2, 3, 12), (3, 3, 10)])
+    def test_intact_and_sabotaged(self, k, m, max_len):
+        walk = self.check(DyckParams(k, m), self.nets(DyckParams(k, m)), max_len)
+        if (k, m) == (2, 2):  # no node made past depth 11
+            assert len(walk.made) == 13
+
+    def test_k8_m3_to_length_12(self):
+        """The intact walk makes no node past depth 4: 657 nodes stand for
+        the 2,934 language nodes the pair walks count up to length 12."""
+        p = DyckParams(8, 3)
+        walk = self.check(p, self.nets(p, sabotage=False), 12)
+        assert (len(walk.made), len(walk.sides), walk.graph(0).states) == (6, 657, 2_934)
+
+    def test_k8_m3_sabotaged(self):
+        self.check(DyckParams(8, 3), self.nets(DyckParams(8, 3)), 6)
+
+    @pytest.mark.parametrize("eps", [None, 0.3])
+    def test_softened_nets_beside_exact_ones(self, eps):
+        """A softened net's last bits depend on the rows stepped beside it,
+        so only its states may differ; the exact nets' may not."""
+        p = DyckParams(2, 3)
+        exact = self.nets(p)
+        nets = exact + [softened(net) for net in exact[::3]]
+        self.check(p, nets, 7, eps, soft=range(len(exact) + 1, len(nets) + 1))
+
+    def test_block_sizes(self, monkeypatch):
+        p = DyckParams(2, 3)
+        for block in (1, 3, 7):
+            monkeypatch.setattr(product, "TREE_BLOCK_ROWS", block)
+            self.check(p, self.nets(p), 9)
+
+    def test_listing_past_closure(self):
+        """product.members lists every string from the closed walk."""
+        p = DyckParams(2, 2)
+        assert (dfa_membership_set(p, 14)
+                == enumeration_reference.dfa_membership_set(p, 14))
+        nets = self.nets(p, sabotage=False)
+        for net in nets + [flip_push_entry(nets[0])]:
+            assert (net_membership_set(net, 12)
+                    == enumeration_reference.net_membership_set(net, 12))
 
 
 class TestThresholdsRefused:
