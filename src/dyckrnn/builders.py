@@ -142,15 +142,22 @@ class LstmParams:
         U = np.concatenate([self.U_f, self.U_i, self.U_o, self.U_c])
         b = np.concatenate([self.b_f, self.b_i, self.b_o, self.b_c])
         units = np.ascontiguousarray(np.column_stack([W, U, b]))
-        keys = units.view(np.dtype((np.void, units[0].nbytes)))[:, 0]
-        sig, sig_inv = np.unique(keys[:3 * d], return_index=True,
-                                 return_inverse=True)[1:]
-        tanh, tanh_inv = np.unique(keys[3 * d:], return_index=True,
-                                   return_inverse=True)[1:]
-        keep = np.concatenate([sig, 3 * d + tanh])
-        inverse = np.concatenate([sig_inv, sig.size + tanh_inv])
+        keys = units.view(np.dtype((np.void, units[0].nbytes))).ravel().tolist()
+        sig, sig_inv = _distinct(keys[:3 * d])
+        tanh, tanh_inv = _distinct(keys[3 * d:])
+        keep = np.array(sig + [3 * d + unit for unit in tanh])
+        inverse = np.array(sig_inv + [len(sig) + col for col in tanh_inv])
         return (np.ascontiguousarray(W[keep].T),
-                np.ascontiguousarray(U[keep].T), b[keep], sig.size, inverse)
+                np.ascontiguousarray(U[keep].T), b[keep], len(sig), inverse)
+
+
+def _distinct(keys: list[bytes]) -> tuple[list[int], list[int]]:
+    """(first, inverse) of the distinct keys in sorted order: the index of
+    each one's first occurrence, and each key's place among them."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    ordered = sorted(first)
+    place = dict(zip(ordered, range(len(ordered))))
+    return [first[key] for key in ordered], [place[key] for key in keys]
 
 
 def _close_row_pattern(encoding: Encoding, i: int, zeta: float) -> np.ndarray:

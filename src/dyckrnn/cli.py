@@ -28,7 +28,7 @@ from .verify import (CORPUS_SUITES, Enumeration, QuantizedEncoder,
                      check_corpus_suites, check_full_depth_distinctness,
                      closing_metric, closing_metric_uniform,
                      cross_constructions, find_collision)
-from .weightio import atomic_write_text, load_weights, save_weights
+from .weightio import atomic_write_text, load_header, load_weights, save_weights
 
 SUITES = ("equivalence", "stack", "margins", "saturation", "distinct",
           "collide", "cross")
@@ -326,20 +326,21 @@ def _refuse_outside(params: DyckParams, corpus: Corpus):
 
 
 def cmd_metric(args) -> int:
-    paramset = load_weights(args.weights)
+    # the baseline reads only the weight file's k and m
+    weights = (load_header if args.uniform_baseline else load_weights)(args.weights)
     with open(args.corpus) as handle:
         text = handle.read()
     header = parse_corpus_header(text)  # before the header's k sizes anything
-    if (header["k"], header["m"]) != (paramset.k, paramset.m):
+    if (header["k"], header["m"]) != (weights.k, weights.m):
         raise ValueError(f"corpus is for k={header['k']}, m={header['m']} but "
-                         f"weights are for k={paramset.k}, m={paramset.m}")
+                         f"weights are for k={weights.k}, m={weights.m}")
+    params = DyckParams(weights.k, weights.m)
     _, corpus = parse_corpus(text)
-    _refuse_outside(paramset.dyck_params, corpus)
+    _refuse_outside(params, corpus)
     if args.uniform_baseline:
-        report = closing_metric_uniform(paramset.dyck_params, corpus,
-                                        threshold=args.threshold)
+        report = closing_metric_uniform(params, corpus, threshold=args.threshold)
     else:
-        report = closing_metric(paramset, corpus, threshold=args.threshold)
+        report = closing_metric(weights, corpus, threshold=args.threshold)
     for line in report.table_lines():
         print(line)
     if report.missing_separations:

@@ -88,6 +88,8 @@ class NumericConfig:
 def _saturating(x, out):
     """(input array, output array, scalar?) of a saturating function; a
     scalar is worked on as one entry."""
+    if out is not None and type(x) is np.ndarray and x.dtype == np.float64:
+        return x, out, False  # the block step's case: nothing to convert
     arr = np.asarray(x, dtype=float)
     scalar = np.isscalar(x) or arr.ndim == 0
     if scalar:

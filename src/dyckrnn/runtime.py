@@ -91,9 +91,9 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
 
     The LSTM's product, input and bias sums and saturations run on its
     distinct gate units (paramset.packed), the saturations on a unit-major
-    (units, rows) copy of the sums; one fancy index through the packed
-    inverse gathers them into the rows of a (4d, rows) block, so f, i, o,
-    c~ and the cell update are contiguous (d, rows) blocks.  The LSTM's h,
+    (units, rows) copy of the sums; one take through the packed inverse
+    gathers them into the rows of a (4d, rows) block, so f, i, o, c~ and
+    the cell update are contiguous (d, rows) blocks.  The LSTM's h,
     c and activations come back as transposed views of those blocks; c is
     read fastest when it is one too, as walk allocates it.  h and c may
     also be single (d,) vectors with one column.  c is None outside the
@@ -113,12 +113,13 @@ def step_rows(paramset, h: np.ndarray, c: np.ndarray | None, cols):
     distinct = np.empty_like(pre)
     sat_sigmoid(num, pre[:sigmoids], out=distinct[:sigmoids])
     sat_tanh(num, pre[sigmoids:], out=distinct[sigmoids:])
-    acts = distinct[inverse]  # (4d, rows)
+    acts = distinct.take(inverse, axis=0)  # (4d, rows)
     d = paramset.hidden_size
     f, i, o, c_tilde = acts[:d], acts[d:2 * d], acts[2 * d:3 * d], acts[3 * d:]
     c_new = f * c.T
-    c_new += i * c_tilde
-    h_new = np.tanh(c_new)
+    h_new = i * c_tilde
+    c_new += h_new
+    np.tanh(c_new, out=h_new)
     h_new *= o
     return h_new.T, c_new.T, acts.T
 
@@ -235,15 +236,16 @@ def walk(paramset, corpus):
         codes = np.full(inside.shape, -1)
         codes[inside] = corpus.codes[(starts[rows, None] + col)[inside]]
         live_at = consumed[rows]
+        # rows still consuming at t = 1, 2, ... (they come most first)
+        lives = np.searchsorted(-live_at, -np.arange(1, live_at[0] + 1),
+                                side="right").tolist()
         h = np.zeros((rows.size, d))
         c = np.zeros((d, rows.size)).T if paramset.architecture == ARCH_LSTM else None
-        acts = None
-        for t in range(live_at[0] + 1):
-            if t:
-                live = np.count_nonzero(live_at >= t)
-                h, c, acts = step_rows(paramset, h[:live],
-                                       None if c is None else c[:live],
-                                       codes[:live, t - 1])
+        yield rows, codes, 0, h, c, None
+        for t, live in enumerate(lives, start=1):
+            h, c, acts = step_rows(paramset, h[:live],
+                                   None if c is None else c[:live],
+                                   codes[:live, t - 1])
             yield rows, codes, t, h, c, acts
 
 

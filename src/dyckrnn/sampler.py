@@ -11,14 +11,21 @@ independent of it, so the conditioned process is the same walk with every
 free choice tilted: each option's weight 1/2 is multiplied by the
 probability that the untilted walk, from the state the option leads to,
 ends with a length inside the window.  One backward pass per window
-computes those probabilities (`_tilt`), so every walk ends inside the
-window, and a window that holds no string is refused before any draw.
+computes those probabilities (`_tilt`, cached per window), so every walk
+ends inside the window, and a window that holds no string is refused
+before any draw.  A walk keeps its depth and length as ints and reads each
+step's row from the pass's tables through one clamp of its distance to the
+next window edge.
 
 Randomness comes from numpy's default PCG64 generator; the corpus header
 records the algorithm name and the corpus schema (2: tilted walks; schema 1
 corpora came from a rejection sampler and hold other strings for the same
 seed).  Consumption order: one uniform per free choice (none when the
 stack is full), then one uniform per push for the bracket type.
+
+A corpus file is read line by line through one dict from token spelling to
+symbol row; only a line with an unknown word or an early end mark goes
+through parse_string, which names the fault.
 """
 
 from __future__ import annotations
@@ -76,9 +83,12 @@ class _Tilt:
     may, with h = max_len - t tokens left.  The backward pass stops where
     its vectors stop changing in double precision (a fixed point inside,
     a 2-cycle before, as depth parity alternates), so the rows past the
-    last repeat and their number does not grow with the window's edges.
-    `log_mass` is the natural log of the probability that the untilted walk
-    ends inside the window.
+    last repeat and their number does not grow with the window's edges:
+    a distance past the end of either table reads its last row.  A 2-cycle
+    is folded into that row, as a walk at depth d has emitted a number of
+    tokens of d's parity: each depth's entry comes from the cycle's row
+    for that parity.  `log_mass` is the natural log of the probability
+    that the untilted walk ends inside the window.
     """
 
     min_len: int
@@ -135,6 +145,10 @@ def _tilt(m: int, min_len: int, max_len: int) -> _Tilt:
         log_scale.append((left + 1) // 2 * log_scale[-2] + left // 2 * log_scale[-1])
         mass = one_back if left % 2 else mass
     log_mass = math.fsum(log_scale) + math.log(mass[0]) if mass[0] > 0 else -math.inf
+    if left:  # the row for j > n is before[n - 1 - ((j - n) & 1)]
+        n = len(before)
+        before.append(tuple(before[n - 1 - ((min_len - 1 - n - d) & 1)][d]
+                            for d in range(m)))
     return _Tilt(min_len, tuple(inside), tuple(before), log_mass)
 
 
@@ -159,34 +173,41 @@ def _attempt(k: int, m: int, max_len: int, rand: partial) -> list[int]:
     returns token codes (0..k-1 open i+1, k..2k-1 close, 2k end)."""
     tilt = rand.tilt
     need = tilt.min_len - 1
-    before, n_before = tilt.before, len(tilt.before)
-    inside, n_inside, far = tilt.inside, len(tilt.inside), tilt.inside[-1]
+    before, inside = tilt.before, tilt.inside
+    last_before, last_inside = len(before) - 1, len(inside) - 1
     stack: list[int] = []
     out: list[int] = []
+    push, pop, emit = stack.append, stack.pop, out.append
     end_code = 2 * k
+    d = t = 0  # depth, tokens emitted
     while True:
-        d = len(stack)
         if d == m:
-            out.append(k + stack.pop())
+            emit(k + pop())
+            d -= 1
+            t += 1
             continue
-        t = len(out)
         if t < need:
-            j = need - t
-            row = (before[j - 1] if j <= n_before
-                   else before[n_before - 1 - ((j - n_before) & 1)])
+            j = need - t - 1
+            row = before[j if j < last_before else last_before]
         else:
-            h = max_len - t
-            row = inside[h - 1] if h <= n_inside else far
+            h = max_len - t - 1
+            row = inside[h if h < last_inside else last_inside]
         if d == 0:
             if rand() < row[0]:
-                out.append(end_code)
+                emit(end_code)
                 return out
         elif rand() >= row[d]:
-            out.append(k + stack.pop())
+            emit(k + pop())
+            d -= 1
+            t += 1
             continue
-        i = min(int(rand() * k), k - 1)
-        stack.append(i)
-        out.append(i)
+        i = int(rand() * k)
+        if i == k:
+            i -= 1
+        push(i)
+        emit(i)
+        d += 1
+        t += 1
 
 
 def _sample_codes(cfg: SamplerConfig, rand: partial) -> list[int]:
@@ -323,13 +344,15 @@ def parse_corpus(text: str) -> tuple[dict, Corpus]:
     header = parse_corpus_header(text)
     k = header["k"]
     row_of = {format_token(token): row for row, token in enumerate(vocabulary(k))}
+    end = 2 * k
     codes, offsets = [], [0]
     for number, line in enumerate(text.splitlines()[1:], start=2):
         words = line.split()
         if not words:
             continue
-        rows = [row_of.get(word) for word in words]
-        if None in rows or 2 * k in rows[:-1]:  # parse_string names the fault
+        rows = list(map(row_of.get, words))
+        # parse_string names the fault: an unknown word or an early end mark
+        if None in rows or rows.count(end) > (rows[-1] == end):
             try:
                 rows = [symbol_row(token, k) for token in parse_string(line)]
             except ValueError as exc:

@@ -599,7 +599,7 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     for rows, codes, t, h, _, _ in walk(paramset, corpus):
         if not t:  # the block's closes, by position, then by row
             at, row = np.nonzero(((codes >= k) & (codes < 2 * k)).T)
-            bounds = np.searchsorted(at, np.arange(codes.shape[1] + 1))
+            bounds = np.searchsorted(at, np.arange(codes.shape[1] + 1)).tolist()
             closes = codes[row, at] - k
             where = corpus.offsets[rows[row]] + at
             del at  # not kept while the block is walked

@@ -19,17 +19,21 @@ Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
 Loading refuses a k or m that is not a JSON integer and a matrix entry that
 is not finite, and checks every matrix shape against the architecture's
 hidden size d: W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
-Files are written atomically (temp file, then rename), one matrix at a
-time, so saving never holds the whole document as text; each distinct
-value of a matrix is spelled once.
+load_header reads and checks the fields before "matrices" alone, decoding
+them one top-level value at a time from the file's first characters; the
+matrices are neither read nor checked.  Both loads run the header through
+one check, so a header fault reads the same either way.  Files are written atomically (temp file,
+then rename), one matrix at a time, so saving never holds the whole
+document as text; each distinct value of a matrix is spelled once.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
+import re
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,20 +97,26 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def from_document(doc: dict):
+class Header(NamedTuple):
+    """A weight document's checked fields other than its matrices."""
+
+    version: int
+    architecture: str
+    k: int
+    m: int
+    encoding_kind: str | None
+    numeric: NumericConfig
+    hidden_size: int
+
+
+def _check_header(doc) -> Header:
     version = _object(doc, "weight document").get("schema_version")
     if version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported weight schema {version!r}")
     try:
         arch, k, m = doc["architecture"], doc["k"], doc["m"]
-        enc_kind = doc.get("encoding_kind")
-        matrices = _object(doc["matrices"], "matrices")
         numeric = NumericConfig.from_dict(
             _object(doc["numeric_config"], "numeric_config"))
-        names = _MATS.get(arch, ()) + (("E",) if version == 1 else ())
-        entries = {name: (_object(matrices[name], f"matrix {name}")["shape"],
-                          np.array(matrices[name]["data"], dtype=float))
-                   for name in names}
     except KeyError as exc:
         raise ValueError(f"weight document has no {exc}") from None
     except TypeError as exc:
@@ -117,8 +127,24 @@ def from_document(doc: dict):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"weight document {name} is {json.dumps(value)}, "
                              f"not an integer")
-    params = DyckParams(k, m)
-    d = hidden_units(arch, enc_kind, k, m)
+    DyckParams(k, m)
+    enc_kind = doc.get("encoding_kind")
+    return Header(version, arch, k, m, enc_kind, numeric,
+                  hidden_units(arch, enc_kind, k, m))
+
+
+def from_document(doc: dict):
+    version, arch, k, m, enc_kind, numeric, d = _check_header(doc)
+    names = _MATS[arch] + (("E",) if version == 1 else ())
+    try:
+        matrices = _object(doc["matrices"], "matrices")
+        entries = {name: (_object(matrices[name], f"matrix {name}")["shape"],
+                          np.array(matrices[name]["data"], dtype=float))
+                   for name in names}
+    except KeyError as exc:
+        raise ValueError(f"weight document has no {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed weight document: {exc}") from None
     shapes = {"W": (d, d), "U": (d, 2 * k), "b": (d,), "E": (2 * k, 2 * k),
               "V": (2 * k + 1, d), "b_v": (2 * k + 1,)}
     mats = {}
@@ -135,6 +161,7 @@ def from_document(doc: dict):
         mats[name] = mat.reshape(expected)
     if version == 1 and not np.array_equal(mats.pop("E"), np.eye(2 * k)):
         raise ValueError("matrix E is not the identity (schema 1 input embedding)")
+    params = DyckParams(k, m)
     enc = None if arch == ARCH_NAIVE else build_encoding(params, enc_kind, arch)
     if arch == ARCH_LSTM:
         return LstmParams(k=k, m=m, encoding=enc, numeric=numeric, **mats)
@@ -167,13 +194,66 @@ def save_weights(path: str, paramset):
     _atomic_write(path, _document_text(paramset))
 
 
-def load_weights(path: str):
-    # weight files repeat a few distinct values: parse each spelling once
-    # and share the float, rather than holding one object per entry
+class _Floats(dict):
+    """The float of each spelling, parsed the first time it is read: weight
+    files repeat a few distinct values, so each entry shares one object."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
+def _parse(path: str, parse):
+    """parse(handle) of the open file; text that is not JSON, or not text,
+    is refused naming path."""
     with open(path) as handle:
         try:
-            doc = json.load(handle,
-                            parse_float=functools.lru_cache(None)(float))
+            return parse(handle)
         except ValueError as exc:  # not JSON, or not text
             raise ValueError(f"{path} is not a JSON weight file: {exc}") from None
-    return from_document(doc)
+
+
+def load_weights(path: str):
+    return from_document(_parse(path, lambda handle: json.loads(
+        handle.read(), parse_float=_Floats().__getitem__)))
+
+
+_HEADER_FIELDS = frozenset(("schema_version", "architecture", "k", "m",
+                            "encoding_kind", "numeric_config"))
+_WS = r"[ \t\n\r]*"
+# the opening brace or a comma, a member name, and its colon
+_MEMBER = re.compile(rf'{_WS}([{{,]){_WS}("(?:[^"\\\x00-\x1f]|\\.)*"){_WS}:{_WS}')
+_DECODE = json.JSONDecoder().raw_decode
+# save_weights writes the header fields first, in a few hundred characters
+_HEAD_CHARS = 4096
+
+
+def _header_members(text: str) -> dict | None:
+    """The top-level members of a weight document's text, decoded one value
+    at a time up to "matrices" once every header field has been read (a
+    "matrices" before one of them is decoded past); None when the text
+    ends, breaks or closes first."""
+    fields, at, opening = {}, 0, "{"
+    try:
+        while (member := _MEMBER.match(text, at)) and member[1] == opening:
+            key, opening = json.loads(member[2]), ","
+            if key == "matrices" and _HEADER_FIELDS <= fields.keys():
+                return fields
+            fields[key], at = _DECODE(text, member.end())
+    except ValueError:  # cut off, or not JSON
+        pass
+    return None
+
+
+def _header_fields(handle) -> dict:
+    """The header members from the file's first characters alone; a file
+    they do not hold (not an object, a fault, a long or late header) is
+    parsed whole, so a refusal is json's own."""
+    head = handle.read(_HEAD_CHARS)
+    fields = _header_members(head)
+    return json.loads(head + handle.read()) if fields is None else fields
+
+
+def load_header(path: str) -> Header:
+    """The checked header of a weight file, its matrices left unread."""
+    return _check_header(_parse(path, _header_fields))

@@ -16,6 +16,7 @@ from dyckrnn.numerics import NumericConfig
 from dyckrnn.verify import check_generation_equivalence
 from dyckrnn.weightio import from_document, load_weights, save_weights, to_document
 from conftest import clone_with, zero_close_rows
+import packing_reference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -436,6 +437,26 @@ class TestLstmPacking:
             units = [unit.tobytes() for unit in np.vstack([Wt, Ut, b]).T]
             assert len(set(units[:sigmoids])) == sigmoids, label
             assert len(set(units[sigmoids:])) == b.size - sigmoids, label
+
+    @pytest.mark.parametrize("k,m", [(2, 2), (8, 3), (128, 5)])
+    @pytest.mark.parametrize("enc", [ONEHOT, BINARY])
+    def test_constructions_pack_as_the_sorting_reference(self, k, m, enc):
+        self.assert_packs_as_the_reference(build_lstm(DyckParams(k, m), enc))
+
+    def test_other_parameter_sets_pack_as_the_sorting_reference(self, tmp_path):
+        for label, net in _packing_cases(tmp_path):
+            self.assert_packs_as_the_reference(net, label)
+
+    @staticmethod
+    def assert_packs_as_the_reference(net, label=""):
+        """All five outputs equal np.unique's, dtypes and bytes: a column
+        order that differs would round the step's products differently."""
+        got, want = net.packed, packing_reference.packed(net)
+        assert got[3] == want[3], label
+        for a, b in zip(got[:3] + got[4:], want[:3] + want[4:]):
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == \
+                (b.dtype, b.shape, b.flags.c_contiguous), label
+            assert a.tobytes() == b.tobytes(), label
 
     def test_equal_units_share_a_column(self):
         net = _copied_units_lstm()

@@ -818,6 +818,113 @@ class TestMetricInputErrors:
             assert line.startswith("error:")
         assert message in line
 
+    def metric_run(self, capsys, w, c, *baseline):
+        capsys.readouterr()
+        code = run_cli("metric", "--weights", str(w), "--corpus", str(c),
+                       *baseline)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def edited(edit):
+        def damage(text):
+            doc = json.loads(text)
+            edit(doc)
+            return json.dumps(doc)
+
+        return damage
+
+    @pytest.mark.parametrize("damage,message", [
+        (edited(lambda doc: doc["matrices"]["b_v"]["data"].__setitem__(
+            0, float("nan"))), "matrix b_v holds a value that is not finite"),
+        (edited(lambda doc: doc["matrices"]["W"]["data"].__setitem__(
+            3, float("-inf"))), "matrix W holds a value that is not finite"),
+        (edited(lambda doc: doc["matrices"]["W"].update(shape=5)),
+         "matrix W has shape 5"),
+        (edited(lambda doc: doc["matrices"]["W"]["data"].pop()),
+         "matrix W has shape (8, 8) with 63 values"),
+    ], ids=["nan-entry", "infinite-entry", "shape-not-a-list", "short-W"])
+    def test_baseline_reads_no_matrix(self, files, capsys, damage, message):
+        """The baseline reads only the header: a damaged matrix, which
+        plain metric refuses, leaves its report as the intact file's."""
+        w, c = files
+        intact = self.metric_run(capsys, w, c, "--uniform-baseline")
+        assert intact[0] == 0 and intact[1].endswith("mean_p: 0.0\n")
+        w.write_text(damage(w.read_text()))
+        code, out, err = self.metric_run(capsys, w, c)
+        assert (code, out) == (2, "") and message in err
+        assert self.metric_run(capsys, w, c, "--uniform-baseline") == intact
+
+    @pytest.mark.parametrize("build", [("-k", "2", "-m", "2"),
+                                       ("--arch", "lstm", "-k", "8", "-m", "3")],
+                             ids=["small", "large"])
+    @pytest.mark.parametrize("layout,refused", [
+        (lambda text: text[:len(text) // 2], "is not a JSON weight file"),
+        (lambda text: "{" + " " * 5000 + text[1:], None),
+        (lambda text: json.dumps({"matrices": json.loads(text)["matrices"],
+                                  **json.loads(text)}), None),
+    ], ids=["cut-in-matrices", "long-header", "matrices-first"])
+    def test_baseline_reads_any_layout(self, tmp_path, capsys, build, layout,
+                                       refused):
+        """The baseline reads the header from the file's first characters
+        (the small file lies in them whole, the large one does not), or
+        parses the file whole when they do not hold it, decoding past
+        matrices that come first; plain metric reads every layout but the
+        cut one."""
+        w, c = tmp_path / "w.json", tmp_path / "c.txt"
+        language = build[-4:]
+        assert run_cli("build", *build, "-o", str(w)) == 0
+        assert run_cli("sample", *language, "--tokens", "300", "-o", str(c)) == 0
+        want = [self.metric_run(capsys, w, c, *baseline)
+                for baseline in ((), ("--uniform-baseline",))]
+        w.write_text(layout(w.read_text()))
+        code, out, err = plain = self.metric_run(capsys, w, c)
+        if refused:
+            assert (code, out) == (2, "") and refused in err
+        else:
+            assert plain == want[0]
+        assert self.metric_run(capsys, w, c, "--uniform-baseline") == want[1]
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: "# dyckrnn-corpus schema=1 k=2 m=2\n(1 )1 $\n",
+        lambda text: "",
+        lambda text: b"\xff\xfe\x00",
+        lambda text: '{"schema_version": 2,',
+        lambda text: text[:text.index('"matrices"') - 3],
+        lambda text: text.replace('"k": 2', '"k": 2.5', 1),
+        lambda text: text.replace('"m": 2', '"m": true', 1),
+        lambda text: text.replace('"k": 2', '"k": 0', 1),
+        lambda text: text.replace('"schema_version": 2', '"schema_version": 9', 1),
+        lambda text: text.replace('"zeta": ', '"zeta": 1e999, "z": ', 1),
+        lambda text: "[]",
+    ], ids=["corpus", "empty", "not-text", "truncated", "cut-before-matrices",
+            "fractional-k", "boolean-m", "k-zero", "unknown-schema",
+            "infinite-zeta", "not-an-object"])
+    def test_header_fault_reads_the_same_in_both_modes(self, files, capsys,
+                                                       damage):
+        w, c = files
+        damaged = damage(w.read_text())
+        if isinstance(damaged, bytes):
+            w.write_bytes(damaged)
+        else:
+            w.write_text(damaged)
+        plain = self.metric_run(capsys, w, c)
+        assert plain[0] == 2 and plain[1] == ""
+        (line,) = plain[2].splitlines()
+        assert line.startswith("error:")
+        assert self.metric_run(capsys, w, c, "--uniform-baseline") == plain
+
+    @pytest.mark.parametrize("language", [("-k", "3", "-m", "2"),
+                                          ("-k", "2", "-m", "3")])
+    def test_other_language_reads_the_same_in_both_modes(self, files, capsys,
+                                                         language):
+        w, c = files
+        assert run_cli("build", *language, "-o", str(w)) == 0
+        plain = self.metric_run(capsys, w, c)
+        assert plain[0] == 2 and plain[2].startswith(
+            "error: corpus is for k=2, m=2 but weights are for")
+        assert self.metric_run(capsys, w, c, "--uniform-baseline") == plain
+
     @pytest.mark.parametrize("field,value", [("k", -1), ("k", 0), ("m", 0)])
     @pytest.mark.parametrize("enc", ["onehot", "binary"])
     @pytest.mark.parametrize("command", ["metric", "verify"])
