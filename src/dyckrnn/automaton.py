@@ -302,6 +302,33 @@ class Corpus(Sequence):
             stack[filled, j] = codes[last[filled]] + 1
         return stack
 
+    def edges(self, m: int) -> int:
+        """The automaton edges the strings use, their distinct (stack, next
+        token) pairs over the tokens they consume; counted once per corpus
+        and m, with one bool per automaton edge.  The strings must stay in
+        the depth-m language while they consume (`rejections`)."""
+        return int(self._once("_edges", m))
+
+    def _edges(self, m: int) -> np.ndarray:
+        # A stack is numbered in bijective base k, its bracket indices bottom
+        # first as the digits, so the numbers run below the automaton's stack
+        # count; an open is told apart by the stack it leads to, a close by
+        # the stack it leaves, never a string's first token.
+        k, codes = self.k, self.codes
+        stacks = self.stacks(m)
+        number = np.zeros(codes.size, dtype=np.int64)
+        for j in reversed(range(m)):
+            number *= k
+            number += stacks[:, j]
+        nodes = sum(k**d for d in range(m + 1))
+        lengths = np.diff(self.offsets)
+        place = np.arange(codes.size) - np.repeat(self.offsets[:-1], lengths)
+        consumed = place < np.repeat(self.consumed(), lengths)
+        used = np.zeros(2 * nodes, dtype=bool)
+        used[number[consumed & (codes < k)]] = True
+        used[nodes + number[np.flatnonzero(consumed & (codes >= k)) - 1]] = True
+        return np.array(np.count_nonzero(used))
+
     def _first(self, flags: np.ndarray) -> np.ndarray:
         """Per string, the place within it of its first flagged token, or
         its length when none is flagged."""

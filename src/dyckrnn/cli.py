@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build (weight files), sample (corpora), check (membership of a
-token string), verify (correctness suites), metric (bracket-closing score).
+token string), trace (a construction's gate and slot trace of one prefix),
+verify (correctness suites), metric (bracket-closing score).
 Exit status is 0 exactly when every requested check passes; 2 signals a
 usage or input error.
 """
@@ -14,12 +15,12 @@ import json
 import math
 import sys
 
-from .automaton import (ACCEPT, Corpus, DyckParams, EMPTY, REJECT,
+from .automaton import (ACCEPT, END, Corpus, DyckParams, EMPTY, REJECT,
                         format_string, parse_string, transition, vocabulary)
 from .builders import DEFAULT_PARAMETER_BUDGET, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig
-from .runtime import serial_blas
+from .runtime import format_trace, serial_blas
 from .sampler import (SamplerConfig, corpus_statistics, format_corpus,
                       parse_corpus, parse_corpus_header, sample_corpus,
                       sample_strings, window_log_mass)
@@ -48,6 +49,14 @@ def _add_numeric_args(parser):
                         help="readout scale (default (ln(10k)+0.5)/gamma)")
 
 
+def _add_construction_args(parser):
+    parser.add_argument("--arch", choices=(ARCH_SIMPLE, ARCH_LSTM, ARCH_NAIVE),
+                        default=ARCH_SIMPLE)
+    parser.add_argument("--enc", choices=(ONEHOT, BINARY), default=None,
+                        help="slot encoding (default onehot; not applicable "
+                             "to the naive architecture)")
+
+
 def _numeric_config(args, k: int) -> NumericConfig:
     kwargs = {}
     if args.beta is not None:
@@ -63,11 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="construct a weight file")
     _add_language_args(p_build)
-    p_build.add_argument("--arch", choices=(ARCH_SIMPLE, ARCH_LSTM, ARCH_NAIVE),
-                         default=ARCH_SIMPLE)
-    p_build.add_argument("--enc", choices=(ONEHOT, BINARY), default=None,
-                         help="slot encoding (default onehot; not applicable "
-                              "to the naive architecture)")
+    _add_construction_args(p_build)
     _add_numeric_args(p_build)
     p_build.add_argument("--naive-budget", type=int,
                          default=DEFAULT_PARAMETER_BUDGET,
@@ -86,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="membership of one token string")
     _add_language_args(p_check)
     p_check.add_argument("string", help='token string, e.g. "(1 (2 )2 )1 $"')
+
+    p_trace = sub.add_parser("trace", help="gate and slot trace of one prefix")
+    _add_language_args(p_trace)
+    _add_construction_args(p_trace)
+    p_trace.add_argument("prefix", help='token prefix without the end mark, '
+                                        'e.g. "(1 (2 )2"')
 
     p_verify = sub.add_parser("verify", help="run correctness suites")
     _add_language_args(p_verify)
@@ -123,12 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _encoding(args) -> str | None:
+    """The slot encoding --arch and --enc ask for: onehot by default, none
+    for the naive architecture, which refuses one."""
+    if args.arch == ARCH_NAIVE and args.enc is not None:
+        raise ValueError("the naive architecture has no slot encoding; drop --enc")
+    return None if args.arch == ARCH_NAIVE else args.enc or ONEHOT
+
+
 def cmd_build(args) -> int:
     params = DyckParams(args.k, args.m)
     numeric = _numeric_config(args, args.k)
-    if args.arch == ARCH_NAIVE and args.enc is not None:
-        raise ValueError("the naive architecture has no slot encoding; drop --enc")
-    enc = None if args.arch == ARCH_NAIVE else args.enc or ONEHOT
+    enc = _encoding(args)
     paramset = build(args.arch, params, enc, numeric,
                      parameter_budget=args.naive_budget)
     save_weights(args.output, paramset)
@@ -182,6 +199,27 @@ def cmd_check(args) -> int:
         return 0
     print(f"false (no end-of-string; final state {state})")
     return 1
+
+
+def cmd_trace(args) -> int:
+    """Print runtime.format_trace of the construction on the prefix, one
+    line per token; a prefix outside the language, or with an end mark, is
+    refused before the construction is built."""
+    params = DyckParams(args.k, args.m)
+    prefix = parse_string(args.prefix)
+    state = EMPTY
+    for pos, token in enumerate(prefix, start=1):
+        if token.kind == END:
+            raise ValueError(f"position {pos}: a network never consumes the end "
+                             f"mark; trace the prefix before it")
+        state = transition(params, state, token)
+        if state == REJECT:
+            raise ValueError(f"prefix leaves the language at position {pos}: "
+                             f"{format_string(prefix[:pos])}")
+    trace = format_trace(build(args.arch, params, _encoding(args)), prefix)
+    if trace:
+        print(trace)
+    return 0
 
 
 def _verify_constructions(args, construction):
@@ -362,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handlers = {"build": cmd_build, "sample": cmd_sample, "check": cmd_check,
-                "verify": cmd_verify, "metric": cmd_metric}
+                "trace": cmd_trace, "verify": cmd_verify, "metric": cmd_metric}
     try:
         with serial_blas():
             return handlers[args.command](args)

@@ -13,11 +13,16 @@ of their states per depth, and the first string, in
 length-then-lexicographic order over symbol rows (opens 1..k, closes 1..k,
 end), on which they differ.
 
-walk_corpus walks a given corpus instead of every string: its nodes pair a
-network's state with the automaton stack after the same tokens, its edges
-are the tokens the corpus strings consume, and each distinct node and edge
-is stepped and checked once for the corpus suites, in a node table of
-bounded bytes.
+The corpus suites read their verdicts per corpus position from one of two
+walks whose nodes pair a network's state with the automaton stack after
+the same tokens (CorpusWalk).  close_graph walks every such node the
+automaton's brackets reach from the root, stepping each edge once, and a
+corpus finds each position's node in its child table.  walk_corpus walks
+the corpus itself, along the tokens its strings consume, stepping and
+checking each distinct node and edge once in a node table of bounded
+bytes.  The closure is tried only when the corpus uses at least half the
+automaton's edges (CLOSURE_SHARE), and given up past twice their number
+(CLOSURE_EDGES).
 """
 
 from __future__ import annotations
@@ -399,22 +404,120 @@ def members(side, k: int, max_len: int,
     return listed
 
 
-# The bytes walk_corpus may keep in its node table: per node its row (state
+# The bytes a corpus walk may keep in its node table: per node its row (state
 # and automaton stack, held once, as its dict key, with about 100 bytes of
 # Python objects), half a row for the level it is made in, its verdicts and
-# its row of the edge table.  A full table is emptied but for the root and
-# the nodes the walked strings stand on.  Over the corpus suites of the
-# (128, 5) CI instance, 300 strings (2-core Xeon, in process, against the
-# slab walk it replaced), tables of 4, 8 and 16 MB took 1.00-1.05,
-# 0.95-1.01 and 0.97-1.01 times as long; at (8, 3) over 1000 strings the
-# table never fills.
+# its row of the edge table.  walk_corpus empties a full table but for the
+# root and the nodes the walked strings stand on; close_graph gives up.
+# Over the corpus suites of the (128, 5) CI instance, 300 strings (2-core
+# Xeon, in process, against the slab walk walk_corpus replaced), tables of
+# 4, 8 and 16 MB took 1.00-1.05, 0.95-1.01 and 0.97-1.01 times as long; at
+# (8, 3) over 1000 strings the table never fills.
 CORPUS_TABLE_BYTES = 1 << 23
 
-# The readout values walk_corpus's node checks hold at once.  At (8, 3) one
+# The readout values a corpus walk's node checks hold at once.  At (8, 3) one
 # check of a batch's nodes took 0.47-0.48 of the slab walk's time against
 # 0.55 in checks of 128 nodes; at (128, 5) a check of 2,000 nodes raised the
 # peak RSS of the suites by about 14 MB.
 CHECK_BYTES = 1 << 18
+
+# The corpus suites read their verdicts off the closed product graph
+# (close_graph) when the corpus uses at least CLOSURE_SHARE of the
+# automaton's edges as distinct (stack, next token) pairs, and give the
+# closure up for walk_corpus once it would step more than CLOSURE_EDGES
+# times the automaton's edges: a net whose states do not follow the
+# automaton never closes, while the simple RNN's graph has 1.5-1.75 times
+# the automaton's edges.  The benchmark's (8, 3) corpora use 990 (seed
+# 2026) and 948 (seed 7) of the 1,168 edges; the closure steps 1,816 edges
+# for the simple RNN and 1,168 for the LSTM once each, where the corpus
+# walk stepped 1,315 and 990 in 78 levels, and the suites of the four
+# constructions took 12.6-13.3 ms against 18.0-19.6 (2-core Xeon, in
+# process).  At (8, 5) over 10,000 strings (seed 0) the corpus uses 23,612
+# of 74,896 edges, and an ungated closure of both encodings took 0.38 s
+# against 0.18 s for the simple RNN, 0.31 s against 0.16 s for the LSTM.
+CLOSURE_SHARE = 0.5
+CLOSURE_EDGES = 2
+
+
+class _Rows:
+    """The node rows of the corpus walks: a network state (h, then c for
+    the LSTM), then the automaton stack's bytes (as Corpus.stacks holds
+    them) padded to a whole value.  A row's bytes are its node's key, and
+    the only copy of the node kept."""
+
+    def __init__(self, paramset):
+        self.paramset, self.d = paramset, paramset.hidden_size
+        self.lstm = paramset.architecture == ARCH_LSTM
+        self.width = 2 * self.d if self.lstm else self.d
+        self.stack_dtype = np.dtype(np.min_scalar_type(paramset.k))
+        self.stack_bytes = self.stack_dtype.itemsize * paramset.m
+        self.size = self.width + -(-self.stack_bytes // 8)
+        self.key = np.dtype((np.void, 8 * self.size))
+
+    def stack_of(self, block):
+        at = 8 * self.width
+        return block.view(np.uint8)[:, at:at + self.stack_bytes].view(
+            self.stack_dtype)
+
+    def of(self, keys, ids):
+        """The rows of the nodes `ids`, from their keys."""
+        return np.frombuffer(b"".join(map(keys.__getitem__, ids)),
+                             dtype=np.float64).reshape(-1, self.size)
+
+    def check(self, check_nodes, block):
+        """check_nodes(h, c, stack) on the rows of `block`."""
+        d = self.d
+        return check_nodes(block[:, :d],
+                           block[:, d:self.width] if self.lstm else None,
+                           self.stack_of(block))
+
+    def pieces(self, lo: int, hi: int):
+        """The node ids lo..hi-1 as ranges checked together, whose readout
+        holds at most CHECK_BYTES, or BLOCK_ROWS rows."""
+        piece = max(CHECK_BYTES // (8 * (2 * self.paramset.k + 1)), BLOCK_ROWS)
+        return (range(at, min(at + piece, hi)) for at in range(lo, hi, piece))
+
+    def capacity(self, extra: int) -> int:
+        """The nodes CORPUS_TABLE_BYTES holds at a row, about 100 bytes of
+        Python objects and `extra` bytes each."""
+        return CORPUS_TABLE_BYTES // (self.key.itemsize + 100 + extra)
+
+    def closure_capacity(self, edges: bool) -> int:
+        """The nodes a closure may hold: each row twice (its key, and the
+        rows returned) and its rows of the child and gate tables."""
+        return self.capacity(self.key.itemsize + 2 * self.paramset.k * (4 + edges))
+
+    def step(self, parents, cols, into):
+        """Step the states of the rows `parents` on symbol rows `cols` into
+        the state columns of `into`; returns the step's activations."""
+        d, width = self.d, self.width
+        h, c, acts = step_rows(
+            self.paramset, parents[:, :d],
+            np.ascontiguousarray(parents[:, d:width].T).T if self.lstm else None,
+            cols)
+        into[:, :d] = h
+        if self.lstm:
+            into[:, d:width] = c
+        return acts
+
+    def add(self, block, keys, index) -> list[int]:
+        """The ids of the nodes with the bytes of `block`'s rows, numbering
+        each new one by the count of nodes before it."""
+        found = block.view(self.key).ravel().tolist()
+        ids = [index.setdefault(key, len(index)) for key in found]
+        keys += dict.fromkeys(itertools.compress(
+            found, [i >= len(keys) for i in ids]))
+        return ids
+
+
+def _batch(pending, verdicts, edges: bool):
+    """The positions of `pending` (strings, t, node ids, edge verdicts, per
+    level) as one batch of arrays, node verdicts gathered by id."""
+    strings, ts, ids, gates = zip(*pending)
+    return (np.concatenate(strings),
+            np.repeat(ts, [part.size for part in strings]),
+            verdicts[np.concatenate(ids)],
+            np.concatenate(gates) if edges else None)
 
 
 def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
@@ -448,43 +551,26 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
     of t.  A batch is yielded before the table is emptied and once it holds
     as many positions as the table holds nodes.  A position's verdicts do
     not depend on the table's size, but for the last bits of readout sums,
-    which may round with the nodes checked together.
+    which may round with the nodes checked together.  Returns the rows
+    stepped.
     """
-    k, d = paramset.k, paramset.hidden_size
-    lstm = paramset.architecture == ARCH_LSTM
-    width, cols = (2 * d if lstm else d), 2 * k  # an end mark is never consumed
+    rows = _Rows(paramset)
+    cols = 2 * paramset.k  # an end mark is never consumed
     stacks = corpus.stacks(paramset.m)
-    # a node is a row of `width` state values, then its stack's bytes padded
-    # to a whole value; the row's bytes are its key, and the only copy kept
-    stack_bytes = stacks.dtype.itemsize * paramset.m
-    row = width + -(-stack_bytes // 8)
-    row_key = np.dtype((np.void, 8 * row))
-
-    def stack_of(block):
-        return block.view(np.uint8)[:, 8 * width:8 * width + stack_bytes].view(
-            stacks.dtype)
-
-    def check(block):
-        return check_nodes(block[:, :d], block[:, d:width] if lstm else None,
-                           stack_of(block))
-
-    def rows_of(ids):
-        return np.frombuffer(b"".join(map(keys.__getitem__, ids)),
-                             dtype=np.float64).reshape(-1, row)
-
-    root = np.zeros((1, row))
-    verdict = check(root)
-    per_node = (3 * row_key.itemsize // 2 + 100 + verdict.itemsize
-                + cols * (4 + (check_edges is not None)))
-    capacity = max(CORPUS_TABLE_BYTES // per_node, 2 * BLOCK_ROWS + 1)
+    root = np.zeros((1, rows.size))
+    keys = [root.tobytes()]  # by node id
+    index = {keys[0]: 0}  # a node's key: its id
+    verdict = rows.check(check_nodes, root)
+    capacity = max(rows.capacity(rows.key.itemsize // 2 + verdict.itemsize
+                                 + cols * (4 + (check_edges is not None))),
+                   2 * BLOCK_ROWS + 1)
     chunk = (capacity - 1) // 2
     # per node: its verdicts, and per symbol row the child's id + 1 (0 not
     # yet stepped) and the edge's verdict; grown as nodes are made
     verdicts, child = verdict, np.zeros(cols, dtype=np.int32)
     gate = np.zeros(cols, dtype=bool) if check_edges else None
-    keys = [root.tobytes()]  # by node id
-    index = {keys[0]: 0}  # a node's key: its id
     checked = 1  # nodes with their verdicts
+    stepped = 0
 
     def room(nodes):
         """Grow the tables to hold `nodes` nodes, at least doubling them."""
@@ -495,16 +581,6 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
             child = np.concatenate([child, np.zeros(grown * cols, child.dtype)])
             if check_edges:
                 gate = np.concatenate([gate, np.zeros(grown * cols, bool)])
-
-    def check_made():
-        """Check the nodes made since the last check, in pieces whose
-        readout holds at most CHECK_BYTES, or BLOCK_ROWS rows."""
-        nonlocal checked
-        piece = max(CHECK_BYTES // (8 * (cols + 1)), BLOCK_ROWS)
-        for lo in range(checked, len(keys), piece):
-            hi = min(lo + piece, len(keys))
-            verdicts[lo:hi] = check(rows_of(range(lo, hi)))
-        checked = len(keys)
 
     def empty(keep):
         """Keep only the nodes `keep` (sorted, the root first, checked),
@@ -522,13 +598,12 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
     def batch():
         """The pending positions' verdicts, checking the nodes made since
         the last batch first."""
-        nonlocal pending, held
-        check_made()
-        strings, ts, ids, gates = zip(*pending)
-        out = (np.concatenate(strings),
-               np.repeat(ts, [part.size for part in strings]),
-               verdicts[np.concatenate(ids)],
-               np.concatenate(gates) if check_edges else None)
+        nonlocal pending, held, checked
+        for ids in rows.pieces(checked, len(keys)):
+            verdicts[ids.start:ids.stop] = rows.check(check_nodes,
+                                                      rows.of(keys, ids))
+        checked = len(keys)
+        out = _batch(pending, verdicts, check_edges is not None)
         pending, held = [], 0
         return out
 
@@ -569,25 +644,16 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
                 fresh = on[lead]
                 parent_of, sym = np.divmod(fresh, cols)
                 room(len(keys) + lead.size)
-                block = np.zeros((lead.size, row))  # zero padded
+                stepped += lead.size
+                block = np.zeros((lead.size, rows.size))  # zero padded
                 for b in range(0, lead.size, BLOCK_ROWS):
-                    rows = rows_of(parent_of[b:b + BLOCK_ROWS].tolist())
-                    h, c, acts = step_rows(
-                        paramset, rows[:, :d],
-                        np.ascontiguousarray(rows[:, d:width].T).T if lstm else None,
-                        sym[b:b + BLOCK_ROWS])
-                    block[b:b + len(rows), :d] = h
-                    if lstm:
-                        block[b:b + len(rows), d:width] = c
+                    parents = rows.of(keys, parent_of[b:b + BLOCK_ROWS].tolist())
+                    acts = rows.step(parents, sym[b:b + BLOCK_ROWS],
+                                     block[b:b + BLOCK_ROWS])
                     if check_edges:
-                        gate[fresh[b:b + len(rows)]] = check_edges(acts)
-                stack_of(block)[:] = stacks[at[new[lead]]]
-                found = block.view(row_key).ravel().tolist()
-                ids = [index.setdefault(key, len(index)) for key in found]
-                # a new node's id is the count of nodes before it
-                keys += dict.fromkeys(itertools.compress(
-                    found, [i >= len(keys) for i in ids]))
-                child[fresh] = np.add(ids, 1)
+                        gate[fresh[b:b + BLOCK_ROWS]] = check_edges(acts)
+                rows.stack_of(block)[:] = stacks[at[new[lead]]]
+                child[fresh] = np.add(rows.add(block, keys, index), 1)
                 node[new] = child[on]
             node = np.subtract(node, 1, dtype=np.intp)
             pending.append((strings[:live], t, node,
@@ -597,3 +663,152 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
                 yield batch()
     if pending:
         yield batch()
+    return stepped
+
+
+def automaton_edges(params: DyckParams) -> int:
+    """The bracket edges of the automaton's graph: k opens from each stack
+    below the depth bound and one close from each nonempty stack."""
+    return 2 * sum(params.k**d for d in range(1, params.m + 1))
+
+
+def closure_limit(params: DyckParams, corpus: Corpus) -> int:
+    """The edges close_graph may step for a corpus's suites, or 0 when the
+    corpus uses too few of the automaton's edges for the closure to pay
+    (CLOSURE_SHARE).  A corpus uses at most one edge per consumed token, so
+    one whose tokens fall short of the share is not counted."""
+    edges = automaton_edges(params)
+    if int(corpus.consumed().sum()) < CLOSURE_SHARE * edges:
+        return 0
+    if corpus.edges(params.m) < CLOSURE_SHARE * edges:
+        return 0
+    return CLOSURE_EDGES * edges
+
+
+@dataclass
+class Closure:
+    """The closed product graph of a network and the automaton, or, with
+    rows and child None, a walk of it given up.  Node ids number the nodes
+    in order of creation, the root (zero state, empty stack) 0: `rows`
+    holds their rows (state, then stack bytes), `child` per node and
+    bracket row the child's id, -1 where the automaton allows no bracket,
+    and `gate` the edge's verdict, given check_edges.  `edges` counts the
+    edges stepped."""
+
+    edges: int
+    rows: np.ndarray | None = None
+    child: np.ndarray | None = None
+    gate: np.ndarray | None = None
+
+
+def close_graph(paramset, edge_limit: int, check_edges=None) -> Closure:
+    """Walk the product graph of a network and the automaton breadth first
+    from the root along the brackets the automaton allows (allowed_rows,
+    push_pop), stepping each edge once through step_rows, at most
+    BLOCK_ROWS at a time.
+
+    A node is a row of network state and automaton stack bytes, as in
+    walk_corpus, and nodes whose bytes are equal are one node.  Each level
+    steps the nodes the level before made, in order of creation, and the
+    graph is closed once a level makes none.  check_edges(acts) gives each
+    edge's verdict from its step's activations.  The walk is given up
+    before a level that would take its edges past edge_limit, or its nodes
+    past the node table of CORPUS_TABLE_BYTES.
+    """
+    params = paramset.dyck_params
+    k, cols = params.k, 2 * params.k
+    rows = _Rows(paramset)
+    capacity = rows.closure_capacity(check_edges is not None)
+    keys = [bytes(rows.key.itemsize)]  # the root
+    index = {keys[0]: 0}
+    children, gates = [], []  # per level, its nodes' rows of each table
+    lo = edges = 0
+    while lo < len(keys):
+        level = rows.of(keys, range(lo, len(keys)))
+        stack = rows.stack_of(level).astype(np.intp)
+        depth = np.count_nonzero(stack, axis=1)
+        parents, sym = np.nonzero(allowed_rows(params, stack, depth)[:, :cols])
+        if edges + parents.size > edge_limit or len(keys) > capacity:
+            return Closure(edges)
+        edges += parents.size
+        child = np.full((len(level), cols), -1, dtype=np.int32)
+        gate = np.zeros(child.shape, dtype=bool) if check_edges else None
+        for b in range(0, parents.size, BLOCK_ROWS):
+            p, c = parents[b:b + BLOCK_ROWS], sym[b:b + BLOCK_ROWS]
+            block = np.zeros((p.size, rows.size))  # zero padded
+            acts = rows.step(level[p], c, block)
+            kid, kid_depth = stack[p], depth[p]
+            push_pop(k, kid, kid_depth, c)
+            rows.stack_of(block)[:] = kid
+            child[p, c] = rows.add(block, keys, index)
+            if check_edges:
+                gate[p, c] = check_edges(acts)
+        children.append(child)
+        gates.append(gate)
+        lo += len(level)
+    return Closure(edges, rows.of(keys, range(len(keys))),
+                   np.concatenate(children).ravel(),
+                   np.concatenate(gates).ravel() if check_edges else None)
+
+
+class CorpusWalk:
+    """The verdicts of every position of a corpus (string s after t tokens,
+    t = 0 to its consumed count) for the corpus suites: check_nodes(h, c,
+    stack) per node, check_edges(acts) per edge, as walk_corpus takes them.
+
+    Where the corpus uses enough of the automaton's edges (closure_limit),
+    the product graph is closed first (close_graph), every node of it is
+    checked, in pieces whose readout holds at most CHECK_BYTES, and each
+    level of the corpus strings, in walk_corpus's order, finds its nodes
+    with one gather from the child table.  Otherwise, or when the closure
+    is given up, walk_corpus walks the corpus itself.  Iterating yields
+    walk_corpus's batches, the closed graph's once they hold as many
+    positions as its node table could hold nodes; `walk` then names the
+    walk that answered, "closed" or "corpus", and `rows_stepped` counts the
+    rows step_rows took, a closure given up included.
+    """
+
+    def __init__(self, paramset, corpus: Corpus, check_nodes, check_edges=None):
+        self.paramset, self.corpus = paramset, corpus
+        self.check_nodes, self.check_edges = check_nodes, check_edges
+        self.walk, self.rows_stepped = "", 0
+
+    def __iter__(self):
+        paramset, corpus = self.paramset, self.corpus
+        closure = close_graph(paramset, closure_limit(paramset.dyck_params, corpus),
+                              self.check_edges)
+        self.rows_stepped = closure.edges
+        if closure.child is None:
+            self.walk = "corpus"
+            self.rows_stepped += yield from walk_corpus(
+                paramset, corpus, self.check_nodes, self.check_edges)
+            return
+        self.walk = "closed"
+        rows, cols = _Rows(paramset), 2 * paramset.k
+        verdicts = np.concatenate([
+            rows.check(self.check_nodes, closure.rows[ids.start:ids.stop])
+            for ids in rows.pieces(0, len(closure.rows))])
+        edges = self.check_edges is not None
+        capacity = rows.closure_capacity(edges)
+        consumed = corpus.consumed()
+        order = np.argsort(-consumed, kind="stable")
+        starts = corpus.offsets[order]
+        # strings still consuming at t = 1, 2, ... (they come most first)
+        lives = np.searchsorted(-consumed[order],
+                                -np.arange(1, consumed.max(initial=0) + 1),
+                                side="right").tolist()
+        node = np.zeros(order.size, dtype=np.int32)  # all at the root
+        pending = [(order, 0, node,
+                    np.zeros(order.size, dtype=bool) if edges else None)]
+        held = order.size
+        for t, live in enumerate(lives, start=1):
+            edge = node[:live] * cols + corpus.codes[starts[:live] + (t - 1)]
+            node = closure.child[edge]
+            pending.append((order[:live], t, node,
+                            closure.gate[edge] if edges else None))
+            held += live
+            if held >= capacity:
+                yield _batch(pending, verdicts, edges)
+                pending, held = [], 0
+        if pending:
+            yield _batch(pending, verdicts, edges)

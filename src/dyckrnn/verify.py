@@ -21,10 +21,12 @@ through runtime.walk; it and the collision search share one pigeonhole pass
 over their full-depth state keys, which turns only the colliding pair into
 Tokens.  The corpus suites and the closing metrics read a corpus as an
 automaton.Corpus: the suites refuse a string that leaves the language from
-its rejections array and walk the corpus over the product graph of the
-network and the automaton stacks of its stacks array (product.walk_corpus),
-checking each distinct (state, stack) node and each distinct edge once; the
-metrics find each close bracket's open from its depth arrays, and the
+its rejections array and check each distinct (state, stack) node of the
+product graph of the network and the automaton, and each distinct edge,
+once (corpus_checks): on the closed graph (product.close_graph) where the
+corpus uses enough of the automaton's edges, else on the nodes the corpus
+reaches (product.walk_corpus), and map every corpus position to its node;
+the metrics find each close bracket's open from its depth arrays, and the
 closing metric reads out each distinct hidden row before a close once,
 finding repeats by the row's bytes.
 
@@ -50,8 +52,8 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import (Graph, Language, Support, Walk, allowed_rows, members,
-                      walk_corpus, walk_graph)
+from .product import (CorpusWalk, Graph, Language, Support, Walk,
+                      allowed_rows, members, walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
 
@@ -352,11 +354,58 @@ _NODE_VERDICT = np.dtype([("stack", bool), ("saturation", bool),
                           ("margins", bool), ("lo", float), ("hi", float)])
 
 
+def corpus_checks(paramset, suites, eps: float):
+    """The corpus suites' verdicts, as (check_nodes, check_edges), for the
+    suites named in `suites` at support threshold eps.
+
+    check_nodes(h, c, stack) gives one _NODE_VERDICT record per row of a
+    (network state, automaton stack) node: the stack fault (the decoded
+    stack against the automaton's), the saturation fault (h, c for the
+    LSTM, not exact) and the margins fault and extremes (the readout
+    against the allowed mask); a suite not named leaves its fault False.
+    check_edges(acts) gives, per LSTM step, whether a gate is not exact;
+    it is None unless the saturation suite checks an LSTM."""
+    params = paramset.dyck_params
+    k, d = params.k, paramset.hidden_size
+    dis_bound = 1.0 / (10.0 * k)
+    stack_ok = _stack_predicate(paramset) if "stack" in suites else None
+    lstm = paramset.architecture == ARCH_LSTM
+
+    def check_nodes(h, c, stack):
+        verdict = np.zeros(len(h), dtype=_NODE_VERDICT)
+        stack = stack.astype(np.intp)  # holds symbol rows k + top - 1
+        depth = np.count_nonzero(stack, axis=1)
+        if stack_ok:
+            verdict["stack"] = ~stack_ok(h, c, stack, depth)
+        if "saturation" in suites:
+            verdict["saturation"] = ~(_saturated(c, 0) if lstm else _saturated(h, d))
+        if "margins" in suites:
+            dist = readout(paramset, h)
+            allowed = allowed_rows(params, stack, depth)
+            verdict["lo"] = np.where(allowed, dist, np.inf).min(axis=1)
+            verdict["hi"] = np.where(allowed, 0.0, dist).max(axis=1)
+            # NaN fails: it is neither at least eps nor at most the bound
+            verdict["margins"] = ~((verdict["lo"] >= eps)
+                                   & (verdict["hi"] <= dis_bound))
+        return verdict
+
+    check_edges = None
+    if lstm and "saturation" in suites:
+        # every gate unit is a byte-equal copy of one distinct unit
+        sigmoids, inverse = paramset.packed[3:]
+        gates = np.unique(inverse, return_index=True)[1]
+
+        def check_edges(acts):
+            return ~_saturated(acts[:, gates], sigmoids)
+
+    return check_nodes, check_edges
+
+
 def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
                         epsilon: float | None = None) -> list[VerificationReport]:
     """Any of the corpus suites, one report each in `suites` order, over one
     walk of the corpus on the product graph of the network and the
-    automaton (product.walk_corpus).
+    automaton (product.CorpusWalk).
 
     The first string, in corpus order, that leaves the language before its
     first end mark is refused before any is walked.  The stack and
@@ -368,15 +417,20 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
 
     A position's checks depend only on its node (the network state and the
     automaton stack) and, for the LSTM's gates, on the edge into it, so
-    each distinct node is checked once: the stack against the automaton
-    stack, h (c for the LSTM) for exact values, the readout against the
-    allowed mask; each distinct LSTM edge has its gates checked once.  The
-    walk gathers the verdicts back per position.  The readout runs once
-    per batch of new nodes, so min_allowed and max_disallowed may differ in
-    their last bits with the rows that share its product.
+    each distinct node is checked once (corpus_checks), and each distinct
+    LSTM edge has its gates checked once.  Where the corpus uses enough of
+    the automaton's edges, the nodes are those of the closed product graph
+    (product.close_graph), and each corpus position finds its node in the
+    graph's child table; otherwise, or when the graph does not close within
+    its edge limit, those of the corpus walk (product.walk_corpus).  Each
+    report's details name the walk that answered ("walk": "closed" or
+    "corpus") and the rows it stepped ("rows_stepped"), a closure given up
+    included.  The readout runs once per piece of nodes, so min_allowed and
+    max_disallowed may differ in their last bits with the rows that share
+    its product.
     """
     params = paramset.dyck_params
-    k, d = params.k, paramset.hidden_size
+    k = params.k
     eps = _epsilon(k, epsilon)
     dis_bound = 1.0 / (10.0 * k)
     corpus = Corpus.of(k, corpus)
@@ -395,38 +449,8 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         return []
     first = {s: np.full(n, -1) for s in suites}  # first failing position
     lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
-    stack_ok = _stack_predicate(paramset) if "stack" in first else None
-    lstm = paramset.architecture == ARCH_LSTM
-
-    def check_nodes(h, c, stack):
-        verdict = np.zeros(len(h), dtype=_NODE_VERDICT)
-        stack = stack.astype(np.intp)  # holds symbol rows k + top - 1
-        depth = np.count_nonzero(stack, axis=1)
-        if stack_ok:
-            verdict["stack"] = ~stack_ok(h, c, stack, depth)
-        if "saturation" in first:
-            verdict["saturation"] = ~(_saturated(c, 0) if lstm else _saturated(h, d))
-        if "margins" in first:
-            dist = readout(paramset, h)
-            allowed = allowed_rows(params, stack, depth)
-            verdict["lo"] = np.where(allowed, dist, np.inf).min(axis=1)
-            verdict["hi"] = np.where(allowed, 0.0, dist).max(axis=1)
-            # NaN fails: it is neither at least eps nor at most the bound
-            verdict["margins"] = ~((verdict["lo"] >= eps)
-                                   & (verdict["hi"] <= dis_bound))
-        return verdict
-
-    check_edges = None
-    if lstm and "saturation" in first:
-        # every gate unit is a byte-equal copy of one distinct unit
-        sigmoids, inverse = paramset.packed[3:]
-        gates = np.unique(inverse, return_index=True)[1]
-
-        def check_edges(acts):
-            return ~_saturated(acts[:, gates], sigmoids)
-
-    for s, t, verdict, gate in walk_corpus(paramset, corpus, check_nodes,
-                                           check_edges):
+    positions = CorpusWalk(paramset, corpus, *corpus_checks(paramset, suites, eps))
+    for s, t, verdict, gate in positions:
         stepped = t > 0
         faults = {}
         if "stack" in first:
@@ -468,6 +492,8 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         if suite == "margins":
             details[suite]["min_allowed"] = float(lo_min[:upto].min(initial=1.0))
             details[suite]["max_disallowed"] = float(hi_max[:upto].max(initial=0.0))
+        details[suite].update(walk=positions.walk,
+                              rows_stepped=positions.rows_stepped)
         reports.append(VerificationReport(
             suite=CORPUS_SUITES[suite], instance=_instance(paramset),
             checked=checked, passed=counter is None, counterexample=counter,

@@ -7,9 +7,10 @@ import pytest
 
 import dyckrnn
 from dyckrnn import cli, product, runtime, sampler, verify
-from dyckrnn.automaton import Corpus, DyckParams, is_member
-from dyckrnn.builders import build_lstm
+from dyckrnn.automaton import Corpus, DyckParams, is_member, parse_string
+from dyckrnn.builders import build, build_lstm
 from dyckrnn.cli import main
+from dyckrnn.runtime import format_trace
 from dyckrnn.sampler import parse_corpus
 from dyckrnn.verify import check_generation_equivalence, total_string_count
 from dyckrnn.weightio import load_weights, save_weights
@@ -169,6 +170,47 @@ class TestCheck:
     def test_parse_error(self, capsys):
         assert run_cli("check", "-k", "1", "-m", "1", "(1 huh $") == 2
         assert "position 2" in capsys.readouterr().err
+
+
+class TestTrace:
+    @pytest.mark.parametrize("arch,enc", [("simple", "onehot"), ("simple", "binary"),
+                                          ("lstm", "onehot"), ("lstm", "binary"),
+                                          ("naive", None)])
+    def test_prints_the_format_trace(self, capsys, arch, enc):
+        p = DyckParams(2, 3)
+        prefix = "(1 (2 )2 (1 (2"
+        argv = ["trace", "-k", "2", "-m", "3", "--arch", arch, prefix]
+        assert run_cli(*argv, *(("--enc", enc) if enc else ())) == 0
+        captured = capsys.readouterr()
+        net = build(arch, p, enc or ("onehot" if arch != "naive" else None))
+        assert captured.out == format_trace(net, parse_string(prefix)) + "\n"
+        assert len(captured.out.splitlines()) == 5
+        assert captured.err == ""
+
+    def test_default_construction_and_empty_prefix(self, capsys):
+        assert run_cli("trace", "-k", "2", "-m", "2", "(1") == 0
+        out = capsys.readouterr().out
+        assert out == format_trace(build("simple", DyckParams(2, 2), "onehot"),
+                                   parse_string("(1")) + "\n"
+        assert run_cli("trace", "-k", "2", "-m", "2", "") == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["(1 )2"], "prefix leaves the language at position 2: (1 )2"),
+        (["(1 (1 (1"], "prefix leaves the language at position 3: (1 (1 (1"),
+        (["(3 )3"], "prefix leaves the language at position 1: (3"),
+        (["(1 )1 $"], "position 3: a network never consumes the end mark"),
+        (["$ (1"], "position 1: end token before end of string"),
+        (["(1 ]1"], "position 2: unparseable token"),
+        (["--arch", "naive", "--enc", "binary", "(1"],
+         "the naive architecture has no slot encoding"),
+    ])
+    def test_bad_prefix_exits_2_with_one_error_line(self, capsys, argv, message):
+        assert run_cli("trace", "-k", "2", "-m", "2", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
 
 
 class TestVerify:
@@ -527,7 +569,7 @@ class TestVerify:
         """Every construction's corpus suites read one sampled Corpus, whose
         counts are each taken once."""
         counted = []
-        for name in ("_consumed", "_rejections", "_stacks"):
+        for name in ("_consumed", "_rejections", "_stacks", "_edges"):
             def spy(corpus, *args, real=getattr(Corpus, name), name=name):
                 counted.append((name, id(corpus)))
                 return real(corpus, *args)
@@ -538,7 +580,7 @@ class TestVerify:
                        "--strings", "40") == 0
         assert capsys.readouterr().out.count("PASS") == 15
         assert sorted(name for name, _ in counted) == [
-            "_consumed", "_rejections", "_stacks"]
+            "_consumed", "_edges", "_rejections", "_stacks"]
         assert len({corpus for _, corpus in counted}) == 1
 
     def test_empty_construction_selection_refused(self, capsys):

@@ -170,6 +170,20 @@ class TestNesting:
                 assert stack[at].tolist() == list(want) + [0] * (m - len(want))
                 assert np.count_nonzero(stack[at]) == len(want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(member_corpora())
+    def test_edges_match_the_token_loop(self, drawn):
+        """The automaton edges the strings use are their distinct (stack,
+        token) pairs before each first end mark, whatever follows it."""
+        k, m, strings = drawn
+        used = set()
+        for string in strings:
+            for t, token in enumerate(string):
+                if token.kind == "end":
+                    break
+                used.add((run(DyckParams(k, m), string[:t]).stack, token))
+        assert Corpus.of(k, strings).edges(m) == len(used)
+
     @staticmethod
     def scan(params, string):
         """(first REJECT place or the length, tokens before the first end

@@ -219,11 +219,15 @@ def _plain_backward_pass(m, lo, hi):
 
 
 @pytest.mark.parametrize("k, m, lo, hi", [(3, 3, 120, 130), (2, 3, 201, 201),
-                                          (2, 5, 181, 360), (1, 1, 40, 90)])
+                                          (2, 5, 181, 360), (1, 1, 40, 90),
+                                          (2, 3, 201, 1200)])
 def test_walk_reads_the_plain_backward_pass(k, m, lo, hi):
     """Every free choice of a walk compares its uniform with the probability
     a plain backward pass gives for that (t, d), also where the table's
-    rows have stopped and repeat; the window masses agree too."""
+    rows have stopped and repeat; the window masses agree too.  At
+    [201, 1200] the walks read both parities of the folded `before` cycle
+    and then, more than the 447 converged `inside` rows from the window's
+    end, the last `inside` row."""
     seen = []
 
     class Probe(float):
@@ -243,6 +247,8 @@ def test_walk_reads_the_plain_backward_pass(k, m, lo, hi):
             return Probe(self.rng.random())
 
     assert len(Draws.tilt.before) < lo - 1  # the 2-cycle is reached
+    if hi - lo > 447:  # walks start past the converged rows
+        assert len(Draws.tilt.inside) == 447
     want, mass = _plain_backward_pass(m, lo, hi)
     assert math.isclose(math.exp(Draws.tilt.log_mass), mass, rel_tol=1e-9)
     for _ in range(20):

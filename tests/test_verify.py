@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dyckrnn import product, runtime, verify
-from dyckrnn.automaton import (ACCEPT, DyckParams, Token, allowed_tokens,
+from dyckrnn.automaton import (ACCEPT, Corpus, DyckParams, Token, allowed_tokens,
                                format_string, is_member, parse_string, run,
                                symbol_row, vocabulary)
 from dyckrnn.builders import build, build_lstm, build_simple_rnn, enumerate_states
@@ -285,9 +286,11 @@ class TestCorpusWalk:
 
     @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("lstm", BINARY)])
     def test_one_step_per_edge(self, monkeypatch, arch, enc):
-        """Each distinct edge, a (network state, automaton stack) node and
-        the token leaving it, is stepped once, in blocks of at most
-        BLOCK_ROWS; the edges are counted here prefix by prefix."""
+        """The corpus walk steps each distinct edge, a (network state,
+        automaton stack) node and the token leaving it, once, in blocks of
+        at most BLOCK_ROWS; the edges are counted here prefix by prefix.
+        The walk is called directly: the corpus suites of this instance
+        read the closed product graph instead."""
         p = DyckParams(4, 3)
         net = build(arch, p, enc)
         corpus = sample_strings(SamplerConfig(p, seed=7), 50)
@@ -300,10 +303,20 @@ class TestCorpusWalk:
                 edges.add((node, token))
                 state, _ = step(net, state, token)
         stepped = self.count_stepped_rows(monkeypatch)
-        reports = check_corpus_suites(net, corpus)
-        assert all(r.passed for r in reports)
+        walk = product.walk_corpus(net, corpus, *verify.corpus_checks(
+            net, verify.CORPUS_SUITES, epsilon_for(4)))
+        verdicts = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                verdicts.append(next(walk)[2])
+        verdicts = np.concatenate(verdicts)
+        assert verdicts.size == sum(len(s) for s in corpus)
+        assert not (verdicts["stack"] | verdicts["saturation"]
+                    | verdicts["margins"]).any()
         assert max(stepped) <= runtime.BLOCK_ROWS
-        assert sum(stepped) == len(edges) < sum(len(s) - 1 for s in corpus)
+        assert done.value.value == sum(stepped) == len(edges)
+        assert len(edges) < sum(len(s) - 1 for s in corpus)
+        assert check_corpus_suites(net, corpus)[0].details["walk"] == "closed"
 
     @pytest.mark.parametrize("arch", ["simple", "lstm"])
     def test_distinct_edges_at_scale(self, monkeypatch, arch):
@@ -316,6 +329,54 @@ class TestCorpusWalk:
         assert all(r.passed for r in reports)
         assert reports[0].checked == 59_594
         assert sum(stepped) < 2_000
+
+    @pytest.mark.parametrize("arch,enc", [("simple", ONEHOT), ("simple", BINARY),
+                                          ("lstm", ONEHOT), ("lstm", BINARY)])
+    def test_closure_steps_its_graph_edges(self, monkeypatch, arch, enc):
+        """The benchmark's (8, 3) corpus uses 990 of the automaton's 1,168
+        edges, so the suites close the product graph and step each of its
+        edges once: 1,816 for the simple RNN, and for the LSTM the
+        automaton's own."""
+        p = DyckParams(8, 3)
+        corpus = sample_strings(SamplerConfig(p, seed=2026), 1000)
+        assert (corpus.edges(3), product.automaton_edges(p)) == (990, 1168)
+        stepped = self.count_stepped_rows(monkeypatch)
+        reports = check_corpus_suites(build(arch, p, enc), corpus)
+        edges = {"simple": 1816, "lstm": 1168}[arch]
+        assert all(r.passed for r in reports)
+        assert max(stepped) <= runtime.BLOCK_ROWS
+        assert sum(stepped) == edges
+        assert [(r.details["walk"], r.details["rows_stepped"])
+                for r in reports] == [("closed", edges)] * 3
+
+    @pytest.mark.parametrize("k,m,strings,arch", [
+        (8, 5, 10_000, "simple"), (8, 5, 10_000, "lstm"),
+        (128, 5, 100, "simple"), (128, 5, 100, "lstm")])
+    def test_no_closure_where_it_does_not_pay(self, monkeypatch, k, m, strings,
+                                              arch):
+        """At (8, 5) 10,000 strings use 23,612 of the automaton's 74,896
+        edges, and at (128, 5) the automaton has more edges than twice the
+        tokens the corpus consumes, so they are not counted: the suites step
+        only the rows the corpus walk steps alone."""
+        p = DyckParams(k, m)
+        net = build(arch, p, BINARY)
+        corpus = sample_strings(SamplerConfig(p, seed=0), strings)
+        if k == 128:
+            def uncounted(*args):
+                raise AssertionError("counted the corpus's edges")
+
+            monkeypatch.setattr(Corpus, "_edges", uncounted)
+        else:
+            assert corpus.edges(m) == 23_612
+        stepped = self.count_stepped_rows(monkeypatch)
+        reports = check_corpus_suites(net, corpus)
+        rows, stepped[:] = sum(stepped), []
+        monkeypatch.setattr(product, "CLOSURE_SHARE", math.inf)
+        assert check_corpus_suites(net, corpus) == reports
+        assert all(r.passed for r in reports)
+        assert rows == sum(stepped) > 0
+        assert [(r.details["walk"], r.details["rows_stepped"])
+                for r in reports] == [("corpus", rows)] * 3
 
 
 def softened(net):
@@ -354,8 +415,16 @@ class TestBlockWalkParity:
 
     @staticmethod
     def assert_same_reports(batched, expected):
-        """Equal report dicts, but for the margins extremes, whose readout
-        sums may round with the rows that share a block product."""
+        """Equal report dicts, but for the walk that answered and the rows
+        it stepped, which the reference loop does not report, and the
+        margins extremes, whose readout sums may round with the rows that
+        share a block product."""
+        def plain(report):
+            return dict(report, details={
+                key: value for key, value in report["details"].items()
+                if key not in ("walk", "rows_stepped")})
+
+        batched, expected = list(map(plain, batched)), list(map(plain, expected))
         for got, want in zip(batched, expected):
             if got["suite"] == "probability_margins":
                 for key in ("min_allowed", "max_disallowed"):
@@ -478,7 +547,8 @@ class TestBlockWalkParity:
         """The corpus walk's node table at its floor of 2 * BLOCK_ROWS + 1
         nodes: the strings are walked BLOCK_ROWS at a time, the table is
         emptied whenever a level's new nodes would not fit, and a string's
-        positions span many batches of verdicts."""
+        positions span many batches of verdicts.  The closure of the
+        product graph fits no node there, so the corpus walk answers."""
         monkeypatch.setattr(product, "CORPUS_TABLE_BYTES", 0)
 
     @pytest.mark.parametrize("arch,enc,sabotage", [
@@ -494,6 +564,7 @@ class TestBlockWalkParity:
         corpus = sample_strings(SamplerConfig(p, seed=3), 300)
         reports = self.assert_matches_reference(net, corpus)
         assert all(r["passed"] for r in reports) == (sabotage is None)
+        assert {r["details"]["walk"] for r in reports} == {"corpus"}
 
     def test_margins_failure_in_a_later_slab(self, floored_slab, monkeypatch):
         """128 strings stay live together for 25 steps.  The 127 copies of
@@ -578,6 +649,38 @@ class TestBlockWalkParity:
         corpus = sample_strings(SamplerConfig(p, seed=17), 150)
         reports = self.assert_matches_reference(net, corpus)
         assert all(r["passed"] for r in reports) == (sabotage is None)
+        assert {r["details"]["walk"] for r in reports} == {"corpus"}
+
+    @pytest.mark.parametrize("k,arch,enc,sabotage", [
+        (k, arch, enc, sabotage)
+        for k in (2, 8) for arch, enc in ALL_CONSTRUCTIONS
+        if k == 2 or arch != "naive"
+        for sabotage in [None, zero_close_rows, softened]
+        + {"simple": [flip_push_entry], "lstm": [expose_all_slots]}.get(arch, [])])
+    def test_both_walks_report_alike(self, monkeypatch, k, arch, enc, sabotage):
+        """The closed product graph and the corpus walk give equal reports
+        but for the walk that answered and the rows it stepped.  A softened
+        net never closes, and the naive net and an LSTM that exposes every
+        slot tell apart nodes by the last token too, so their closures are
+        given up past twice the automaton's edges, and the corpus walk
+        answers."""
+        p = DyckParams(k, 3)
+        net = build(arch, p, enc)
+        net = sabotage(net) if sabotage else net
+        corpus = sample_strings(SamplerConfig(p, seed=2026), 300 if k == 2 else 1000)
+        closed = [r.as_dict() for r in check_corpus_suites(net, corpus)]
+        monkeypatch.setattr(product, "CLOSURE_SHARE", math.inf)
+        walked = [r.as_dict() for r in check_corpus_suites(net, corpus)]
+        given_up = sabotage in (softened, expose_all_slots) or arch == "naive"
+        assert all(r["passed"] for r in closed) == (sabotage is None)
+        assert {r["details"]["walk"] for r in closed} == {
+            "corpus" if given_up else "closed"}
+        assert {r["details"]["walk"] for r in walked} == {"corpus"}
+        if given_up:
+            extra = (closed[0]["details"]["rows_stepped"]
+                     - walked[0]["details"]["rows_stepped"])
+            assert 0 < extra <= 2 * product.automaton_edges(p)
+        self.assert_same_reports(closed, walked)
 
     @pytest.mark.parametrize("arch", ["simple", "lstm"])
     def test_emptied_table_reports_as_floored(self, monkeypatch, arch):
@@ -603,8 +706,7 @@ class TestBlockWalkParity:
         assert default_rows > unbounded_rows
         assert all(r["passed"] for r in default)
         for other in (unbounded, walked(0)[0]):
-            self.assert_same_reports(other, [dict(r, details=dict(r["details"]))
-                                             for r in default])
+            self.assert_same_reports(other, default)
 
     def test_bracket_indices_past_a_byte(self):
         """Corpus stacks keep bracket indices in a byte up to k = 255, but
