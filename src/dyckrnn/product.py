@@ -482,10 +482,11 @@ class _Rows:
         Python objects and `extra` bytes each."""
         return CORPUS_TABLE_BYTES // (self.key.itemsize + 100 + extra)
 
-    def closure_capacity(self, edges: bool) -> int:
+    def closure_capacity(self, gated: bool) -> int:
         """The nodes a closure may hold: each row twice (its key, and the
-        rows returned) and its rows of the child and gate tables."""
-        return self.capacity(self.key.itemsize + 2 * self.paramset.k * (4 + edges))
+        rows returned) and its rows of the child and, when gated, gate
+        tables."""
+        return self.capacity(self.key.itemsize + 2 * self.paramset.k * (4 + gated))
 
     def step(self, parents, cols, into):
         """Step the states of the rows `parents` on symbol rows `cols` into
@@ -510,14 +511,14 @@ class _Rows:
         return ids
 
 
-def _batch(pending, verdicts, edges: bool):
+def _batch(pending, verdicts, gated: bool):
     """The positions of `pending` (strings, t, node ids, edge verdicts, per
     level) as one batch of arrays, node verdicts gathered by id."""
     strings, ts, ids, gates = zip(*pending)
     return (np.concatenate(strings),
             np.repeat(ts, [part.size for part in strings]),
             verdicts[np.concatenate(ids)],
-            np.concatenate(gates) if edges else None)
+            np.concatenate(gates) if gated else None)
 
 
 def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
@@ -788,8 +789,8 @@ class CorpusWalk:
         verdicts = np.concatenate([
             rows.check(self.check_nodes, closure.rows[ids.start:ids.stop])
             for ids in rows.pieces(0, len(closure.rows))])
-        edges = self.check_edges is not None
-        capacity = rows.closure_capacity(edges)
+        gated = self.check_edges is not None
+        capacity = rows.closure_capacity(gated)
         consumed = corpus.consumed()
         order = np.argsort(-consumed, kind="stable")
         starts = corpus.offsets[order]
@@ -799,16 +800,16 @@ class CorpusWalk:
                                 side="right").tolist()
         node = np.zeros(order.size, dtype=np.int32)  # all at the root
         pending = [(order, 0, node,
-                    np.zeros(order.size, dtype=bool) if edges else None)]
+                    np.zeros(order.size, dtype=bool) if gated else None)]
         held = order.size
         for t, live in enumerate(lives, start=1):
             edge = node[:live] * cols + corpus.codes[starts[:live] + (t - 1)]
             node = closure.child[edge]
             pending.append((order[:live], t, node,
-                            closure.gate[edge] if edges else None))
+                            closure.gate[edge] if gated else None))
             held += live
             if held >= capacity:
-                yield _batch(pending, verdicts, edges)
+                yield _batch(pending, verdicts, gated)
                 pending, held = [], 0
         if pending:
-            yield _batch(pending, verdicts, edges)
+            yield _batch(pending, verdicts, gated)
