@@ -228,6 +228,14 @@ def _verify_constructions(args, construction):
         if (paramset.k, paramset.m) != (args.k, args.m):
             raise ValueError(f"{args.weights} holds weights for k={paramset.k}, "
                              f"m={paramset.m} but -k {args.k} -m {args.m} was given")
+        enc = paramset.encoding and paramset.encoding.kind
+        for flag, asked, held in (("--arch", args.arch, paramset.architecture),
+                                  ("--enc", args.enc, enc)):
+            if asked not in ("all", held):
+                raise ValueError(f"{args.weights} holds a network of --arch "
+                                 f"{paramset.architecture}"
+                                 f"{f' --enc {enc}' if enc else ''} but "
+                                 f"{flag} {asked} was given")
         return [paramset]
     selected = []
     for arch, enc in applicable_constructions(args.k):

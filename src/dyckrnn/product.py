@@ -13,16 +13,17 @@ of their states per depth, and the first string, in
 length-then-lexicographic order over symbol rows (opens 1..k, closes 1..k,
 end), on which they differ.
 
-The corpus suites read their verdicts per corpus position from one of two
-walks whose nodes pair a network's state with the automaton stack after
-the same tokens (CorpusWalk).  close_graph walks every such node the
-automaton's brackets reach from the root, stepping each edge once, and a
-corpus finds each position's node in its child table.  walk_corpus walks
-the corpus itself, along the tokens its strings consume, stepping and
-checking each distinct node and edge once in a node table of bounded
-bytes.  The closure is tried only when the corpus uses at least half the
-automaton's edges (CLOSURE_SHARE), and given up past twice their number
-(CLOSURE_EDGES).
+The corpus suites read their verdicts per corpus position from one walk
+whose nodes pair a network's state with the automaton stack after the same
+tokens (walk_corpus): it walks the corpus along the tokens its strings
+consume, stepping and checking each distinct node and edge once in a node
+table of bounded bytes.  Where the corpus uses at least half the
+automaton's edges (CLOSURE_SHARE), close_graph first fills that table with
+every node the automaton's brackets reach from the root, stepping each edge
+once, and the walk then only looks each position's node up in the child
+table; a closure is given up past twice the automaton's edges
+(CLOSURE_EDGES) or a full table, and the walk then starts from the root
+alone.  Every walk keys its nodes by their bytes in a _Table.
 """
 
 from __future__ import annotations
@@ -119,6 +120,45 @@ class Support:
     def least_level(self, t: int) -> int:
         """A network may die on any prefix: no depth holds a node for sure."""
         return 0
+
+
+class _Table:
+    """The node table of a walk: rows of `width` values of `dtype`, each
+    numbered by the count of rows before it.  `keys` holds each row's bytes
+    by id and `index` maps them to the id, sharing one bytes object per
+    row, the only copy of the row kept."""
+
+    def __init__(self, dtype, width: int):
+        self.dtype, self.width = np.dtype(dtype), width
+        self.key = np.dtype((np.void, self.dtype.itemsize * width))
+        self.keys: list[bytes] = []
+        self.index: dict[bytes, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def add(self, block) -> list[int]:
+        """The ids of the rows of `block` (C-contiguous), numbering the new
+        ones in order of first arrival, repeats within the block included."""
+        found = block.view(self.key).ravel().tolist()
+        ids = list(map(self.index.get, found))
+        if None in ids:
+            index, known = self.index, len(self.keys)
+            ids = [index.setdefault(key, len(index)) for key in found]
+            self.keys += dict.fromkeys(itertools.compress(
+                found, [i >= known for i in ids]))
+        return ids
+
+    def of(self, ids) -> np.ndarray:
+        """The rows `ids` (a range or list of ints), read-only."""
+        return np.frombuffer(b"".join(map(self.keys.__getitem__, ids)),
+                             dtype=self.dtype).reshape(-1, self.width)
+
+    def empty(self, keep=()):
+        """Keep only the rows `keep` (ids in ascending order), renumbered
+        0, 1, ..."""
+        self.keys = list(map(self.keys.__getitem__, keep))
+        self.index = dict(zip(self.keys, range(len(self.keys))))
 
 
 # Children stepped per block of the graph walk.  The block bounds only the
@@ -253,7 +293,6 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
         size = side.width * side.dtype.itemsize
         spans.append((at, slice(at + 1, at + 1 + size)))
         at += 1 + size
-    row_key = np.dtype((np.void, at))
 
     def refuse_over_budget(created):
         if created > node_budget:
@@ -282,42 +321,38 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
         return masks
 
     def step(frontier, allowed):
-        """Step every edge of the frontier's nodes (their bytes), at most
+        """Step every edge of the frontier's nodes (a range of ids), at most
         TREE_BLOCK_ROWS at a time: the child ids per (node, bracket row),
-        and the bytes of the nodes made, with the symbols each side allows
+        and the ids of the nodes made, with the symbols each side allows
         there."""
         parents, cols = np.nonzero(allowed[:, :, :width].any(axis=0))
         kids = np.empty(parents.size, dtype=np.intp)
-        first, masks = len(index), []
+        first, masks = len(table), []
         for lo in range(0, parents.size, TREE_BLOCK_ROWS):
             p, c = parents[lo:lo + TREE_BLOCK_ROWS], cols[lo:lo + TREE_BLOCK_ROWS]
             alive = allowed[:, p, c]
             # the block's parents, a run of the frontier (edges come in node order)
-            rows = np.frombuffer(b"".join(frontier[p[0]:p[-1] + 1]),
-                                 dtype=np.uint8).reshape(-1, at)
+            rows = table.of(frontier[p[0]:p[-1] + 1])
             block = [side.step(state_of(s, rows, p[live] - p[0]), c[live])
                      if live.any() else None
                      for s, (side, live) in enumerate(zip(sides, alive))]
-            key = nodes(alive, block)
-            known = len(index)
-            ids = np.array([index.setdefault(row, len(index))
-                            for row in key.view(row_key).ravel().tolist()])
-            kids[lo:lo + ids.size] = ids
-            if len(index) > known:  # new ids arrive in order: take each first
-                refuse_over_budget(states + len(index) - first)
-                masks.append(allowed_of(key[
-                    ids > np.maximum.accumulate(np.append(known - 1, ids[:-1]))]))
+            known = len(table)
+            ids = table.add(nodes(alive, block))
+            kids[lo:lo + len(ids)] = ids
+            if len(table) > known:
+                refuse_over_budget(states + len(table) - first)
+                masks.append(allowed_of(table.of(range(known, len(table)))))
         stepped = np.full((len(frontier), width), -1, dtype=np.intp)
         stepped[parents, cols] = kids
-        # the index keeps each node's bytes in id order: the nodes made
-        return (stepped, list(itertools.islice(index, first, None)),
+        return (stepped, range(first, len(table)),
                 np.concatenate(masks, axis=1) if masks else allowed[:, :0])
 
     refuse_over_budget(1)  # the root
     root = nodes([np.ones(1, dtype=bool)] * n_sides,
                  [side.root() for side in sides])
-    frontier = [root.tobytes()]  # the nodes made, not yet stepped
-    index = {frontier[0]: 0}  # a node's bytes: its id
+    table = _Table(np.uint8, at)
+    table.add(root)
+    frontier = range(1)  # the nodes made, not yet stepped
     allowed = allowed_of(root)
     ends = [allowed[:, :, width].T & (max_len >= 1)]
     stored, made = np.empty((0, width), dtype=np.intp), [0]
@@ -334,7 +369,7 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
         refuse_over_budget(states + max(side.least_level(t + 1) for side in sides))
         closed = not len(frontier)
         if not closed:
-            made.append(len(index))
+            made.append(len(table))
             stepped, frontier, allowed = step(frontier, allowed)
             stored = np.concatenate([stored, stepped])
             ends.append(allowed[:, :, width].T)
@@ -351,7 +386,7 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
             # the children in order of their first edge in, and each edge's
             # child by its place among them
             kids, arrival = edges[edge], np.arange(edge.size)
-            first_in = np.full(len(index), edge.size)
+            first_in = np.full(len(table), edge.size)
             np.minimum.at(first_in, kids, arrival)
             level = kids[first_in[kids] == arrival]
             first_in[level] = np.arange(level.size)  # now each child's place
@@ -365,8 +400,8 @@ def walk_graph(sides, k: int, max_len: int, node_budget: int) -> Walk:
         counts = carried
         levels.append(level)
     # per side, number its distinct states from 1 (0 where it is dead)
-    keys = list(index)
-    del index
+    keys = table.keys
+    del table
     numbers = np.zeros((len(keys), n_sides), dtype=np.intp)
     for s, (flag, span) in enumerate(spans):
         seen: dict[bytes, int] = {}
@@ -421,13 +456,13 @@ CORPUS_TABLE_BYTES = 1 << 23
 # peak RSS of the suites by about 14 MB.
 CHECK_BYTES = 1 << 18
 
-# The corpus suites read their verdicts off the closed product graph
+# The corpus suites' walk starts from the closed product graph
 # (close_graph) when the corpus uses at least CLOSURE_SHARE of the
-# automaton's edges as distinct (stack, next token) pairs, and give the
-# closure up for walk_corpus once it would step more than CLOSURE_EDGES
-# times the automaton's edges: a net whose states do not follow the
-# automaton never closes, while the simple RNN's graph has 1.5-1.75 times
-# the automaton's edges.  The benchmark's (8, 3) corpora use 990 (seed
+# automaton's edges as distinct (stack, next token) pairs, and from the
+# root alone once the closure would step more than CLOSURE_EDGES times the
+# automaton's edges: a net whose states do not follow the automaton never
+# closes, while the simple RNN's graph has 1.5-1.75 times the automaton's
+# edges.  The benchmark's (8, 3) corpora use 990 (seed
 # 2026) and 948 (seed 7) of the 1,168 edges; the closure steps 1,816 edges
 # for the simple RNN and 1,168 for the LSTM once each, where the corpus
 # walk stepped 1,315 and 990 in 78 levels, and the suites of the four
@@ -442,8 +477,7 @@ CLOSURE_EDGES = 2
 class _Rows:
     """The node rows of the corpus walks: a network state (h, then c for
     the LSTM), then the automaton stack's bytes (as Corpus.stacks holds
-    them) padded to a whole value.  A row's bytes are its node's key, and
-    the only copy of the node kept."""
+    them) padded to a whole value, kept in a _Table of float64 values."""
 
     def __init__(self, paramset):
         self.paramset, self.d = paramset, paramset.hidden_size
@@ -452,17 +486,17 @@ class _Rows:
         self.stack_dtype = np.dtype(np.min_scalar_type(paramset.k))
         self.stack_bytes = self.stack_dtype.itemsize * paramset.m
         self.size = self.width + -(-self.stack_bytes // 8)
-        self.key = np.dtype((np.void, 8 * self.size))
+
+    def rooted(self) -> _Table:
+        """A node table holding only the root: zero state, empty stack."""
+        table = _Table(np.float64, self.size)
+        table.add(np.zeros((1, self.size)))
+        return table
 
     def stack_of(self, block):
         at = 8 * self.width
         return block.view(np.uint8)[:, at:at + self.stack_bytes].view(
             self.stack_dtype)
-
-    def of(self, keys, ids):
-        """The rows of the nodes `ids`, from their keys."""
-        return np.frombuffer(b"".join(map(keys.__getitem__, ids)),
-                             dtype=np.float64).reshape(-1, self.size)
 
     def check(self, check_nodes, block):
         """check_nodes(h, c, stack) on the rows of `block`."""
@@ -480,13 +514,13 @@ class _Rows:
     def capacity(self, extra: int) -> int:
         """The nodes CORPUS_TABLE_BYTES holds at a row, about 100 bytes of
         Python objects and `extra` bytes each."""
-        return CORPUS_TABLE_BYTES // (self.key.itemsize + 100 + extra)
+        return CORPUS_TABLE_BYTES // (8 * self.size + 100 + extra)
 
     def closure_capacity(self, gated: bool) -> int:
         """The nodes a closure may hold: each row twice (its key, and the
-        rows returned) and its rows of the child and, when gated, gate
-        tables."""
-        return self.capacity(self.key.itemsize + 2 * self.paramset.k * (4 + gated))
+        level rows gathered to step it or check it) and its rows of the
+        child and, when gated, gate tables."""
+        return self.capacity(8 * self.size + 2 * self.paramset.k * (4 + gated))
 
     def step(self, parents, cols, into):
         """Step the states of the rows `parents` on symbol rows `cols` into
@@ -501,27 +535,9 @@ class _Rows:
             into[:, d:width] = c
         return acts
 
-    def add(self, block, keys, index) -> list[int]:
-        """The ids of the nodes with the bytes of `block`'s rows, numbering
-        each new one by the count of nodes before it."""
-        found = block.view(self.key).ravel().tolist()
-        ids = [index.setdefault(key, len(index)) for key in found]
-        keys += dict.fromkeys(itertools.compress(
-            found, [i >= len(keys) for i in ids]))
-        return ids
 
-
-def _batch(pending, verdicts, gated: bool):
-    """The positions of `pending` (strings, t, node ids, edge verdicts, per
-    level) as one batch of arrays, node verdicts gathered by id."""
-    strings, ts, ids, gates = zip(*pending)
-    return (np.concatenate(strings),
-            np.repeat(ts, [part.size for part in strings]),
-            verdicts[np.concatenate(ids)],
-            np.concatenate(gates) if gated else None)
-
-
-def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
+def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None,
+                closure: Closure | None = None):
     """Walk a corpus over the product graph of a network and the automaton,
     checking each distinct node once and each distinct edge once.
 
@@ -530,20 +546,24 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
     node and the symbol row of a consumed token.  The strings are taken as
     runtime.walk orders them, most consumed tokens first, and walked level
     by level: at level t every string with at least t consumed tokens moves
-    along the edge of its t-th token.  An edge is stepped through step_rows
-    only the first time a string reaches it, at most BLOCK_ROWS at a time,
-    and its child is looked up by the child's bytes, so strings that reach
-    equal bytes share one node from there on.  check_nodes(h, c, stack)
-    returns one verdict record per new node, check_edges(acts) one verdict
-    per new edge from the step's activations.
+    along the edge of its t-th token.  check_nodes(h, c, stack) returns one
+    verdict record per node, check_edges(acts) one verdict per edge from
+    the step's activations.
 
+    The walk starts from a closed graph (close_graph, with the same
+    check_edges), whose table and edges then hold every node and edge the
+    strings reach, or from the root alone.  From the root, an edge is
+    stepped through step_rows only the first time a string reaches it, at
+    most BLOCK_ROWS at a time, and its child is looked up by the child's
+    bytes, so strings that reach equal bytes share one node from there on.
     The table holds as many nodes as fit CORPUS_TABLE_BYTES, but never
     fewer than 2 * BLOCK_ROWS + 1, and grows to that as nodes are made.
     The strings are walked in chunks of half that many, so the nodes a
     chunk stands on and the new nodes of its next level always fit beside
     the root: when they would not, the table is emptied but for those.
-    New nodes are checked when their verdicts are next read, in pieces
-    whose readout holds at most CHECK_BYTES.
+    The nodes are checked, those of the starting table first, when their
+    verdicts are next read, in pieces whose readout holds at most
+    CHECK_BYTES.
 
     Yields, in batches, every position (string s after t tokens, t = 0 to
     its consumed count) as arrays (strings, t, node verdicts, edge
@@ -553,24 +573,26 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
     as many positions as the table holds nodes.  A position's verdicts do
     not depend on the table's size, but for the last bits of readout sums,
     which may round with the nodes checked together.  Returns the rows
-    stepped.
+    stepped after the start.
     """
     rows = _Rows(paramset)
     cols = 2 * paramset.k  # an end mark is never consumed
-    stacks = corpus.stacks(paramset.m)
-    root = np.zeros((1, rows.size))
-    keys = [root.tobytes()]  # by node id
-    index = {keys[0]: 0}  # a node's key: its id
-    verdict = rows.check(check_nodes, root)
-    capacity = max(rows.capacity(rows.key.itemsize // 2 + verdict.itemsize
+    if closure is None:
+        table = rows.rooted()
+        # per node and symbol row, the child's id + 1 (0 not yet stepped)
+        # and the edge's verdict; grown as nodes are made
+        child = np.zeros(cols, dtype=np.int32)
+        gate = np.zeros(cols, dtype=bool) if check_edges else None
+        stacks = corpus.stacks(paramset.m)
+    else:
+        table, child, gate = closure.table, closure.child, closure.gate
+    verdicts = np.concatenate([rows.check(check_nodes, table.of(ids))
+                               for ids in rows.pieces(0, len(table))])
+    checked = len(table)  # nodes with their verdicts
+    capacity = max(rows.capacity(4 * rows.size + verdicts.itemsize
                                  + cols * (4 + (check_edges is not None))),
                    2 * BLOCK_ROWS + 1)
     chunk = (capacity - 1) // 2
-    # per node: its verdicts, and per symbol row the child's id + 1 (0 not
-    # yet stepped) and the edge's verdict; grown as nodes are made
-    verdicts, child = verdict, np.zeros(cols, dtype=np.int32)
-    gate = np.zeros(cols, dtype=bool) if check_edges else None
-    checked = 1  # nodes with their verdicts
     stepped = 0
 
     def room(nodes):
@@ -586,27 +608,28 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
     def empty(keep):
         """Keep only the nodes `keep` (sorted, the root first, checked),
         renumbered 0, 1, ...; forget every edge."""
-        nonlocal keys, checked
-        child[:len(keys) * cols] = 0
-        keys = list(map(keys.__getitem__, keep.tolist()))
-        checked = len(keys)
+        nonlocal checked
+        child[:len(table) * cols] = 0
+        table.empty(keep.tolist())
+        checked = len(table)
         verdicts[:checked] = verdicts[keep]
-        index.clear()
-        index.update(zip(keys, range(checked)))
 
     pending, held = [], 0  # per level: (strings, t, nodes, edge verdicts)
 
     def batch():
-        """The pending positions' verdicts, checking the nodes made since
-        the last batch first."""
+        """The pending positions as one batch of arrays, node verdicts
+        gathered by id, checking the nodes made since the last batch
+        first."""
         nonlocal pending, held, checked
-        for ids in rows.pieces(checked, len(keys)):
-            verdicts[ids.start:ids.stop] = rows.check(check_nodes,
-                                                      rows.of(keys, ids))
-        checked = len(keys)
-        out = _batch(pending, verdicts, check_edges is not None)
+        for ids in rows.pieces(checked, len(table)):
+            verdicts[ids.start:ids.stop] = rows.check(check_nodes, table.of(ids))
+        checked = len(table)
+        strings, ts, ids, gates = zip(*pending)
         pending, held = [], 0
-        return out
+        return (np.concatenate(strings),
+                np.repeat(ts, [part.size for part in strings]),
+                verdicts[np.concatenate(ids)],
+                np.concatenate(gates) if check_edges else None)
 
     consumed = corpus.consumed()
     order = np.argsort(-consumed, kind="stable")
@@ -625,38 +648,39 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None):
             parent, col = node[:live], corpus.codes[at]
             edge = parent * cols + col
             node = child[edge]
-            if not node.all():
+            if closure is None and not node.all():  # edges not yet stepped
                 new = np.flatnonzero(node == 0)
-                if len(keys) + new.size > capacity:
+                if len(table) + new.size > capacity:
                     if pending:  # else a batch has just checked every node
                         yield batch()
-                    kept = np.zeros(len(keys), dtype=bool)
+                    kept = np.zeros(len(table), dtype=bool)
                     kept[parent] = kept[0] = True
                     keep = np.flatnonzero(kept)
                     empty(keep)
                     parent = np.searchsorted(keep, parent)
                     edge = parent * cols + col
                     node, new = np.zeros(live, dtype=np.int32), np.arange(live)
-                # each new edge is claimed in the edge table by the last row
-                # on it, which steps it for all of them
+                # each new edge is claimed in the edge table by the last
+                # row on it, which steps it for all of them
                 on = edge[new]
                 child[on] = ~new
                 lead = np.flatnonzero(~child[on] == new)
                 fresh = on[lead]
                 parent_of, sym = np.divmod(fresh, cols)
-                room(len(keys) + lead.size)
+                room(len(table) + lead.size)
                 stepped += lead.size
                 block = np.zeros((lead.size, rows.size))  # zero padded
                 for b in range(0, lead.size, BLOCK_ROWS):
-                    parents = rows.of(keys, parent_of[b:b + BLOCK_ROWS].tolist())
+                    parents = table.of(parent_of[b:b + BLOCK_ROWS].tolist())
                     acts = rows.step(parents, sym[b:b + BLOCK_ROWS],
                                      block[b:b + BLOCK_ROWS])
                     if check_edges:
                         gate[fresh[b:b + BLOCK_ROWS]] = check_edges(acts)
                 rows.stack_of(block)[:] = stacks[at[new[lead]]]
-                child[fresh] = np.add(rows.add(block, keys, index), 1)
+                child[fresh] = np.add(table.add(block), 1)
                 node[new] = child[on]
-            node = np.subtract(node, 1, dtype=np.intp)
+            if closure is None:  # its child table holds ids + 1
+                node = np.subtract(node, 1, dtype=np.intp)
             pending.append((strings[:live], t, node,
                             gate[edge] if check_edges else None))
             held += live
@@ -689,15 +713,14 @@ def closure_limit(params: DyckParams, corpus: Corpus) -> int:
 @dataclass
 class Closure:
     """The closed product graph of a network and the automaton, or, with
-    rows and child None, a walk of it given up.  Node ids number the nodes
-    in order of creation, the root (zero state, empty stack) 0: `rows`
-    holds their rows (state, then stack bytes), `child` per node and
-    bracket row the child's id, -1 where the automaton allows no bracket,
-    and `gate` the edge's verdict, given check_edges.  `edges` counts the
-    edges stepped."""
+    table and child None, a walk of it given up.  `table` holds its nodes,
+    numbered in order of creation, the root (zero state, empty stack) 0;
+    `child` per node and bracket row the child's id, -1 where the automaton
+    allows no bracket; and `gate` the edge's verdict, given check_edges.
+    `edges` counts the edges stepped."""
 
     edges: int
-    rows: np.ndarray | None = None
+    table: _Table | None = None
     child: np.ndarray | None = None
     gate: np.ndarray | None = None
 
@@ -720,16 +743,15 @@ def close_graph(paramset, edge_limit: int, check_edges=None) -> Closure:
     k, cols = params.k, 2 * params.k
     rows = _Rows(paramset)
     capacity = rows.closure_capacity(check_edges is not None)
-    keys = [bytes(rows.key.itemsize)]  # the root
-    index = {keys[0]: 0}
+    table = rows.rooted()
     children, gates = [], []  # per level, its nodes' rows of each table
     lo = edges = 0
-    while lo < len(keys):
-        level = rows.of(keys, range(lo, len(keys)))
+    while lo < len(table):
+        level = table.of(range(lo, len(table)))
         stack = rows.stack_of(level).astype(np.intp)
         depth = np.count_nonzero(stack, axis=1)
         parents, sym = np.nonzero(allowed_rows(params, stack, depth)[:, :cols])
-        if edges + parents.size > edge_limit or len(keys) > capacity:
+        if edges + parents.size > edge_limit or len(table) > capacity:
             return Closure(edges)
         edges += parents.size
         child = np.full((len(level), cols), -1, dtype=np.int32)
@@ -741,14 +763,13 @@ def close_graph(paramset, edge_limit: int, check_edges=None) -> Closure:
             kid, kid_depth = stack[p], depth[p]
             push_pop(k, kid, kid_depth, c)
             rows.stack_of(block)[:] = kid
-            child[p, c] = rows.add(block, keys, index)
+            child[p, c] = table.add(block)
             if check_edges:
                 gate[p, c] = check_edges(acts)
         children.append(child)
         gates.append(gate)
         lo += len(level)
-    return Closure(edges, rows.of(keys, range(len(keys))),
-                   np.concatenate(children).ravel(),
+    return Closure(edges, table, np.concatenate(children).ravel(),
                    np.concatenate(gates).ravel() if check_edges else None)
 
 
@@ -758,15 +779,11 @@ class CorpusWalk:
     stack) per node, check_edges(acts) per edge, as walk_corpus takes them.
 
     Where the corpus uses enough of the automaton's edges (closure_limit),
-    the product graph is closed first (close_graph), every node of it is
-    checked, in pieces whose readout holds at most CHECK_BYTES, and each
-    level of the corpus strings, in walk_corpus's order, finds its nodes
-    with one gather from the child table.  Otherwise, or when the closure
-    is given up, walk_corpus walks the corpus itself.  Iterating yields
-    walk_corpus's batches, the closed graph's once they hold as many
-    positions as its node table could hold nodes; `walk` then names the
-    walk that answered, "closed" or "corpus", and `rows_stepped` counts the
-    rows step_rows took, a closure given up included.
+    the product graph is closed first (close_graph), and walk_corpus starts
+    from the closed graph; otherwise, or when the closure is given up, from
+    the root alone.  Iterating yields walk_corpus's batches; `walk` then
+    names the walk's start, "closed" or "corpus", and `rows_stepped` counts
+    the rows step_rows took, a closure given up included.
     """
 
     def __init__(self, paramset, corpus: Corpus, check_nodes, check_edges=None):
@@ -778,38 +795,9 @@ class CorpusWalk:
         paramset, corpus = self.paramset, self.corpus
         closure = close_graph(paramset, closure_limit(paramset.dyck_params, corpus),
                               self.check_edges)
+        closed = closure.table is not None
+        self.walk = "closed" if closed else "corpus"
         self.rows_stepped = closure.edges
-        if closure.child is None:
-            self.walk = "corpus"
-            self.rows_stepped += yield from walk_corpus(
-                paramset, corpus, self.check_nodes, self.check_edges)
-            return
-        self.walk = "closed"
-        rows, cols = _Rows(paramset), 2 * paramset.k
-        verdicts = np.concatenate([
-            rows.check(self.check_nodes, closure.rows[ids.start:ids.stop])
-            for ids in rows.pieces(0, len(closure.rows))])
-        gated = self.check_edges is not None
-        capacity = rows.closure_capacity(gated)
-        consumed = corpus.consumed()
-        order = np.argsort(-consumed, kind="stable")
-        starts = corpus.offsets[order]
-        # strings still consuming at t = 1, 2, ... (they come most first)
-        lives = np.searchsorted(-consumed[order],
-                                -np.arange(1, consumed.max(initial=0) + 1),
-                                side="right").tolist()
-        node = np.zeros(order.size, dtype=np.int32)  # all at the root
-        pending = [(order, 0, node,
-                    np.zeros(order.size, dtype=bool) if gated else None)]
-        held = order.size
-        for t, live in enumerate(lives, start=1):
-            edge = node[:live] * cols + corpus.codes[starts[:live] + (t - 1)]
-            node = closure.child[edge]
-            pending.append((order[:live], t, node,
-                            closure.gate[edge] if gated else None))
-            held += live
-            if held >= capacity:
-                yield _batch(pending, verdicts, gated)
-                pending, held = [], 0
-        if pending:
-            yield _batch(pending, verdicts, gated)
+        self.rows_stepped += yield from walk_corpus(
+            paramset, corpus, self.check_nodes, self.check_edges,
+            closure if closed else None)

@@ -23,9 +23,10 @@ Tokens.  The corpus suites and the closing metrics read a corpus as an
 automaton.Corpus: the suites refuse a string that leaves the language from
 its rejections array and check each distinct (state, stack) node of the
 product graph of the network and the automaton, and each distinct edge,
-once (corpus_checks): on the closed graph (product.close_graph) where the
-corpus uses enough of the automaton's edges, else on the nodes the corpus
-reaches (product.walk_corpus), and map every corpus position to its node;
+once (corpus_checks) in one walk of the corpus (product.walk_corpus),
+whose node table the closed graph (product.close_graph) fills first where
+the corpus uses enough of the automaton's edges, and map every corpus
+position to its node;
 the metrics find each close bracket's open from its depth arrays, and the
 closing metric reads out each distinct hidden row before a close once,
 finding repeats by the row's bytes.
@@ -52,7 +53,7 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import (CorpusWalk, Graph, Language, Support, Walk,
+from .product import (CorpusWalk, Graph, Language, Support, Walk, _Table,
                       allowed_rows, members, walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
@@ -418,16 +419,17 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     A position's checks depend only on its node (the network state and the
     automaton stack) and, for the LSTM's gates, on the edge into it, so
     each distinct node is checked once (corpus_checks), and each distinct
-    LSTM edge has its gates checked once.  Where the corpus uses enough of
-    the automaton's edges, the nodes are those of the closed product graph
-    (product.close_graph), and each corpus position finds its node in the
+    LSTM edge has its gates checked once, in one walk of the corpus
+    (product.walk_corpus).  Where the corpus uses enough of the automaton's
+    edges, the closed product graph (product.close_graph) fills the walk's
+    node table first, and each corpus position finds its node in the
     graph's child table; otherwise, or when the graph does not close within
-    its edge limit, those of the corpus walk (product.walk_corpus).  Each
-    report's details name the walk that answered ("walk": "closed" or
-    "corpus") and the rows it stepped ("rows_stepped"), a closure given up
-    included.  The readout runs once per piece of nodes, so min_allowed and
-    max_disallowed may differ in their last bits with the rows that share
-    its product.
+    its limits, the walk starts from the root and steps the edges the
+    corpus reaches.  Each report's details name where the walk started
+    ("walk": "closed" or "corpus") and the rows it stepped
+    ("rows_stepped"), a closure given up included.  The readout runs once
+    per piece of nodes, so min_allowed and max_disallowed may differ in
+    their last bits with the rows that share its product.
     """
     params = paramset.dyck_params
     k = params.k
@@ -603,9 +605,9 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     LSTM exposes only the top slot, so its h takes at most m*k + 1 values,
     and the simple RNN's h is set by the stack and by whether the last
     token pushed or popped.  A table keyed by each row's bytes (so 0.0 and
-    -0.0 stay apart) holds the row's k verdicts.  Rows that never repeat
-    (softened or random weights) fill it, and a full table is emptied, so
-    the report does not depend on its size.  Each walk block's closes are
+    -0.0 stay apart, product._Table) numbers the row's k verdicts.  Rows
+    that never repeat (softened or random weights) fill it, and a full
+    table is emptied, so the report does not depend on its size.  Each walk block's closes are
     laid out at t = 0 and their verdicts gathered after its last close, or
     before the table is emptied."""
     _check_threshold(threshold)
@@ -613,8 +615,7 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
     corpus = Corpus.of(k, corpus)
     separation = _separations(corpus)  # indexed by token position
     V, b_v = paramset.V[k:2 * k].T, paramset.b_v[k:2 * k]
-    row_key = np.dtype((np.void, 8 * d))
-    slot_of: dict[bytes, int] = {}  # a row's bytes -> its row of verdicts
+    table = _Table(np.float64, d)  # a row's id is its row of verdicts
     # at least one step's rows, so a step's new rows always fit
     capacity = max(_READOUT_TABLE_BYTES // (8 * d + k), BLOCK_ROWS)
     verdicts = np.empty((capacity, k), dtype=bool)
@@ -635,22 +636,18 @@ def closing_metric(paramset, corpus, threshold: float = 0.8) -> ClosingMetricRep
         if lo == hi:
             continue
         h = h[row[lo:hi]]
-        keys = h.view(row_key).ravel().tolist()
-        found = list(map(slot_of.get, keys))
-        if None in found:
-            new = {key: i for i, key in enumerate(keys) if found[i] is None}
-            if len(slot_of) + len(new) > capacity:
-                confident[where[done:lo]] = verdicts[slot[done:lo], closes[done:lo]]
-                done = lo
-                slot_of.clear()
-                new = dict(zip(keys, range(len(keys))))
-            size = len(slot_of)
-            slot_of.update(zip(new, range(size, size + len(new))))
-            verdicts[size:len(slot_of)] = softmax(
-                h[list(new.values())] @ V + b_v) > threshold
-            readout_rows += len(new)
-            found = list(map(slot_of.get, keys))
-        slot[lo:hi] = found
+        size = len(table)
+        ids = table.add(h)
+        if len(table) > capacity:
+            confident[where[done:lo]] = verdicts[slot[done:lo], closes[done:lo]]
+            done = lo
+            table.empty()
+            size, ids = 0, table.add(h)
+        if len(table) > size:
+            verdicts[size:len(table)] = softmax(
+                table.of(range(size, len(table))) @ V + b_v) > threshold
+            readout_rows += len(table) - size
+        slot[lo:hi] = ids
         if hi == row.size:  # the block's last close
             scored[where] = True
             confident[where[done:]] = verdicts[slot[done:], closes[done:]]

@@ -461,6 +461,39 @@ class TestVerify:
             f"error: {named} cannot be given with --weights: the weight file "
             f"holds its own constants"]
 
+    LSTM_BINARY = "--arch lstm --enc binary"
+    SIMPLE_ONEHOT = "--arch simple --enc onehot"
+
+    @pytest.mark.parametrize("file,selection,held,refused", [
+        ("lstm_binary_k2_m2", "--arch simple", LSTM_BINARY, "--arch simple"),
+        ("lstm_binary_k2_m2", "--enc onehot", LSTM_BINARY, "--enc onehot"),
+        ("lstm_binary_k2_m2", "--arch lstm --enc onehot", LSTM_BINARY, "--enc onehot"),
+        ("simple_onehot_k2_m2", "--arch naive", SIMPLE_ONEHOT, "--arch naive"),
+        ("naive", "--enc binary", "--arch naive", "--enc binary"),
+        ("lstm_binary_k2_m2", LSTM_BINARY, LSTM_BINARY, None),
+        ("lstm_binary_k2_m2", "--arch all --enc binary", LSTM_BINARY, None),
+        ("naive", "--arch naive", "--arch naive", None)])
+    def test_selection_the_weight_file_contradicts_refused(
+            self, tmp_path, capsys, file, selection, held, refused):
+        """An --arch or --enc other than `all` must name the file's network:
+        one it contradicts would have the file verified in its stead."""
+        if file == "naive":
+            path = str(tmp_path / "naive.json")
+            save_weights(path, build("naive", DyckParams(2, 2), None))
+        else:
+            path = os.path.join(os.path.dirname(__file__), "golden", f"{file}.json")
+        code = run_cli("verify", "-k", "2", "-m", "2", "--suite", "stack",
+                       "--strings", "5", "--weights", path, *selection.split())
+        captured = capsys.readouterr()
+        if refused:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: {path} holds a network of {held} but {refused} was given"]
+        else:
+            assert code == 0
+            assert captured.out.startswith("PASS stack_correspondence")
+
     @pytest.mark.parametrize("strings", ["0", "-1"])
     def test_empty_corpus_refused(self, capsys, strings):
         code = run_cli("verify", "-k", "2", "-m", "2", "--suite", "stack",

@@ -378,6 +378,60 @@ class TestCorpusWalk:
         assert [(r.details["walk"], r.details["rows_stepped"])
                 for r in reports] == [("corpus", rows)] * 3
 
+    @pytest.mark.parametrize("k,m,arch,enc", [
+        (4, 4, "simple", ONEHOT), (4, 4, "lstm", BINARY),
+        (2, 3, "simple", BINARY), (2, 3, "lstm", ONEHOT)])
+    def test_closed_walk_steps_nothing_after_the_closure(self, monkeypatch, k,
+                                                         m, arch, enc):
+        """Once the graph is closed, the corpus walk starts from its table
+        and edges and only looks each position's node up: every row is
+        stepped inside close_graph."""
+        p = DyckParams(k, m)
+        corpus = sample_strings(SamplerConfig(p, seed=2026), 1000)
+        stepped = self.count_stepped_rows(monkeypatch)
+        closures = []
+        real_close_graph = product.close_graph
+
+        def spied_close_graph(*args):
+            closures.append((real_close_graph(*args), sum(stepped)))
+            return closures[-1][0]
+
+        monkeypatch.setattr(product, "close_graph", spied_close_graph)
+        reports = check_corpus_suites(build(arch, p, enc), corpus)
+        ((closure, at_close),) = closures
+        assert closure.table is not None
+        assert sum(stepped) == at_close == closure.edges > 0
+        assert {(r.details["walk"], r.details["rows_stepped"])
+                for r in reports} == {("closed", closure.edges)}
+
+
+class TestTable:
+    def test_new_rows_numbered_in_order_of_first_arrival(self):
+        table = product._Table(np.float64, 2)
+        rows = np.array([[1.0, 2.0], [0.0, -0.0], [1.0, 2.0], [0.0, 0.0],
+                         [0.0, -0.0]])
+        assert table.add(rows[:2]) == [0, 1]
+        assert table.add(rows) == [0, 1, 0, 2, 1]
+        assert table.add(rows[[3, 4, 4]]) == [2, 1, 1]
+        assert table.add(np.array([[5.0, 6.0], [7.0, 8.0], [5.0, 6.0]])) == [3, 4, 3]
+        assert len(table) == 5
+        assert table.of([3, 0, 2]).tobytes() == np.array(
+            [[5.0, 6.0], [1.0, 2.0], [0.0, 0.0]]).tobytes()
+        # each row is held once: the id list and the index share its bytes
+        assert all(table.keys[i] is key for key, i in table.index.items())
+
+    def test_empty_renumbers_the_kept_rows(self):
+        table = product._Table(np.uint8, 3)
+        rows = np.arange(18, dtype=np.uint8).reshape(6, 3)
+        table.add(rows)
+        table.empty([0, 2, 5])
+        assert len(table) == 3
+        assert table.of(range(3)).tolist() == rows[[0, 2, 5]].tolist()
+        assert table.add(rows[[5, 1, 0, 2]]) == [2, 3, 0, 1]
+        table.empty()
+        assert len(table) == 0 and table.index == {}
+        assert table.add(rows[[4, 4]]) == [0, 0]
+
 
 def softened(net):
     """Sabotage: scale every recurrent, input and bias array into the
