@@ -462,4 +462,5 @@ def allowed_tokens(params: DyckParams, state: DfaState) -> frozenset[Token]:
 
 def stack_state_count(params: DyckParams) -> int:
     """Number of stack states: sum over m' of k^m'."""
-    return sum(params.k**i for i in range(params.m + 1))
+    k, m = params.k, params.m
+    return m + 1 if k == 1 else (k**(m + 1) - 1) // (k - 1)

@@ -19,6 +19,7 @@ values exactly -1/0/1).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,13 @@ def hidden_units(architecture: str, encoding_kind: str | None, k: int, m: int) -
     if architecture == ARCH_LSTM:
         return m * slot_width(encoding_kind, k)
     if architecture == ARCH_NAIVE:
-        n_states = stack_state_count(DyckParams(k, m)) + 2
+        params = DyckParams(k, m)
+        # no weight file or parameter budget holds 2^62 units squared, and
+        # k^m takes time and memory to count past that
+        if m * math.log2(k) > 62:
+            raise ParameterBudgetError(f"naive automaton network at k={k}, "
+                                       f"m={m} needs over 2^62 units")
+        n_states = stack_state_count(params) + 2
         return n_states * 2 * k
     raise ValueError(f"unknown architecture {architecture!r}")
 

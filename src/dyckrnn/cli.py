@@ -290,6 +290,15 @@ def cmd_verify(args) -> int:
         built[loaded.architecture, loaded.encoding and loaded.encoding.kind] = loaded
     enumeration = Enumeration(params, args.max_len, args.epsilon)
 
+    # the equivalence and cross suites read one walk of the language beside
+    # every construction either compares, walked (or refused as too long to
+    # report) before any suite runs
+    crossed = (cross_constructions(args.k, construction) if "cross" in suites
+               else ([], None))
+    if "equivalence" in suites or "cross" in suites:
+        enumeration.walk([*(constructions if "equivalence" in suites else ()),
+                          *crossed[0]])
+
     # one walk per corpus string and construction serves every corpus
     # suite; the sampled Corpus counts its arrays once for all of them
     corpus_suites = [s for s in suites if s in CORPUS_SUITES]
@@ -301,15 +310,7 @@ def cmd_verify(args) -> int:
             ps, corpus, corpus_suites, epsilon=args.epsilon)))
             for ps in constructions]
 
-    # the equivalence and cross suites read one walk of the language beside
-    # every construction either compares, walked when the first of them runs
-    crossed = (cross_constructions(args.k, construction) if "cross" in suites
-               else ([], None))
-    enumerated = [*(constructions if "equivalence" in suites else ()),
-                  *crossed[0]]
     for suite in suites:
-        if suite in ("equivalence", "cross"):
-            enumeration.walk(enumerated)
         if suite == "equivalence":
             reports.extend(enumeration.equivalence(ps) for ps in constructions)
         elif suite in CORPUS_SUITES:

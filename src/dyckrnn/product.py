@@ -13,17 +13,19 @@ of their states per depth, and the first string, in
 length-then-lexicographic order over symbol rows (opens 1..k, closes 1..k,
 end), on which they differ.
 
-The corpus suites read their verdicts per corpus position from one walk
-whose nodes pair a network's state with the automaton stack after the same
-tokens (walk_corpus): it walks the corpus along the tokens its strings
-consume, stepping and checking each distinct node and edge once in a node
-table of bounded bytes.  Where the corpus uses at least half the
-automaton's edges (CLOSURE_SHARE), close_graph first fills that table with
-every node the automaton's brackets reach from the root, stepping each edge
-once, and the walk then only looks each position's node up in the child
-table; a closure is given up past twice the automaton's edges
-(CLOSURE_EDGES) or a full table, and the walk then starts from the root
-alone.  Every walk keys its nodes by their bytes in a _Table.
+The corpus suites read their verdicts per corpus position from the
+product graph of a network and the automaton (NetworkGraph), whose nodes
+pair a network's state with the automaton stack after the same tokens, and
+whose step is the one place an edge is stepped.  Where the corpus uses at
+least half the automaton's edges (CLOSURE_SHARE), the graph is first closed
+(NetworkGraph.close): every node the automaton's brackets reach from the
+root, each edge stepped once.  A closure is given up past twice the
+automaton's edges (CLOSURE_EDGES) or a full table, leaving the root alone.
+walk_corpus then walks the corpus along the tokens its strings consume:
+on a closed graph it only looks each position's node up in the child
+table; otherwise it steps each distinct edge the first time a string
+reaches it, in a node table of bounded bytes.  Every walk keys its nodes
+by their bytes in a _Table.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ def push_pop(k: int, stack: np.ndarray, depth: np.ndarray, cols: np.ndarray):
     """Apply one allowed token per row (symbol rows `cols`) to (rows, m)
     automaton stacks of bracket indices (bottom first, 0 above the top) and
     their depth vector, in place: the automaton's step in the product graph
-    walk.  A corpus reads its stacks from Corpus.stacks."""
-    live = np.arange(cols.size)
+    walk.  Corpus.stacks counts the stacks after every token of a corpus
+    at once."""
     opens = cols < k
-    stack[live[opens], depth[opens]] = cols[opens] + 1
-    depth += np.where(opens, 1, -1)
-    stack[live[~opens], depth[~opens]] = 0
+    depth -= ~opens  # a close empties the slot below its depth
+    stack[np.arange(cols.size), depth] = np.where(opens, cols + 1, 0)
+    depth += opens  # an open fills the slot at its depth
 
 
 def allowed_rows(params: DyckParams, stack: np.ndarray,
@@ -443,7 +445,7 @@ def members(side, k: int, max_len: int,
 # and automaton stack, held once, as its dict key, with about 100 bytes of
 # Python objects), half a row for the level it is made in, its verdicts and
 # its row of the edge table.  walk_corpus empties a full table but for the
-# root and the nodes the walked strings stand on; close_graph gives up.
+# root and the nodes the walked strings stand on; NetworkGraph.close gives up.
 # Over the corpus suites of the (128, 5) CI instance, 300 strings (2-core
 # Xeon, in process, against the slab walk walk_corpus replaced), tables of
 # 4, 8 and 16 MB took 1.00-1.05, 0.95-1.01 and 0.97-1.01 times as long; at
@@ -457,7 +459,7 @@ CORPUS_TABLE_BYTES = 1 << 23
 CHECK_BYTES = 1 << 18
 
 # The corpus suites' walk starts from the closed product graph
-# (close_graph) when the corpus uses at least CLOSURE_SHARE of the
+# (NetworkGraph.close) when the corpus uses at least CLOSURE_SHARE of the
 # automaton's edges as distinct (stack, next token) pairs, and from the
 # root alone once the closure would step more than CLOSURE_EDGES times the
 # automaton's edges: a net whose states do not follow the automaton never
@@ -474,33 +476,54 @@ CLOSURE_SHARE = 0.5
 CLOSURE_EDGES = 2
 
 
-class _Rows:
-    """The node rows of the corpus walks: a network state (h, then c for
-    the LSTM), then the automaton stack's bytes (as Corpus.stacks holds
-    them) padded to a whole value, kept in a _Table of float64 values."""
+class NetworkGraph:
+    """The product graph of a network and the automaton, as far as it has
+    been stepped.
 
-    def __init__(self, paramset):
-        self.paramset, self.d = paramset, paramset.hidden_size
+    A node is a row of a network state (h, then c for the LSTM), then the
+    automaton stack after the same tokens (bracket indices bottom first, 0
+    above the top, in the smallest unsigned type that holds k) padded to a
+    whole value, kept in `table`, a _Table of float64 values: nodes whose
+    bytes are equal are one node, and the root (zero state, empty stack) is
+    node 0.  `child` holds, per node and bracket row, the child's id, or -1
+    where the edge has not been stepped or the automaton allows no bracket;
+    `gate`, given check_edges, the edge's verdict from its step's
+    activations.  `edges` counts the edges stepped, and `closed` says the
+    table holds every node the automaton's brackets reach from the root,
+    with all their edges.
+    """
+
+    def __init__(self, paramset, check_edges=None):
+        self.paramset, self.check_edges = paramset, check_edges
+        self.params, self.d = paramset.dyck_params, paramset.hidden_size
+        self.cols = 2 * paramset.k  # an end mark is never stepped
         self.lstm = paramset.architecture == ARCH_LSTM
         self.width = 2 * self.d if self.lstm else self.d
         self.stack_dtype = np.dtype(np.min_scalar_type(paramset.k))
         self.stack_bytes = self.stack_dtype.itemsize * paramset.m
         self.size = self.width + -(-self.stack_bytes // 8)
+        self.table = _Table(np.float64, self.size)
+        self.table.add(np.zeros((1, self.size)))
+        self.edges = 0
+        self.empty([0])
 
-    def rooted(self) -> _Table:
-        """A node table holding only the root: zero state, empty stack."""
-        table = _Table(np.float64, self.size)
-        table.add(np.zeros((1, self.size)))
-        return table
+    def empty(self, keep):
+        """Keep only the nodes `keep` (ids in ascending order, the root
+        first), renumbered 0, 1, ...; forget every edge."""
+        self.table.empty(keep)
+        self.child = np.full(len(keep) * self.cols, -1, dtype=np.int32)
+        self.gate = (np.zeros(self.child.size, dtype=bool)
+                     if self.check_edges else None)
+        self.closed = False
 
     def stack_of(self, block):
         at = 8 * self.width
         return block.view(np.uint8)[:, at:at + self.stack_bytes].view(
             self.stack_dtype)
 
-    def check(self, check_nodes, block):
-        """check_nodes(h, c, stack) on the rows of `block`."""
-        d = self.d
+    def check(self, check_nodes, ids):
+        """check_nodes(h, c, stack) on the nodes `ids`."""
+        block, d = self.table.of(ids), self.d
         return check_nodes(block[:, :d],
                            block[:, d:self.width] if self.lstm else None,
                            self.stack_of(block))
@@ -508,7 +531,7 @@ class _Rows:
     def pieces(self, lo: int, hi: int):
         """The node ids lo..hi-1 as ranges checked together, whose readout
         holds at most CHECK_BYTES, or BLOCK_ROWS rows."""
-        piece = max(CHECK_BYTES // (8 * (2 * self.paramset.k + 1)), BLOCK_ROWS)
+        piece = max(CHECK_BYTES // (8 * (self.cols + 1)), BLOCK_ROWS)
         return (range(at, min(at + piece, hi)) for at in range(lo, hi, piece))
 
     def capacity(self, extra: int) -> int:
@@ -516,120 +539,123 @@ class _Rows:
         Python objects and `extra` bytes each."""
         return CORPUS_TABLE_BYTES // (8 * self.size + 100 + extra)
 
-    def closure_capacity(self, gated: bool) -> int:
-        """The nodes a closure may hold: each row twice (its key, and the
-        level rows gathered to step it or check it) and its rows of the
-        child and, when gated, gate tables."""
-        return self.capacity(8 * self.size + 2 * self.paramset.k * (4 + gated))
+    def step(self, parents, cols, limit: int = 0):
+        """Step the edges from the nodes `parents` along the symbol rows
+        `cols`, each edge not yet stepped and listed once: the child's state
+        through step_rows, at most BLOCK_ROWS edges at a time, with the
+        edge's verdict given check_edges, and the child's stack through
+        push_pop from its parent's.  The children join the table, in order
+        of first arrival, and the child table, which grows to hold them,
+        at least doubling up to `limit` nodes."""
+        block = np.zeros((parents.size, self.size))  # zero padded
+        edge, d, width = parents * self.cols + cols, self.d, self.width
+        stack = self.stack_of(block)
+        for b in range(0, parents.size, BLOCK_ROWS):
+            rows = self.table.of(parents[b:b + BLOCK_ROWS].tolist())
+            kids = block[b:b + BLOCK_ROWS]
+            h, c, acts = step_rows(
+                self.paramset, rows[:, :d],
+                np.ascontiguousarray(rows[:, d:width].T).T if self.lstm else None,
+                cols[b:b + BLOCK_ROWS])
+            kids[:, :d] = h
+            if self.lstm:
+                kids[:, d:width] = c
+            if self.check_edges:
+                self.gate[edge[b:b + BLOCK_ROWS]] = self.check_edges(acts)
+            stack[b:b + BLOCK_ROWS] = self.stack_of(rows)
+        push_pop(self.params.k, stack, np.count_nonzero(stack, axis=1), cols)
+        ids = self.table.add(block)
+        grown = len(self.table) * self.cols - self.child.size
+        if grown > 0:
+            grown = max(grown, min(self.child.size, limit * self.cols
+                                   - self.child.size))
+            self.child = np.concatenate(
+                [self.child, np.full(grown, -1, dtype=np.int32)])
+            if self.check_edges:
+                self.gate = np.concatenate([self.gate, np.zeros(grown, bool)])
+        self.child[edge] = ids
+        self.edges += parents.size
 
-    def step(self, parents, cols, into):
-        """Step the states of the rows `parents` on symbol rows `cols` into
-        the state columns of `into`; returns the step's activations."""
-        d, width = self.d, self.width
-        h, c, acts = step_rows(
-            self.paramset, parents[:, :d],
-            np.ascontiguousarray(parents[:, d:width].T).T if self.lstm else None,
-            cols)
-        into[:, :d] = h
-        if self.lstm:
-            into[:, d:width] = c
-        return acts
+    def close(self, edge_limit: int):
+        """Step the graph breadth first from the root along the brackets
+        the automaton allows (allowed_rows), each level stepping the nodes
+        the level before made, until a level makes none: then the graph is
+        closed.  Given up, leaving the root alone, before a level that
+        would take `edges` past edge_limit, or once the nodes hold more
+        than CORPUS_TABLE_BYTES with their rows gathered to step or check
+        them and their child and gate rows."""
+        capacity = self.capacity(
+            8 * self.size + self.cols * (4 + (self.check_edges is not None)))
+        lo = 0
+        while lo < len(self.table):
+            level = range(lo, len(self.table))
+            stack = self.stack_of(self.table.of(level)).astype(np.intp)
+            depth = np.count_nonzero(stack, axis=1)
+            parents, cols = np.nonzero(
+                allowed_rows(self.params, stack, depth)[:, :self.cols])
+            if (self.edges + parents.size > edge_limit
+                    or len(self.table) > capacity):
+                self.empty([0])
+                return
+            self.step(parents + lo, cols)
+            lo = level.stop
+        self.closed = True
 
 
-def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None,
-                closure: Closure | None = None):
-    """Walk a corpus over the product graph of a network and the automaton,
-    checking each distinct node once and each distinct edge once.
+def walk_corpus(graph: NetworkGraph, corpus: Corpus, check_nodes):
+    """Walk a corpus over a NetworkGraph, checking each distinct node once
+    and reading each distinct edge's verdict from the graph.
 
-    A node is the bytes of a network state (h, then c for the LSTM) and of
-    the automaton stack after the same tokens (Corpus.stacks); an edge is a
-    node and the symbol row of a consumed token.  The strings are taken as
-    runtime.walk orders them, most consumed tokens first, and walked level
-    by level: at level t every string with at least t consumed tokens moves
-    along the edge of its t-th token.  check_nodes(h, c, stack) returns one
-    verdict record per node, check_edges(acts) one verdict per edge from
-    the step's activations.
+    The strings are taken as runtime.walk orders them, most consumed tokens
+    first, and walked level by level: at level t every string with at
+    least t consumed tokens moves along the edge of its t-th token.
+    check_nodes(h, c, stack) returns one verdict record per node.
 
-    The walk starts from a closed graph (close_graph, with the same
-    check_edges), whose table and edges then hold every node and edge the
-    strings reach, or from the root alone.  From the root, an edge is
-    stepped through step_rows only the first time a string reaches it, at
-    most BLOCK_ROWS at a time, and its child is looked up by the child's
-    bytes, so strings that reach equal bytes share one node from there on.
-    The table holds as many nodes as fit CORPUS_TABLE_BYTES, but never
-    fewer than 2 * BLOCK_ROWS + 1, and grows to that as nodes are made.
-    The strings are walked in chunks of half that many, so the nodes a
-    chunk stands on and the new nodes of its next level always fit beside
-    the root: when they would not, the table is emptied but for those.
-    The nodes are checked, those of the starting table first, when their
-    verdicts are next read, in pieces whose readout holds at most
-    CHECK_BYTES.
+    A closed graph holds every node and edge the strings reach, and the
+    walk only looks each position's node up in its child table.  Otherwise
+    an edge is stepped (NetworkGraph.step) only the first time a string
+    reaches it, and its child is looked up by the child's bytes, so strings
+    that reach equal bytes share one node from there on.  The walk then
+    keeps as many nodes as fit CORPUS_TABLE_BYTES, but never fewer than
+    2 * BLOCK_ROWS + 1, and takes the strings in chunks of half that many,
+    so the nodes a chunk stands on and the new nodes of its next level
+    always fit beside the root: when they would not, the graph is emptied
+    but for those.  The nodes are checked, those the graph held at the
+    start first, when their verdicts are next read, in pieces whose readout
+    holds at most CHECK_BYTES.
 
     Yields, in batches, every position (string s after t tokens, t = 0 to
     its consumed count) as arrays (strings, t, node verdicts, edge
-    verdicts); edge verdicts are None without check_edges, and False at
-    t = 0, where no edge leads in.  Each string's positions come in order
-    of t.  A batch is yielded before the table is emptied and once it holds
-    as many positions as the table holds nodes.  A position's verdicts do
-    not depend on the table's size, but for the last bits of readout sums,
-    which may round with the nodes checked together.  Returns the rows
-    stepped after the start.
+    verdicts); edge verdicts are None without the graph's check_edges, and
+    False at t = 0, where no edge leads in.  Each string's positions come
+    in order of t.  A batch is yielded before the graph is emptied and once
+    it holds as many positions as the walk keeps nodes.  A position's
+    verdicts do not depend on that capacity, but for the last bits of
+    readout sums, which may round with the nodes checked together.
     """
-    rows = _Rows(paramset)
-    cols = 2 * paramset.k  # an end mark is never consumed
-    if closure is None:
-        table = rows.rooted()
-        # per node and symbol row, the child's id + 1 (0 not yet stepped)
-        # and the edge's verdict; grown as nodes are made
-        child = np.zeros(cols, dtype=np.int32)
-        gate = np.zeros(cols, dtype=bool) if check_edges else None
-        stacks = corpus.stacks(paramset.m)
-    else:
-        table, child, gate = closure.table, closure.child, closure.gate
-    verdicts = np.concatenate([rows.check(check_nodes, table.of(ids))
-                               for ids in rows.pieces(0, len(table))])
-    checked = len(table)  # nodes with their verdicts
-    capacity = max(rows.capacity(4 * rows.size + verdicts.itemsize
-                                 + cols * (4 + (check_edges is not None))),
+    table, cols, gated = graph.table, graph.cols, graph.gate is not None
+    verdicts = np.concatenate([graph.check(check_nodes, ids)
+                               for ids in graph.pieces(0, len(table))])
+    capacity = max(graph.capacity(4 * graph.size + verdicts.itemsize
+                                  + cols * (4 + gated)),
                    2 * BLOCK_ROWS + 1)
     chunk = (capacity - 1) // 2
-    stepped = 0
-
-    def room(nodes):
-        """Grow the tables to hold `nodes` nodes, at least doubling them."""
-        nonlocal verdicts, child, gate
-        if nodes > len(verdicts):
-            grown = min(max(nodes, 2 * len(verdicts)), capacity) - len(verdicts)
-            verdicts = np.concatenate([verdicts, np.empty(grown, verdicts.dtype)])
-            child = np.concatenate([child, np.zeros(grown * cols, child.dtype)])
-            if check_edges:
-                gate = np.concatenate([gate, np.zeros(grown * cols, bool)])
-
-    def empty(keep):
-        """Keep only the nodes `keep` (sorted, the root first, checked),
-        renumbered 0, 1, ...; forget every edge."""
-        nonlocal checked
-        child[:len(table) * cols] = 0
-        table.empty(keep.tolist())
-        checked = len(table)
-        verdicts[:checked] = verdicts[keep]
-
     pending, held = [], 0  # per level: (strings, t, nodes, edge verdicts)
 
     def batch():
         """The pending positions as one batch of arrays, node verdicts
         gathered by id, checking the nodes made since the last batch
         first."""
-        nonlocal pending, held, checked
-        for ids in rows.pieces(checked, len(table)):
-            verdicts[ids.start:ids.stop] = rows.check(check_nodes, table.of(ids))
-        checked = len(table)
+        nonlocal pending, held, verdicts
+        verdicts = np.concatenate(
+            [verdicts, *(graph.check(check_nodes, ids)
+                         for ids in graph.pieces(len(verdicts), len(table)))])
         strings, ts, ids, gates = zip(*pending)
         pending, held = [], 0
         return (np.concatenate(strings),
                 np.repeat(ts, [part.size for part in strings]),
                 verdicts[np.concatenate(ids)],
-                np.concatenate(gates) if check_edges else None)
+                np.concatenate(gates) if gated else None)
 
     consumed = corpus.consumed()
     order = np.argsort(-consumed, kind="stable")
@@ -641,54 +667,39 @@ def walk_corpus(paramset, corpus: Corpus, check_nodes, check_edges=None,
                                 side="right").tolist()
         node = np.zeros(strings.size, dtype=np.intp)  # all at the root
         pending.append((strings, 0, node,
-                        np.zeros(node.size, dtype=bool) if check_edges else None))
+                        np.zeros(node.size, dtype=bool) if gated else None))
         held += node.size
         for t, live in enumerate(lives, start=1):
-            at = starts[:live] + (t - 1)  # the token consumed, in the corpus
-            parent, col = node[:live], corpus.codes[at]
+            parent = node[:live]
+            col = corpus.codes[starts[:live] + (t - 1)]  # the token consumed
             edge = parent * cols + col
-            node = child[edge]
-            if closure is None and not node.all():  # edges not yet stepped
-                new = np.flatnonzero(node == 0)
-                if len(table) + new.size > capacity:
-                    if pending:  # else a batch has just checked every node
-                        yield batch()
-                    kept = np.zeros(len(table), dtype=bool)
-                    kept[parent] = kept[0] = True
-                    keep = np.flatnonzero(kept)
-                    empty(keep)
-                    parent = np.searchsorted(keep, parent)
-                    edge = parent * cols + col
-                    node, new = np.zeros(live, dtype=np.int32), np.arange(live)
-                # each new edge is claimed in the edge table by the last
+            node = graph.child[edge]
+            new = () if graph.closed else np.flatnonzero(node < 0)
+            if len(new) and len(table) + len(new) > capacity:
+                if pending:  # else a batch has just checked every node
+                    yield batch()
+                kept = np.zeros(len(table), dtype=bool)
+                kept[parent] = kept[0] = True
+                keep = np.flatnonzero(kept)
+                graph.empty(keep.tolist())
+                verdicts = verdicts[keep]
+                edge = np.searchsorted(keep, parent) * cols + col
+                node, new = graph.child[edge], np.arange(live)
+            if len(new):
+                # each new edge is claimed in the child table by the last
                 # row on it, which steps it for all of them
                 on = edge[new]
-                child[on] = ~new
-                lead = np.flatnonzero(~child[on] == new)
-                fresh = on[lead]
-                parent_of, sym = np.divmod(fresh, cols)
-                room(len(table) + lead.size)
-                stepped += lead.size
-                block = np.zeros((lead.size, rows.size))  # zero padded
-                for b in range(0, lead.size, BLOCK_ROWS):
-                    parents = table.of(parent_of[b:b + BLOCK_ROWS].tolist())
-                    acts = rows.step(parents, sym[b:b + BLOCK_ROWS],
-                                     block[b:b + BLOCK_ROWS])
-                    if check_edges:
-                        gate[fresh[b:b + BLOCK_ROWS]] = check_edges(acts)
-                rows.stack_of(block)[:] = stacks[at[new[lead]]]
-                child[fresh] = np.add(table.add(block), 1)
-                node[new] = child[on]
-            if closure is None:  # its child table holds ids + 1
-                node = np.subtract(node, 1, dtype=np.intp)
+                graph.child[on] = ~new
+                lead = np.flatnonzero(~graph.child[on] == new)
+                graph.step(*np.divmod(on[lead], cols), capacity)
+                node[new] = graph.child[on]
             pending.append((strings[:live], t, node,
-                            gate[edge] if check_edges else None))
+                            graph.gate[edge] if gated else None))
             held += live
             if held >= capacity:
                 yield batch()
     if pending:
         yield batch()
-    return stepped
 
 
 def automaton_edges(params: DyckParams) -> int:
@@ -698,106 +709,13 @@ def automaton_edges(params: DyckParams) -> int:
 
 
 def closure_limit(params: DyckParams, corpus: Corpus) -> int:
-    """The edges close_graph may step for a corpus's suites, or 0 when the
-    corpus uses too few of the automaton's edges for the closure to pay
-    (CLOSURE_SHARE).  A corpus uses at most one edge per consumed token, so
-    one whose tokens fall short of the share is not counted."""
+    """The edges NetworkGraph.close may step for a corpus's suites, or 0
+    when the corpus uses too few of the automaton's edges for the closure
+    to pay (CLOSURE_SHARE).  A corpus uses at most one edge per consumed
+    token, so one whose tokens fall short of the share is not counted."""
     edges = automaton_edges(params)
     if int(corpus.consumed().sum()) < CLOSURE_SHARE * edges:
         return 0
     if corpus.edges(params.m) < CLOSURE_SHARE * edges:
         return 0
     return CLOSURE_EDGES * edges
-
-
-@dataclass
-class Closure:
-    """The closed product graph of a network and the automaton, or, with
-    table and child None, a walk of it given up.  `table` holds its nodes,
-    numbered in order of creation, the root (zero state, empty stack) 0;
-    `child` per node and bracket row the child's id, -1 where the automaton
-    allows no bracket; and `gate` the edge's verdict, given check_edges.
-    `edges` counts the edges stepped."""
-
-    edges: int
-    table: _Table | None = None
-    child: np.ndarray | None = None
-    gate: np.ndarray | None = None
-
-
-def close_graph(paramset, edge_limit: int, check_edges=None) -> Closure:
-    """Walk the product graph of a network and the automaton breadth first
-    from the root along the brackets the automaton allows (allowed_rows,
-    push_pop), stepping each edge once through step_rows, at most
-    BLOCK_ROWS at a time.
-
-    A node is a row of network state and automaton stack bytes, as in
-    walk_corpus, and nodes whose bytes are equal are one node.  Each level
-    steps the nodes the level before made, in order of creation, and the
-    graph is closed once a level makes none.  check_edges(acts) gives each
-    edge's verdict from its step's activations.  The walk is given up
-    before a level that would take its edges past edge_limit, or its nodes
-    past the node table of CORPUS_TABLE_BYTES.
-    """
-    params = paramset.dyck_params
-    k, cols = params.k, 2 * params.k
-    rows = _Rows(paramset)
-    capacity = rows.closure_capacity(check_edges is not None)
-    table = rows.rooted()
-    children, gates = [], []  # per level, its nodes' rows of each table
-    lo = edges = 0
-    while lo < len(table):
-        level = table.of(range(lo, len(table)))
-        stack = rows.stack_of(level).astype(np.intp)
-        depth = np.count_nonzero(stack, axis=1)
-        parents, sym = np.nonzero(allowed_rows(params, stack, depth)[:, :cols])
-        if edges + parents.size > edge_limit or len(table) > capacity:
-            return Closure(edges)
-        edges += parents.size
-        child = np.full((len(level), cols), -1, dtype=np.int32)
-        gate = np.zeros(child.shape, dtype=bool) if check_edges else None
-        for b in range(0, parents.size, BLOCK_ROWS):
-            p, c = parents[b:b + BLOCK_ROWS], sym[b:b + BLOCK_ROWS]
-            block = np.zeros((p.size, rows.size))  # zero padded
-            acts = rows.step(level[p], c, block)
-            kid, kid_depth = stack[p], depth[p]
-            push_pop(k, kid, kid_depth, c)
-            rows.stack_of(block)[:] = kid
-            child[p, c] = table.add(block)
-            if check_edges:
-                gate[p, c] = check_edges(acts)
-        children.append(child)
-        gates.append(gate)
-        lo += len(level)
-    return Closure(edges, table, np.concatenate(children).ravel(),
-                   np.concatenate(gates).ravel() if check_edges else None)
-
-
-class CorpusWalk:
-    """The verdicts of every position of a corpus (string s after t tokens,
-    t = 0 to its consumed count) for the corpus suites: check_nodes(h, c,
-    stack) per node, check_edges(acts) per edge, as walk_corpus takes them.
-
-    Where the corpus uses enough of the automaton's edges (closure_limit),
-    the product graph is closed first (close_graph), and walk_corpus starts
-    from the closed graph; otherwise, or when the closure is given up, from
-    the root alone.  Iterating yields walk_corpus's batches; `walk` then
-    names the walk's start, "closed" or "corpus", and `rows_stepped` counts
-    the rows step_rows took, a closure given up included.
-    """
-
-    def __init__(self, paramset, corpus: Corpus, check_nodes, check_edges=None):
-        self.paramset, self.corpus = paramset, corpus
-        self.check_nodes, self.check_edges = check_nodes, check_edges
-        self.walk, self.rows_stepped = "", 0
-
-    def __iter__(self):
-        paramset, corpus = self.paramset, self.corpus
-        closure = close_graph(paramset, closure_limit(paramset.dyck_params, corpus),
-                              self.check_edges)
-        closed = closure.table is not None
-        self.walk = "closed" if closed else "corpus"
-        self.rows_stepped = closure.edges
-        self.rows_stepped += yield from walk_corpus(
-            paramset, corpus, self.check_nodes, self.check_edges,
-            closure if closed else None)

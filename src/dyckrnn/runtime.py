@@ -206,8 +206,8 @@ def serial_blas():
 def walk(paramset, corpus):
     """Step every corpus string from the initial state, BLOCK_ROWS strings
     at a time: every consumed token once, for the closing metric and the
-    distinctness suite (the corpus suites' one walk steps each distinct
-    edge once, product.walk_corpus).
+    distinctness suite (the corpus suites step each distinct edge of the
+    product graph once, product.NetworkGraph.step).
 
     The corpus is a Corpus or a list of Token strings, which is encoded
     once (Corpus.of).  The strings are sorted by how many tokens they

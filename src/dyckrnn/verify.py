@@ -22,11 +22,11 @@ over their full-depth state keys, which turns only the colliding pair into
 Tokens.  The corpus suites and the closing metrics read a corpus as an
 automaton.Corpus: the suites refuse a string that leaves the language from
 its rejections array and check each distinct (state, stack) node of the
-product graph of the network and the automaton, and each distinct edge,
-once (corpus_checks) in one walk of the corpus (product.walk_corpus),
-whose node table the closed graph (product.close_graph) fills first where
-the corpus uses enough of the automaton's edges, and map every corpus
-position to its node;
+product graph of the network and the automaton (product.NetworkGraph),
+and each distinct edge, once (corpus_checks) in one walk of the corpus
+(product.walk_corpus) over that graph, closed first
+(product.NetworkGraph.close) where the corpus uses enough of the
+automaton's edges, and map every corpus position to its node;
 the metrics find each close bracket's open from its depth arrays, and the
 closing metric reads out each distinct hidden row before a close once,
 finding repeats by the row's bytes.
@@ -53,8 +53,9 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import (CorpusWalk, Graph, Language, Support, Walk, _Table,
-                      allowed_rows, members, walk_graph)
+from .product import (Graph, Language, NetworkGraph, Support, Walk, _Table,
+                      allowed_rows, closure_limit, members, walk_corpus,
+                      walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
                       next_distribution, readout, run_prefix, walk)
 
@@ -158,13 +159,6 @@ class Enumeration:
         if max_len < 1:
             raise ValueError(f"max_len must be at least 1 (the end mark), "
                              f"got {max_len}")
-        # cross over all n constructions checks n((2k)^max_len - 1)/(2k - 1)
-        base, n = 2 * params.k, len(applicable_constructions(params.k))
-        digits = int(max_len * math.log10(base) + math.log10(n / (base - 1))) + 1
-        if digits > REPORT_DIGITS:
-            raise ValueError(f"max_len={max_len} is too large: the count of strings "
-                             f"checked takes {digits} digits, over the "
-                             f"{REPORT_DIGITS} a report can print")
         self.params, self.max_len = params, max_len
         self.eps = _epsilon(params.k, epsilon)
         # per (parameter set, node budget), its walk and side there; parameter
@@ -173,7 +167,16 @@ class Enumeration:
 
     def walk(self, paramsets, node_budget: int = DEFAULT_ENUMERATION_BUDGET):
         """Walk the language beside every given parameter set not yet walked
-        at node_budget, all in one product graph walk."""
+        at node_budget, all in one product graph walk.  Refused before any
+        walk when a report could not print the count of strings checked."""
+        # cross over all n constructions checks n((2k)^max_len - 1)/(2k - 1)
+        base, n = 2 * self.params.k, len(applicable_constructions(self.params.k))
+        digits = int(self.max_len * math.log10(base)
+                     + math.log10(n / (base - 1))) + 1
+        if digits > REPORT_DIGITS:
+            raise ValueError(f"max_len={self.max_len} is too large: the count "
+                             f"of strings checked takes {digits} digits, over "
+                             f"the {REPORT_DIGITS} a report can print")
         new = [ps for ps in dict.fromkeys(paramsets)
                if (ps, node_budget) not in self._walks]
         for paramset in new:
@@ -406,7 +409,7 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
                         epsilon: float | None = None) -> list[VerificationReport]:
     """Any of the corpus suites, one report each in `suites` order, over one
     walk of the corpus on the product graph of the network and the
-    automaton (product.CorpusWalk).
+    automaton (product.NetworkGraph).
 
     The first string, in corpus order, that leaves the language before its
     first end mark is refused before any is walked.  The stack and
@@ -421,15 +424,15 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
     each distinct node is checked once (corpus_checks), and each distinct
     LSTM edge has its gates checked once, in one walk of the corpus
     (product.walk_corpus).  Where the corpus uses enough of the automaton's
-    edges, the closed product graph (product.close_graph) fills the walk's
-    node table first, and each corpus position finds its node in the
+    edges (product.closure_limit), the graph is closed first
+    (NetworkGraph.close), and each corpus position finds its node in the
     graph's child table; otherwise, or when the graph does not close within
     its limits, the walk starts from the root and steps the edges the
-    corpus reaches.  Each report's details name where the walk started
-    ("walk": "closed" or "corpus") and the rows it stepped
-    ("rows_stepped"), a closure given up included.  The readout runs once
-    per piece of nodes, so min_allowed and max_disallowed may differ in
-    their last bits with the rows that share its product.
+    corpus reaches.  Each report's details name the walk ("walk": "closed"
+    or "corpus") and the rows the graph stepped ("rows_stepped"), a closure
+    given up included.  The readout runs once per piece of nodes, so
+    min_allowed and max_disallowed may differ in their last bits with the
+    rows that share its product.
     """
     params = paramset.dyck_params
     k = params.k
@@ -451,8 +454,10 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         return []
     first = {s: np.full(n, -1) for s in suites}  # first failing position
     lo_min, hi_max = np.ones(n), np.zeros(n)  # margins up to that position
-    positions = CorpusWalk(paramset, corpus, *corpus_checks(paramset, suites, eps))
-    for s, t, verdict, gate in positions:
+    check_nodes, check_edges = corpus_checks(paramset, suites, eps)
+    graph = NetworkGraph(paramset, check_edges)
+    graph.close(closure_limit(params, corpus))
+    for s, t, verdict, gate in walk_corpus(graph, corpus, check_nodes):
         stepped = t > 0
         faults = {}
         if "stack" in first:
@@ -494,8 +499,8 @@ def check_corpus_suites(paramset, corpus, suites=tuple(CORPUS_SUITES),
         if suite == "margins":
             details[suite]["min_allowed"] = float(lo_min[:upto].min(initial=1.0))
             details[suite]["max_disallowed"] = float(hi_max[:upto].max(initial=0.0))
-        details[suite].update(walk=positions.walk,
-                              rows_stepped=positions.rows_stepped)
+        details[suite].update(walk="closed" if graph.closed else "corpus",
+                              rows_stepped=graph.edges)
         reports.append(VerificationReport(
             suite=CORPUS_SUITES[suite], instance=_instance(paramset),
             checked=checked, passed=counter is None, counterexample=counter,

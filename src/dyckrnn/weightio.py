@@ -121,7 +121,7 @@ def _check_header(doc) -> Header:
         raise ValueError(f"weight document has no {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed weight document: {exc}") from None
-    if arch not in _MATS:
+    if not isinstance(arch, str) or arch not in _MATS:
         raise ValueError(f"unknown architecture {arch!r}")
     for name, value in (("k", k), ("m", m)):
         if isinstance(value, bool) or not isinstance(value, int):

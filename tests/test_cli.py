@@ -310,7 +310,8 @@ class TestVerify:
         (("--suite", "margins", "--arch", "simple", "--enc", "onehot",
           "--zeta", "inf"), "zeta must be finite, got inf"),
         (("--suite", "collide", "--lambda", "inf"), "lambda must be finite"),
-        (("--suite", "collide", "--beta", "-1"), "beta must be positive")])
+        (("--suite", "collide", "--beta", "-1"), "beta must be positive"),
+        (("--suite", "stack", "--max-len", "0"), "max_len must be at least 1")])
     def test_out_of_range_option_refused(self, capsys, argv, message):
         code = run_cli("verify", "-k", "2", "-m", "2", "--strings", "20", *argv)
         assert code == 2
@@ -420,6 +421,32 @@ class TestVerify:
         assert line.startswith(f"error: max_len={max_len} is too large")
         if max_len == 3572:
             assert 5 * total_string_count(8, 3572) >= 10**4300
+
+    @pytest.mark.parametrize("suite", ["stack", "distinct", "collide"])
+    def test_max_len_too_large_to_report_left_to_enumerations(self, capsys,
+                                                              suite):
+        """Only the equivalence and cross suites count the strings up to
+        max_len, so only they refuse a count too long to report."""
+        assert run_cli("verify", "-k", "2", "-m", "2", "--suite", suite,
+                       "--strings", "20", "--max-len", "10000") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "PASS" in captured.out
+
+    def test_max_len_too_large_to_report_refused_before_any_suite(
+            self, monkeypatch, capsys):
+        """Beside the equivalence suite, a max_len too long to report is
+        refused before the corpus suites step anything."""
+        def no_step(*args):
+            raise AssertionError("stepped a network")
+
+        monkeypatch.setattr(product, "step_rows", no_step)
+        assert run_cli("verify", "-k", "2", "-m", "2", "--suite", "stack",
+                       "--suite", "equivalence", "--strings", "20",
+                       "--max-len", "10000") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: max_len=10000 is too large")
 
     def test_last_reportable_max_len(self, tmp_path, capsys):
         """At k=8 the longest max_len accepted, 3571, prints every report,
@@ -872,9 +899,16 @@ class TestMetricInputErrors:
          "matrix W holds a value that is not finite"),
         (lambda doc: doc["numeric_config"].update(zeta=float("inf")),
          "zeta must be finite, got inf"),
+        (lambda doc: doc.update(architecture=["simple"]),
+         "unknown architecture ['simple']"),
+        (lambda doc: doc.update(architecture="naive", m=2**70),
+         f"naive automaton network at k=2, m={2**70} needs over 2^62 units"),
+        (lambda doc: doc.update(architecture="naive", k=1, m=2**70),
+         f"naive at k=1, m={2**70} needs ({2 * (2**70 + 3)}, "),
     ], ids=["not-an-object", "shape-not-a-list", "matrices-list",
             "numeric-config-list", "fractional-k", "boolean-m", "nan-entry",
-            "infinite-entry", "infinite-zeta"])
+            "infinite-entry", "infinite-zeta", "architecture-list",
+            "naive-past-2^62-units", "naive-k1-huge-m"])
     @pytest.mark.parametrize("command", ["metric", "verify"])
     def test_malformed_weight_document(self, files, capsys, edit, message,
                                        command):

@@ -303,10 +303,12 @@ class TestCorpusWalk:
                 edges.add((node, token))
                 state, _ = step(net, state, token)
         stepped = self.count_stepped_rows(monkeypatch)
-        walk = product.walk_corpus(net, corpus, *verify.corpus_checks(
-            net, verify.CORPUS_SUITES, epsilon_for(4)))
+        check_nodes, check_edges = verify.corpus_checks(
+            net, verify.CORPUS_SUITES, epsilon_for(4))
+        graph = product.NetworkGraph(net, check_edges)
+        walk = product.walk_corpus(graph, corpus, check_nodes)
         verdicts = []
-        with pytest.raises(StopIteration) as done:
+        with pytest.raises(StopIteration):
             while True:
                 verdicts.append(next(walk)[2])
         verdicts = np.concatenate(verdicts)
@@ -314,7 +316,7 @@ class TestCorpusWalk:
         assert not (verdicts["stack"] | verdicts["saturation"]
                     | verdicts["margins"]).any()
         assert max(stepped) <= runtime.BLOCK_ROWS
-        assert done.value.value == sum(stepped) == len(edges)
+        assert graph.edges == sum(stepped) == len(edges)
         assert len(edges) < sum(len(s) - 1 for s in corpus)
         assert check_corpus_suites(net, corpus)[0].details["walk"] == "closed"
 
@@ -385,24 +387,67 @@ class TestCorpusWalk:
                                                          m, arch, enc):
         """Once the graph is closed, the corpus walk starts from its table
         and edges and only looks each position's node up: every row is
-        stepped inside close_graph."""
+        stepped inside NetworkGraph.close."""
         p = DyckParams(k, m)
         corpus = sample_strings(SamplerConfig(p, seed=2026), 1000)
         stepped = self.count_stepped_rows(monkeypatch)
         closures = []
-        real_close_graph = product.close_graph
+        real_close = product.NetworkGraph.close
 
-        def spied_close_graph(*args):
-            closures.append((real_close_graph(*args), sum(stepped)))
-            return closures[-1][0]
+        def spied_close(graph, *args):
+            real_close(graph, *args)
+            closures.append((graph, graph.closed, graph.edges, sum(stepped)))
 
-        monkeypatch.setattr(product, "close_graph", spied_close_graph)
+        monkeypatch.setattr(product.NetworkGraph, "close", spied_close)
         reports = check_corpus_suites(build(arch, p, enc), corpus)
-        ((closure, at_close),) = closures
-        assert closure.table is not None
-        assert sum(stepped) == at_close == closure.edges > 0
+        ((closure, closed, edges, at_close),) = closures
+        assert closed
+        assert sum(stepped) == at_close == edges == closure.edges > 0
         assert {(r.details["walk"], r.details["rows_stepped"])
                 for r in reports} == {("closed", closure.edges)}
+
+    @pytest.mark.parametrize("arch,enc", [("simple", BINARY), ("lstm", ONEHOT)])
+    def test_close_given_up_leaves_the_root_alone(self, arch, enc):
+        """A softened net never closes, so its closure passes twice the
+        automaton's edges and is given up: the graph keeps the root alone,
+        with no edge stepped, but counts the edges the closure stepped.  An
+        intact LSTM's graph is the automaton's, so it closes on its edges."""
+        p = DyckParams(2, 3)
+        edges = product.automaton_edges(p)
+        net = self.softened(build(arch, p, enc))
+        check_edges = verify.corpus_checks(net, ("saturation",), epsilon_for(2))[1]
+        graph = product.NetworkGraph(net, check_edges)
+        graph.close(product.CLOSURE_EDGES * edges)
+        assert not graph.closed and len(graph.table) == 1
+        assert not graph.table.of([0]).any()
+        assert graph.child.tolist() == [-1] * (2 * p.k)
+        assert graph.gate is None or graph.gate.tolist() == [False] * (2 * p.k)
+        assert 0 < graph.edges <= 2 * edges
+        intact = product.NetworkGraph(build_lstm(p))
+        intact.close(product.CLOSURE_EDGES * edges)
+        assert intact.closed and intact.edges == edges
+        assert len(intact.child) == len(intact.table) * 2 * p.k
+
+    def test_child_table_grows_within_the_walk_capacity(self, monkeypatch):
+        """The corpus walk's child and gate tables grow as nodes are made,
+        but never past the nodes the walk keeps: 2 * BLOCK_ROWS + 1 on the
+        floored table, which a softened net fills and empties."""
+        monkeypatch.setattr(product, "CORPUS_TABLE_BYTES", 0)
+        p = DyckParams(2, 3)
+        held, real_step = [], product.NetworkGraph.step
+
+        def spied_step(graph, *args):
+            real_step(graph, *args)
+            held.append((len(graph.table), len(graph.child), len(graph.gate)))
+
+        monkeypatch.setattr(product.NetworkGraph, "step", spied_step)
+        check_corpus_suites(self.softened(build_lstm(p, BINARY)),
+                            sample_strings(SamplerConfig(p, seed=3), 300))
+        nodes, child, gate = np.array(held).T
+        capacity = 2 * runtime.BLOCK_ROWS + 1
+        assert (nodes * 2 * p.k <= child).all() and (child == gate).all()
+        assert child.max() <= capacity * 2 * p.k
+        assert (np.diff(nodes) < 0).any()  # emptied
 
 
 class TestTable:
