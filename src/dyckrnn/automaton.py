@@ -9,8 +9,8 @@ demand; the transition function is computed, never tabulated, so large
 A corpus of strings is one integer array of symbol rows cut by string
 offsets (`Corpus`); its strings read as Token tuples on demand.  Where each
 string leaves the language is one array scan (`Corpus.rejections`), which
-every corpus refusal reads, and the automaton stack after every token is
-one running maximum per slot (`Corpus.stacks`).
+every corpus refusal reads, and the automaton edges the strings use are
+counted from one running sum that numbers each stack (`Corpus.edges`).
 
 All functions here are pure and operate on immutable values.
 """
@@ -276,32 +276,6 @@ class Corpus(Sequence):
             self._kept[key] = counted
         return self._kept[key]
 
-    def stacks(self, m: int) -> np.ndarray:
-        """Per token, the automaton stack after it as a (tokens, m) array of
-        bracket indices, bottom first, 0 above the top, in the smallest
-        unsigned type that holds k: a row's depth is its nonzero count.
-        Counted once per corpus and m, and kept read-only.
-
-        Slot j holds the bracket of the last open that reached depth j + 1,
-        found with one running maximum per slot, while more than j brackets
-        are open.  The rows are the automaton's before a string's first end
-        mark, while the string stays in the depth-m language (`rejections`).
-        """
-        return self._once("_stacks", m)
-
-    def _stacks(self, m: int) -> np.ndarray:
-        k, codes = self.k, self.codes
-        depth = self.depths()
-        place = np.arange(codes.size)
-        stack = np.zeros((codes.size, m), dtype=np.min_scalar_type(k))
-        opens = codes < k
-        for j in range(m):
-            last = np.where(opens & (depth == j + 1), place, -1)
-            np.maximum.accumulate(last, out=last)
-            filled = (depth > j) & (last >= 0)
-            stack[filled, j] = codes[last[filled]] + 1
-        return stack
-
     def edges(self, m: int) -> int:
         """The automaton edges the strings use, their distinct (stack, next
         token) pairs over the tokens they consume; counted once per corpus
@@ -311,22 +285,28 @@ class Corpus(Sequence):
 
     def _edges(self, m: int) -> np.ndarray:
         # A stack is numbered in bijective base k, its bracket indices bottom
-        # first as the digits, so the numbers run below the automaton's stack
-        # count; an open is told apart by the stack it leads to, a close by
-        # the stack it leaves, never a string's first token.
+        # first as the digits, by one running sum that restarts at each
+        # string: an open of bracket i that reaches depth d adds i k^(d-1),
+        # the close that leaves depth d subtracts it.  The numbers run below
+        # the automaton's stack count; an open is told apart by the stack it
+        # leads to, a close by the stack it leaves, never a string's first
+        # token.
         k, codes = self.k, self.codes
-        stacks = self.stacks(m)
-        number = np.zeros(codes.size, dtype=np.int64)
-        for j in reversed(range(m)):
-            number *= k
-            number += stacks[:, j]
-        nodes = sum(k**d for d in range(m + 1))
         lengths = np.diff(self.offsets)
         place = np.arange(codes.size) - np.repeat(self.offsets[:-1], lengths)
         consumed = place < np.repeat(self.consumed(), lengths)
+        opens, closes = consumed & (codes < k), consumed & (codes >= k)
+        power, depth = k ** np.arange(m + 1, dtype=np.int64), self.depths()
+        digit = np.zeros(codes.size, dtype=np.int64)
+        digit[opens] = (codes[opens] + 1) * power[depth[opens] - 1]
+        digit[closes] = (k - 1 - codes[closes]) * power[depth[closes]]
+        number = np.cumsum(digit)
+        number -= np.repeat(np.concatenate([[0], number])[self.offsets[:-1]],
+                            lengths)
+        nodes = sum(k**d for d in range(m + 1))
         used = np.zeros(2 * nodes, dtype=bool)
-        used[number[consumed & (codes < k)]] = True
-        used[nodes + number[np.flatnonzero(consumed & (codes >= k)) - 1]] = True
+        used[number[opens]] = True
+        used[nodes + number[np.flatnonzero(closes) - 1]] = True
         return np.array(np.count_nonzero(used))
 
     def _first(self, flags: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .verify import (CORPUS_SUITES, Enumeration, QuantizedEncoder,
                      VerificationReport, applicable_constructions,
                      check_corpus_suites, check_full_depth_distinctness,
                      closing_metric, closing_metric_uniform,
-                     cross_constructions, find_collision)
+                     cross_constructions, enumeration_epsilon, find_collision)
 from .weightio import atomic_write_text, load_header, load_weights, save_weights
 
 SUITES = ("equivalence", "stack", "margins", "saturation", "distinct",
@@ -64,8 +64,16 @@ def _numeric_config(args, k: int) -> NumericConfig:
     return NumericConfig.for_language(k, zeta=args.zeta, lam=args.lam, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' too, whose refusals raise
+    ValueError, so main prints them as one `error:` line and returns 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyckrnn",
         description="Build, run, and verify bracket-language generator networks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -288,7 +296,8 @@ def cmd_verify(args) -> int:
     if args.weights:
         (loaded,) = constructions
         built[loaded.architecture, loaded.encoding and loaded.encoding.kind] = loaded
-    enumeration = Enumeration(params, args.max_len, args.epsilon)
+    # --max-len and --epsilon are refused whatever the suites
+    enumeration_epsilon(args.k, args.max_len, args.epsilon)
 
     # the equivalence and cross suites read one walk of the language beside
     # every construction either compares, walked (or refused as too long to
@@ -296,8 +305,8 @@ def cmd_verify(args) -> int:
     crossed = (cross_constructions(args.k, construction) if "cross" in suites
                else ([], None))
     if "equivalence" in suites or "cross" in suites:
-        enumeration.walk([*(constructions if "equivalence" in suites else ()),
-                          *crossed[0]])
+        enumeration = Enumeration(params, args.max_len, args.epsilon, [
+            *(constructions if "equivalence" in suites else ()), *crossed[0]])
 
     # one walk per corpus string and construction serves every corpus
     # suite; the sampled Corpus counts its arrays once for all of them
@@ -407,10 +416,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {"build": cmd_build, "sample": cmd_sample, "check": cmd_check,
                 "trace": cmd_trace, "verify": cmd_verify, "metric": cmd_metric}
     try:
+        args = _parser().parse_args(argv)
         with serial_blas():
             return handlers[args.command](args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:

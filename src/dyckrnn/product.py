@@ -45,8 +45,7 @@ def push_pop(k: int, stack: np.ndarray, depth: np.ndarray, cols: np.ndarray):
     """Apply one allowed token per row (symbol rows `cols`) to (rows, m)
     automaton stacks of bracket indices (bottom first, 0 above the top) and
     their depth vector, in place: the automaton's step in the product graph
-    walk.  Corpus.stacks counts the stacks after every token of a corpus
-    at once."""
+    walks."""
     opens = cols < k
     depth -= ~opens  # a close empties the slot below its depth
     stack[np.arange(cols.size), depth] = np.where(opens, cols + 1, 0)

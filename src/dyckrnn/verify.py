@@ -11,12 +11,10 @@ them: one breadth-first walk pairs the automaton's stack with the states
 of the networks, steps each distinct node once, and carries per node how
 many prefixes reach it, so the language, each support, their common
 strings and the first string they differ on are read off one walk.  The
-walk lives in the product module.  An Enumeration walks the language
-beside every construction a command hands it in one walk, so the
-equivalence and cross suites of one command read the same counts, and
-cross reads where two supports that both differ from the language differ
-off that walk too.  The
-distinctness suite walks the k^m all-open strings as one integer corpus
+walk lives in the product module.  An Enumeration makes it once, when it
+is made, over the language beside every construction a command hands it,
+and the equivalence and cross suites only read it.  The distinctness
+suite walks the k^m all-open strings as one integer corpus
 through runtime.walk; it and the collision search share one pigeonhole pass
 over their full-depth state keys, which turns only the colliding pair into
 Tokens.  The corpus suites and the closing metrics read a corpus as an
@@ -53,7 +51,7 @@ from .automaton import (ACCEPT, Corpus, DfaState, DyckParams, Token,
 from .builders import DEFAULT_PARAMETER_BUDGET, ParameterBudgetError, build
 from .encodings import ARCH_LSTM, ARCH_NAIVE, ARCH_SIMPLE, BINARY, ONEHOT
 from .numerics import NumericConfig, epsilon_for, softmax
-from .product import (Graph, Language, NetworkGraph, Support, Walk, _Table,
+from .product import (Graph, Language, NetworkGraph, Support, _Table,
                       allowed_rows, closure_limit, members, walk_corpus,
                       walk_graph)
 from .runtime import (BLOCK_ROWS, DECODE_TOL, StackDecodeError, decode_stack,
@@ -147,73 +145,55 @@ def _construction_name(arch: str, enc: str | None) -> str:
     return arch if enc is None else f"{arch}/{enc}"
 
 
+def enumeration_epsilon(k: int, max_len: int, epsilon: float | None) -> float:
+    """The support threshold of an enumeration up to max_len (_epsilon),
+    after refusing a max_len below 1, the end mark."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1 (the end mark), "
+                         f"got {max_len}")
+    return _epsilon(k, epsilon)
+
+
 class Enumeration:
-    """The product graph of the automaton and constructions up to max_len:
-    the language and every parameter set walked together in one walk, each
-    at most once, so the equivalence and cross suites of one command read
-    the same counts.  A walk is kept for the parameter objects it was
-    walked from, so two constructions never share one."""
+    """The product graph of the automaton and parameter sets up to max_len,
+    walked once, when made: the language beside each distinct parameter set
+    (by identity) in one walk, which the equivalence and cross suites read.
+    Before the walk it refuses a max_len below 1, a count of strings checked
+    too long for a report to print, and a parameter set of another (k, m);
+    the walk refuses more nodes than node_budget."""
 
     def __init__(self, params: DyckParams, max_len: int = 8,
-                 epsilon: float | None = None):
-        if max_len < 1:
-            raise ValueError(f"max_len must be at least 1 (the end mark), "
-                             f"got {max_len}")
+                 epsilon: float | None = None, paramsets=(),
+                 node_budget: int = DEFAULT_ENUMERATION_BUDGET):
+        self.eps = enumeration_epsilon(params.k, max_len, epsilon)
         self.params, self.max_len = params, max_len
-        self.eps = _epsilon(params.k, epsilon)
-        # per (parameter set, node budget), its walk and side there; parameter
-        # sets compare and hash by identity
-        self._walks: dict[tuple[object, int], tuple[Walk, int]] = {}
-
-    def walk(self, paramsets, node_budget: int = DEFAULT_ENUMERATION_BUDGET):
-        """Walk the language beside every given parameter set not yet walked
-        at node_budget, all in one product graph walk.  Refused before any
-        walk when a report could not print the count of strings checked."""
         # cross over all n constructions checks n((2k)^max_len - 1)/(2k - 1)
-        base, n = 2 * self.params.k, len(applicable_constructions(self.params.k))
-        digits = int(self.max_len * math.log10(base)
-                     + math.log10(n / (base - 1))) + 1
+        base, n = 2 * params.k, len(applicable_constructions(params.k))
+        digits = int(max_len * math.log10(base) + math.log10(n / (base - 1))) + 1
         if digits > REPORT_DIGITS:
-            raise ValueError(f"max_len={self.max_len} is too large: the count "
+            raise ValueError(f"max_len={max_len} is too large: the count "
                              f"of strings checked takes {digits} digits, over "
                              f"the {REPORT_DIGITS} a report can print")
-        new = [ps for ps in dict.fromkeys(paramsets)
-               if (ps, node_budget) not in self._walks]
-        for paramset in new:
-            if paramset.dyck_params != self.params:
+        # side 0 of the walk is the language, then one per parameter set
+        self._sides = {ps: side for side, ps in
+                       enumerate(dict.fromkeys(paramsets), start=1)}
+        for paramset in self._sides:
+            if paramset.dyck_params != params:
                 raise ValueError(f"parameter set for k={paramset.k}, m={paramset.m} "
-                                 f"in an enumeration of k={self.params.k}, "
-                                 f"m={self.params.m}")
-        if new:
-            sides = (Language(self.params),
-                     *(Support(paramset, self.eps) for paramset in new))
-            walk = walk_graph(sides, self.params.k, self.max_len, node_budget)
-            for side, paramset in enumerate(new, start=1):
-                self._walks[paramset, node_budget] = walk, side
+                                 f"in an enumeration of k={params.k}, m={params.m}")
+        sides = (Language(params),
+                 *(Support(paramset, self.eps) for paramset in self._sides))
+        self._walk = walk_graph(sides, params.k, max_len, node_budget)
 
-    def _graph(self, paramset,
-               node_budget: int = DEFAULT_ENUMERATION_BUDGET) -> Graph:
+    def _graph(self, paramset) -> Graph:
         """The automaton by network walk of one construction."""
-        self.walk([paramset], node_budget)
-        walk, side = self._walks[paramset, node_budget]
-        return walk.graph(0, side)
+        if paramset not in self._sides:
+            raise ValueError("parameter set not walked in this enumeration")
+        return self._walk.graph(0, self._sides[paramset])
 
-    def _between(self, first, other) -> Graph:
-        """The walk of two networks against each other: read from their
-        walk when they were walked together, else walked for them."""
-        (walk, a), (same, b) = (self._walks[ps, DEFAULT_ENUMERATION_BUDGET]
-                                for ps in (first, other))
-        if walk is same:
-            return walk.graph(a, b)
-        sides = (Support(first, self.eps), Support(other, self.eps))
-        return walk_graph(sides, self.params.k, self.max_len,
-                          DEFAULT_ENUMERATION_BUDGET).graph(0, 1)
-
-    def equivalence(self, paramset,
-                    node_budget: int = DEFAULT_ENUMERATION_BUDGET
-                    ) -> VerificationReport:
+    def equivalence(self, paramset) -> VerificationReport:
         """The generation_equivalence report of one construction."""
-        graph = self._graph(paramset, node_budget)
+        graph = self._graph(paramset)
         counter = None
         if not graph.agree:
             side = "language-only" if graph.first_has_it else "support-only"
@@ -230,16 +210,14 @@ class Enumeration:
               ) -> VerificationReport:
         """The cross_construction_agreement report over the given parameter
         sets, taken one at a time from an iterable; `left_out` names each
-        construction not compared, with the reason.  Those not walked yet
-        are walked together.
+        construction not compared, with the reason.
 
         Two supports that both agree with the language are equal, and when
         one agrees, their first difference is the other's from the
         language.  Two supports that both differ from it are compared on
-        their walk's nodes, and their `states` are the distinct pairs of
+        the walk's nodes, and their `states` are the distinct pairs of
         their two states there, as if walked against each other alone."""
         kept = list(paramsets)
-        self.walk(kept)
         names = [_construction_name(ps.architecture, ps.encoding and ps.encoding.kind)
                  for ps in kept]
         graphs = [self._graph(paramset) for paramset in kept]
@@ -252,7 +230,7 @@ class Enumeration:
             elif first.agree:
                 continue
             else:
-                pair = self._between(kept[0], kept[i])
+                pair = self._walk.graph(self._sides[kept[0]], self._sides[kept[i]])
                 states += pair.states
                 witness = pair.difference
             if witness is not None:
@@ -277,8 +255,8 @@ def check_generation_equivalence(paramset, max_len: int = 8,
                                  ) -> VerificationReport:
     """Support equality: epsilon-truncated membership == automaton membership
     for every string up to max_len."""
-    return Enumeration(paramset.dyck_params, max_len, epsilon).equivalence(
-        paramset, node_budget)
+    return Enumeration(paramset.dyck_params, max_len, epsilon, [paramset],
+                       node_budget).equivalence(paramset)
 
 
 def _stack_predicate(paramset):
@@ -840,6 +818,7 @@ def check_cross_construction_agreement(params: DyckParams, max_len: int = 8,
     """All defined constructions carve out the same epsilon-truncated support;
     the naive network is built under `parameter_budget`, and left out when
     it is over it."""
-    return Enumeration(params, max_len, epsilon).cross(*cross_constructions(
+    built, left_out = cross_constructions(
         params.k, lambda arch, enc: build(arch, params, enc, numeric,
-                                          parameter_budget=parameter_budget)))
+                                          parameter_budget=parameter_budget))
+    return Enumeration(params, max_len, epsilon, built).cross(built, left_out)

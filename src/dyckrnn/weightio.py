@@ -19,19 +19,19 @@ Floats survive the JSON round trip bit-for-bit (shortest-repr encoding).
 Loading refuses a k or m that is not a JSON integer and a matrix entry that
 is not finite, and checks every matrix shape against the architecture's
 hidden size d: W* (d, d), U* (d, 2k), b* (d,), V (2k+1, d), b_v (2k+1,).
-load_header reads and checks the fields before "matrices" alone, decoding
-them one top-level value at a time from the file's first characters; the
-matrices are neither read nor checked.  Both loads run the header through
-one check, so a header fault reads the same either way.  Files are written atomically (temp file,
-then rename), one matrix at a time, so saving never holds the whole
-document as text; each distinct value of a matrix is spelled once.
+load_header reads and checks the fields before "matrices" alone, parsing
+the text before the first "matrices" of the file's first characters as one
+object; the matrices are neither read nor checked.  Both loads run the
+header through one check, so a header fault reads the same either way.
+Files are written atomically (temp file, then rename), one matrix at a
+time, so saving never holds the whole document as text; each distinct
+value of a matrix is spelled once.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from typing import NamedTuple
 
@@ -220,38 +220,26 @@ def load_weights(path: str):
 
 _HEADER_FIELDS = frozenset(("schema_version", "architecture", "k", "m",
                             "encoding_kind", "numeric_config"))
-_WS = r"[ \t\n\r]*"
-# the opening brace or a comma, a member name, and its colon
-_MEMBER = re.compile(rf'{_WS}([{{,]){_WS}("(?:[^"\\\x00-\x1f]|\\.)*"){_WS}:{_WS}')
-_DECODE = json.JSONDecoder().raw_decode
 # save_weights writes the header fields first, in a few hundred characters
 _HEAD_CHARS = 4096
 
 
-def _header_members(text: str) -> dict | None:
-    """The top-level members of a weight document's text, decoded one value
-    at a time up to "matrices" once every header field has been read (a
-    "matrices" before one of them is decoded past); None when the text
-    ends, breaks or closes first."""
-    fields, at, opening = {}, 0, "{"
-    try:
-        while (member := _MEMBER.match(text, at)) and member[1] == opening:
-            key, opening = json.loads(member[2]), ","
-            if key == "matrices" and _HEADER_FIELDS <= fields.keys():
-                return fields
-            fields[key], at = _DECODE(text, member.end())
-    except ValueError:  # cut off, or not JSON
-        pass
-    return None
-
-
 def _header_fields(handle) -> dict:
-    """The header members from the file's first characters alone; a file
-    they do not hold (not an object, a fault, a long or late header) is
-    parsed whole, so a refusal is json's own."""
+    """The header members from the file's first characters alone: the text
+    before its first "matrices" member, that member's value read as null.
+    A file whose head does not parse so into an object holding every header
+    field (not an object, a fault, a long or late header, a "matrices"
+    inside a value) is parsed whole, so a refusal is json's own."""
     head = handle.read(_HEAD_CHARS)
-    fields = _header_members(head)
-    return json.loads(head + handle.read()) if fields is None else fields
+    before, _, rest = head.partition('"matrices"')
+    try:
+        fields = (json.loads(before + '"matrices": null}')
+                  if rest.lstrip(" \t\n\r").startswith(":") else None)
+    except ValueError:  # cut inside a value, or not JSON
+        fields = None
+    if isinstance(fields, dict) and _HEADER_FIELDS <= fields.keys():
+        return fields
+    return json.loads(head + handle.read())
 
 
 def load_header(path: str) -> Header:

@@ -1,8 +1,9 @@
-"""Property tests of the CLI's file boundaries: `verify --weights` and
+"""Property tests of the CLI's boundaries: `verify --weights` and
 `metric --weights/--corpus` read weight documents and corpus texts that
-differ from valid ones in one field.  Whatever the field holds, a run exits
-0, 1 or 2 without a traceback, and a refusal (exit 2) prints exactly one
-`error:` line."""
+differ from valid ones in one field, and every subcommand reads argv that
+differs from a valid one a token at a time.  Whatever the field or argv
+holds, a run exits 0, 1 or 2 without a traceback, and a refusal (exit 2)
+prints exactly one `error:` line."""
 
 import contextlib
 import functools
@@ -33,6 +34,26 @@ JSON_VALUES = st.recursive(
 # a corpus word or header value: bracket and number characters mostly, with
 # a digit that int() reads but the corpus format does not write
 WORDS = st.text(alphabet="()$0123456789-+=k x#١", max_size=8) | SCALARS.map(str)
+# argv that each exit 0 in well under a second, naming files as
+# assert_boundary does
+ARGVS = (("check", "-k", "2", "-m", "2", "(1 (2 )2 )1 $"),
+         ("trace", "-k", "2", "-m", "2", "--arch", "lstm", "--enc", "binary",
+          "(1 (2"),
+         ("verify", "-k", "2", "-m", "2", "--suite", "equivalence", "--suite",
+          "cross", "--max-len", "4"),
+         ("verify", "-k", "2", "-m", "2", "--weights", "w.json", "--suite",
+          "stack", "--strings", "5", "--epsilon", "0.2"),
+         ("verify", "-k", "2", "-m", "2", "--suite", "collide", "-d", "1",
+          "-p", "2"),
+         ("metric", "--weights", "w.json", "--corpus", "c.txt",
+          "--threshold", "0.5"))
+# what replaces an argv token: options, values and files, misplaced or
+# malformed; numbers stay small, so no run builds a large network
+JUNK = (st.sampled_from(["", "-", "--", "-k", "-m", "--suite", "--weights",
+                         "--max-len", "--arch", "all", "naive", "binary",
+                         "0", "-1", "1", "3", "nan", "inf", "1e400", "$",
+                         "(3", "w.json", "c.txt", "."])
+        | st.text(alphabet="-()$ .0123xkm", max_size=3))
 PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -140,3 +161,28 @@ class TestCorpusTexts:
         assert_boundary({"w.json": document(*construction), "c.txt": text},
                         "metric", "--weights", "w.json", "--corpus", "c.txt",
                         *(["--uniform-baseline"] if baseline else []))
+
+
+@st.composite
+def mutated_argv(draw):
+    """One of ARGVS with one to three tokens, one at a time, dropped,
+    duplicated or replaced by junk."""
+    argv = list(draw(st.sampled_from(ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        at = draw(st.integers(0, len(argv) - 1))
+        if how == "drop":
+            del argv[at]
+        elif how == "duplicate":
+            argv.insert(at, argv[at])
+        else:
+            argv[at] = draw(JUNK)
+    return argv
+
+
+class TestArgv:
+    @PROPERTY
+    @given(mutated_argv())
+    def test_mutated_argv(self, argv):
+        assert_boundary({"w.json": document("lstm", "binary"),
+                         "c.txt": corpus_text()}, *argv)

@@ -629,7 +629,7 @@ class TestVerify:
         """Every construction's corpus suites read one sampled Corpus, whose
         counts are each taken once."""
         counted = []
-        for name in ("_consumed", "_rejections", "_stacks", "_edges"):
+        for name in ("_consumed", "_rejections", "_edges"):
             def spy(corpus, *args, real=getattr(Corpus, name), name=name):
                 counted.append((name, id(corpus)))
                 return real(corpus, *args)
@@ -640,7 +640,7 @@ class TestVerify:
                        "--strings", "40") == 0
         assert capsys.readouterr().out.count("PASS") == 15
         assert sorted(name for name, _ in counted) == [
-            "_consumed", "_edges", "_rejections", "_stacks"]
+            "_consumed", "_edges", "_rejections"]
         assert len({corpus for _, corpus in counted}) == 1
 
     def test_empty_construction_selection_refused(self, capsys):
@@ -684,6 +684,33 @@ class TestParser:
         assert [s["arch"] for s in seen] == ["lstm", "all", "all"]
         assert seen[2] == vars(cli.build_parser().parse_args(base))
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "-k", "x", "-m", "2"),
+         "argument -k: invalid int value: 'x'"),
+        (("verify", "-k", "2", "-m", "2", "--arch", "rnn"),
+         "argument --arch: invalid choice: 'rnn'"),
+        (("check", "-k", "2", "-m", "2"),
+         "the following arguments are required: string"),
+        (("sample", "-k", "2", "-m", "2", "-o", "c.txt"),
+         "the following arguments are required: --tokens"),
+        ((), "the following arguments are required: command"),
+        (("verify", "-k", "2", "-m", "2", "extra"),
+         "unrecognized arguments: extra")])
+    def test_refusal_is_one_error_line(self, capsys, argv, message):
+        """An argument the parser refuses, in a subcommand too, is one
+        `error:` line and exit 2, with no usage lines."""
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "-h"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dyckrnn verify")
 
 
 class TestMetric:
@@ -1006,9 +1033,12 @@ class TestMetricInputErrors:
         lambda text: text.replace('"schema_version": 2', '"schema_version": 9', 1),
         lambda text: text.replace('"zeta": ', '"zeta": 1e999, "z": ', 1),
         lambda text: "[]",
+        lambda text: text.replace(', "matrices"', ' "matrices"', 1),
+        lambda text: text.replace('"matrices": ', '"matrices" ', 1),
     ], ids=["corpus", "empty", "not-text", "truncated", "cut-before-matrices",
             "fractional-k", "boolean-m", "k-zero", "unknown-schema",
-            "infinite-zeta", "not-an-object"])
+            "infinite-zeta", "not-an-object", "no-comma-before-matrices",
+            "no-colon-after-matrices"])
     def test_header_fault_reads_the_same_in_both_modes(self, files, capsys,
                                                        damage):
         w, c = files

@@ -156,22 +156,6 @@ class TestNesting:
 
     @settings(max_examples=200, deadline=None)
     @given(member_corpora())
-    def test_stacks_match_the_automaton(self, drawn):
-        """After every consumed token the stack, and so its depth, is the
-        automaton's, whatever the strings around it hold."""
-        k, m, strings = drawn
-        corpus = Corpus.of(k, strings)
-        stack = corpus.stacks(m)
-        assert stack.shape == (corpus.codes.size, m)
-        for i, string in enumerate(strings):
-            for t in range(1, corpus.consumed()[i] + 1):
-                want = run(DyckParams(k, m), string[:t]).stack
-                at = corpus.offsets[i] + t - 1
-                assert stack[at].tolist() == list(want) + [0] * (m - len(want))
-                assert np.count_nonzero(stack[at]) == len(want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(member_corpora())
     def test_edges_match_the_token_loop(self, drawn):
         """The automaton edges the strings use are their distinct (stack,
         token) pairs before each first end mark, whatever follows it."""

@@ -808,7 +808,7 @@ class TestBlockWalkParity:
             self.assert_same_reports(other, default)
 
     def test_bracket_indices_past_a_byte(self):
-        """Corpus stacks keep bracket indices in a byte up to k = 255, but
+        """Graph stacks keep bracket indices in a byte up to k = 255, but
         the allowed close of bracket 200 at k = 200 is symbol row 399."""
         p = DyckParams(200, 2)
         corpus = [parse_string(text) for text in
@@ -1030,40 +1030,35 @@ class TestEnumeration:
         calls = spy_graph_walks(monkeypatch)
         p = DyckParams(2, 2)
         first, twin = build_simple_rnn(p), build_simple_rnn(p)
-        enumeration = verify.Enumeration(p, 6)
+        enumeration = verify.Enumeration(p, 6, paramsets=[first, twin, first])
         assert enumeration.equivalence(first).passed
         report = enumeration.cross([first, twin])
         assert report.passed and report.checked == 2 * total_string_count(2, 6)
-        # the twin equals `first` but is another object: walked anew; both
-        # agree with the language, so they are not walked against each other
-        assert calls == [(p, id(first)), (p, id(twin))]
+        # the twin equals `first` but is another object: a side of its own;
+        # `first`, given twice, is one side, and the suites walk nothing more
+        assert calls == [(p, id(first), id(twin))]
 
     def test_reports_match_the_separate_checks(self):
         p = DyckParams(2, 3)
         net = zero_close_rows(build_lstm(p))
-        enumeration = verify.Enumeration(p, 7, 0.2)
+        nets = [build(a, p, e) for a, e in verify.applicable_constructions(2)]
+        enumeration = verify.Enumeration(p, 7, 0.2, [net, *nets])
         assert (enumeration.equivalence(net).as_dict()
                 == check_generation_equivalence(net, 7, 0.2).as_dict())
-        assert (enumeration.cross(build(a, p, e) for a, e in
-                                  verify.applicable_constructions(2)).as_dict()
+        assert (enumeration.cross(iter(nets)).as_dict()
                 == check_cross_construction_agreement(p, 7, 0.2).as_dict())
 
-    def test_cross_after_separate_walks(self, monkeypatch):
-        """Two networks that both differ from the language, walked apart,
-        are walked against each other for their first difference: the
-        report is the one they give walked together."""
+    def test_parameter_set_not_walked_refused(self, monkeypatch):
         calls = spy_graph_walks(monkeypatch)
-        p = DyckParams(2, 3)
-        first = zero_close_rows(build_lstm(p))
-        other = flip_push_entry(build_simple_rnn(p))
-        apart = verify.Enumeration(p, 7)
-        assert not apart.equivalence(first).passed
-        report = apart.cross([first, other])
-        together = verify.Enumeration(p, 7).cross([first, other])
-        assert calls == [(p, id(first)), (p, id(other)), (id(first), id(other)),
-                         (p, id(first), id(other))]
-        assert report.as_dict() == together.as_dict()
-        assert report.counterexample.startswith("lstm/onehot vs simple/onehot: ")
+        p = DyckParams(2, 2)
+        walked, other = build_simple_rnn(p), build_lstm(p)
+        enumeration = verify.Enumeration(p, 4, paramsets=[walked])
+        for ask in (lambda: enumeration.equivalence(other),
+                    lambda: enumeration.cross([walked, other])):
+            with pytest.raises(ValueError, match="^parameter set not walked "
+                                                 "in this enumeration$"):
+                ask()
+        assert calls == [(p, id(walked))]
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_refused(self, max_len):
@@ -1076,9 +1071,9 @@ class TestEnumeration:
             check_cross_construction_agreement(DyckParams(2, 2), max_len=max_len)
 
     def test_foreign_parameter_set_refused(self):
-        enumeration = verify.Enumeration(DyckParams(2, 3), 6)
         with pytest.raises(ValueError, match="k=2, m=2"):
-            enumeration.equivalence(build_simple_rnn(DyckParams(2, 2)))
+            verify.Enumeration(DyckParams(2, 3), 6, paramsets=[
+                build_simple_rnn(DyckParams(2, 2))])
 
 
 class TestProductGraphParity:
@@ -1112,8 +1107,8 @@ class TestProductGraphParity:
             cls._reference[eps] = {
                 name: (enumeration_reference.equivalence_report(
                            net, cls.MAX_LEN, eps).as_dict(),
-                       verify.Enumeration(cls.P, cls.MAX_LEN, eps).equivalence(
-                           net).details["states"])
+                       verify.Enumeration(cls.P, cls.MAX_LEN, eps, [net]
+                                          ).equivalence(net).details["states"])
                 for name, net in cls.nets().items()}
         return cls._reference[eps]
 
@@ -1130,7 +1125,7 @@ class TestProductGraphParity:
         expected = self.reference(eps)
         monkeypatch.setattr(product, "TREE_BLOCK_ROWS", block)
         for name, net in self.nets().items():
-            enumeration = verify.Enumeration(self.P, self.MAX_LEN, eps)
+            enumeration = verify.Enumeration(self.P, self.MAX_LEN, eps, [net])
             report = enumeration.equivalence(net)
             want, states = expected[name]
             assert self.without_states(report) == want, name
@@ -1142,10 +1137,10 @@ class TestProductGraphParity:
             assert graph.agree == (graph.sizes[0] == graph.sizes[1]
                                    == graph.common), name
             held = report.details["states"]
-            enumeration._graph(net, held)
+            verify.Enumeration(self.P, self.MAX_LEN, eps, [net], held)
             with pytest.raises(RuntimeError,
                                match=f"node budget of {held - 1}$"):
-                enumeration._graph(net, held - 1)
+                verify.Enumeration(self.P, self.MAX_LEN, eps, [net], held - 1)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     @pytest.mark.parametrize("eps", [None, 0.06, 0.3])
@@ -1160,7 +1155,8 @@ class TestProductGraphParity:
                       ["naive softened", "simple/onehot softened",
                        "lstm/binary zero_close_rows"]):
             paramsets = [twin if name == "twin" else nets[name] for name in names]
-            report = verify.Enumeration(self.P, self.MAX_LEN, eps).cross(paramsets)
+            report = verify.Enumeration(self.P, self.MAX_LEN, eps,
+                                        paramsets).cross(paramsets)
             assert self.without_states(report) == enumeration_reference.cross_report(
                 self.P, paramsets, self.MAX_LEN, eps).as_dict(), names
 
